@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from c0ip_control import (clamp, error_norms, example1_case, example1_spec,
-                          make_unit_square, pi_h, bh_apply, vi_residual)
+from c0ip_control import (boundary_demo_spec, clamp, error_norms,
+                          example1_case, example1_spec, make_unit_square,
+                          pi_h, bh_apply, vi_residual)
 from c0ip_control.assembly import (element_geometry, eval_on_elements,
                                    _quad_points)
+from c0ip_control import solver
 from c0ip_control.fem import quadrature
-from c0ip_control.solver import (PdasError, ProblemSpec, discretize,
-                                 evaluate_p2, projection_ph,
+from c0ip_control.solver import (PdasError, ProblemSpec, _objective,
+                                 discretize, evaluate_p2, projection_ph,
                                  solve_linear_block, solve_pdas,
                                  solve_variational)
 
@@ -89,6 +93,10 @@ class TestPdas:
         spec = example1_spec(alpha=1e9)
         sol = solve_pdas(spec, make_unit_square(4))
         assert np.allclose(sol.q.values, -50.0)
+        # every control active: no reduced solve at all
+        assert sol.cg_residual == 0.0
+        assert all(step.cg_steps == 0 and step.inactive == 0
+                   for step in sol.trace)
 
     def test_objective_monotone(self, solved_n8):
         _, _, _, sol = solved_n8
@@ -103,6 +111,105 @@ class TestPdas:
     def test_iteration_count_small(self, solved_n8):
         _, _, _, sol = solved_n8
         assert sol.iterations <= 15
+
+    def test_trace_per_iteration(self, solved_n8):
+        _, mesh, _, sol = solved_n8
+        assert len(sol.trace) == sol.iterations
+        last = sol.trace[-1]
+        assert last.inactive == mesh.num_triangles - len(
+            sol.active_lower) - len(sol.active_upper)
+        assert last.cg_residual == sol.cg_residual <= 1e-13
+        # the first active sets come from the raw estimate 0 >= upper = -50
+        assert sol.trace[0].flipped == mesh.num_triangles
+        assert all(step.flipped > 0 for step in sol.trace)
+
+    def test_objective_matches_quadrature(self, solved_n8):
+        spec, mesh, ws, sol = solved_n8
+        geom = element_geometry(mesh)
+        rule = quadrature("triangle", spec.load_degree)
+        pts = _quad_points(mesh, geom, rule)
+        misfit = (eval_on_elements(geom, ws.dofmap, sol.u.coeffs, rule)
+                  - spec.u_d(pts[..., 0], pts[..., 1]))
+        track = np.einsum("q,tq->", rule.weights,
+                          misfit ** 2 * geom.det[:, None])
+        expected = 0.5 * track + 0.5 * spec.alpha * np.sum(
+            sol.q.measures * sol.q.values ** 2)
+        got = _objective(ws, sol.u.coeffs[ws.dofmap.free], sol.q.values)
+        assert abs(got - expected) <= 1e-12 * expected
+
+    def test_cg_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "CG_MAX_ITER", 1)
+        spec = example1_spec(alpha=1e-7, lower=-np.inf, upper=np.inf)
+        with pytest.raises(PdasError, match="CG"):
+            solve_pdas(spec, make_unit_square(8))
+
+
+def _block_pdas(spec, ws, max_iter=50):
+    """Reference PDAS whose linear step is the 2n x 2n block LU."""
+    free = ws.dofmap.free
+    b_f = ws.coupling[free].tocsc()
+    d_meas = ws.measures
+    raw = np.zeros(len(d_meas))
+    prev = None
+    for _ in range(max_iter):
+        up = raw >= spec.upper
+        lo = (raw <= spec.lower) & ~up
+        if prev is not None and np.array_equal(up, prev[0]) \
+                and np.array_equal(lo, prev[1]):
+            return u, phi, q, up, lo
+        prev = (up, lo)
+        inactive = ~(up | lo)
+        b_in = b_f[:, inactive]
+        coupling = (b_in @ sp.diags(1.0 / (spec.alpha * d_meas[inactive]))
+                    @ b_in.T).tocsc()
+        q = np.where(up, spec.upper, np.where(lo, spec.lower, 0.0))
+        u, phi, _ = solve_linear_block(
+            ws.stiffness.free, ws.mass.free, coupling,
+            ws.load_f[free] + b_f @ q, -ws.load_ud[free])
+        raw = -(b_f.T @ phi) / (spec.alpha * d_meas)
+        q[inactive] = raw[inactive]
+    raise AssertionError("reference PDAS did not terminate")
+
+
+class TestReducedSolveEquivalence:
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("bounds", [(-750.0, -50.0), (-np.inf, np.inf)])
+    def test_matches_block_lu(self, alpha, bounds):
+        self._compare(example1_spec(alpha, *bounds), make_unit_square(16))
+
+    def test_matches_block_lu_boundary_control(self):
+        self._compare(boundary_demo_spec(), make_unit_square(8))
+
+    @staticmethod
+    def _compare(spec, mesh):
+        ws = discretize(spec, mesh)
+        sol = solve_pdas(spec, mesh, ws=ws)
+        u, phi, q, up, lo = _block_pdas(spec, ws)
+        assert np.array_equal(sol.active_upper, np.flatnonzero(up))
+        assert np.array_equal(sol.active_lower, np.flatnonzero(lo))
+        free = ws.dofmap.free
+        for got, ref in ((sol.u.coeffs[free], u), (sol.phi.coeffs[free], phi),
+                         (sol.q.values, q)):
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_one_factorization_per_discretization(self, monkeypatch):
+        shapes = []
+        original = spla.splu
+
+        def counting_splu(matrix, *args, **kwargs):
+            shapes.append(matrix.shape)
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        spec = example1_spec()
+        mesh = make_unit_square(8)
+        ws = discretize(spec, mesh)
+        solve_pdas(spec, mesh, ws=ws)
+        solve_variational(spec, mesh, ws=ws)
+        projection_ph(spec, mesh, "state", ws=ws)
+        projection_ph(spec, mesh, "adjoint", ws=ws)
+        n = ws.dofmap.nfree
+        assert shapes == [(n, n)]
 
 
 class TestVariational:
