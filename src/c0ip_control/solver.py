@@ -16,7 +16,6 @@ with the variational discretization and the auxiliary projections.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,7 +27,7 @@ from .assembly import (assemble_a_h, assemble_load, assemble_mass,
                        build_edge_cache, control_coupling, element_geometry,
                        eval_on_elements, _quad_points)
 from .controls import ControlField, clamp, control_measures
-from .fem import P2Function, build_dofmap, quadrature
+from .fem import P2Function, build_dofmap, quadrature, shape_values
 
 __all__ = [
     "ProblemSpec",
@@ -40,6 +39,7 @@ __all__ = [
     "solve_linear_block",
     "solve_pdas",
     "solve_variational",
+    "variational_control",
     "projection_ph",
 ]
 
@@ -124,6 +124,11 @@ class Discretization:
             raise PdasError("factorization of A_h failed: %s" % exc) from exc
 
     @cached_property
+    def a_norm(self):
+        """Infinity norm of the free block of A_h, for backward errors."""
+        return spla.norm(self.stiffness.free, np.inf)
+
+    @cached_property
     def ud_norm2(self):
         """int u_d^2 dx with the quadrature rule of ``load_ud``."""
         geom = element_geometry(self.mesh)
@@ -183,13 +188,18 @@ class PdasStep:
     entities whose set (lower, upper, inactive) changed from the previous
     iteration (from all-inactive at the first), ``cg_steps`` and
     ``cg_residual`` the steps and final relative residual of the reduced
-    solve (0 and 0.0 when every control is active).
+    solve (0 and 0.0 when every control is active), and ``infeasible`` the
+    number of inactive controls of the iterate outside [lower, upper].
+
+    The objective of an iterate with ``infeasible > 0`` may lie below that
+    of the feasible iterate that follows it, so PDAS is not monotone there.
     """
 
     inactive: int
     flipped: int
     cg_steps: int
     cg_residual: float
+    infeasible: int
 
 
 @dataclass
@@ -214,13 +224,12 @@ def _residuals(ws, u_free, phi_free, qvals):
     free = ws.dofmap.free
     a_f, m_f = ws.stiffness.free, ws.mass.free
     b_f = ws.coupling[free]
-    a_norm = spla.norm(a_f, np.inf)
     rhs_state = ws.load_f[free] + b_f @ qvals
     r_state = a_f @ u_free - rhs_state
     rhs_adj = m_f @ u_free - ws.load_ud[free]
     r_adj = a_f @ phi_free - rhs_adj
-    return (backward_error(a_norm, u_free, r_state, rhs_state),
-            backward_error(a_norm, phi_free, r_adj, rhs_adj))
+    return (backward_error(ws.a_norm, u_free, r_state, rhs_state),
+            backward_error(ws.a_norm, phi_free, r_adj, rhs_adj))
 
 
 def _objective(ws, u_free, qvals):
@@ -339,18 +348,16 @@ def solve_pdas(spec, mesh, max_iter=50, ws=None):
             u_free, phi_free = state_adjoint(qvals)
 
         raw = -(b_f.T @ phi_free) / (alpha * d_meas)
-        qvals[inactive] = raw[inactive]
+        q_in = raw[inactive]
+        qvals[inactive] = q_in
         solution = (u_free, phi_free, qvals, cg_res)
         status = act_up.astype(np.int8) - act_lo.astype(np.int8)
-        trace.append(PdasStep(int(inactive.sum()),
-                              int(np.count_nonzero(status != prev_status)),
-                              cg_steps, cg_res))
+        trace.append(PdasStep(
+            int(inactive.sum()), int(np.count_nonzero(status != prev_status)),
+            cg_steps, cg_res,
+            int(np.count_nonzero((q_in < spec.lower) | (q_in > spec.upper)))))
         prev_status = status
         objective_history.append(_objective(ws, u_free, qvals))
-        if len(objective_history) >= 2 and \
-                objective_history[-1] > objective_history[-2] * (1 + 1e-12):
-            warnings.warn("PDAS objective increased at iteration %d" % it,
-                          RuntimeWarning, stacklevel=2)
     else:
         raise PdasError(
             "active sets did not stabilize within %d iterations" % max_iter,
@@ -373,14 +380,22 @@ def solve_pdas(spec, mesh, max_iter=50, ws=None):
     )
 
 
-def _clamped_control_load(ws, phi_coeffs, degree=8):
-    """Load vector of int clamp(-phi_h/alpha) v_i dx (distributed only)."""
-    geom = element_geometry(ws.mesh)
-    rule = quadrature("triangle", degree)
-    from .fem import shape_values
+def variational_control(ws, phi_coeffs, geom, rule):
+    """Clamped control clamp(-phi_h/alpha) at ``rule``'s points, (nt, nq).
+
+    ``geom`` is the element geometry of ``ws.mesh`` and ``phi_coeffs`` the
+    adjoint's coefficients on all dofs.
+    """
     phivals = eval_on_elements(geom, ws.dofmap, phi_coeffs, rule)
-    qvals = clamp(-phivals / ws.spec.alpha, ws.spec.lower, ws.spec.upper)
-    vals = shape_values(rule.points)
+    return clamp(-phivals / ws.spec.alpha, ws.spec.lower, ws.spec.upper)
+
+
+def _clamped_control_load(ws, phi_coeffs, geom, rule, vals):
+    """Load vector of int clamp(-phi_h/alpha) v_i dx (distributed only).
+
+    ``vals`` holds the P2 shape values at ``rule``'s points.
+    """
+    qvals = variational_control(ws, phi_coeffs, geom, rule)
     local = np.einsum("q,tq,qi->ti", rule.weights, qvals, vals)
     local *= geom.det[:, None]
     vec = np.zeros(ws.dofmap.ndof)
@@ -395,7 +410,9 @@ def solve_variational(spec, mesh, tol=1e-10, max_iter=200, ws=None,
     The control is the pointwise clamp of -B_h phi / alpha; a damped fixed
     point iterates on phi with the clamped coupling integrated elementwise.
     Only distributed control is supported. Returns (u, phi, q_callable)
-    where the callable evaluates the clamped control at arbitrary points.
+    where the callable evaluates the clamped control at arbitrary points by
+    locating them in the mesh; at quadrature points of known elements use
+    ``variational_control`` instead.
     """
     if spec.kind != "distributed":
         raise ValueError("variational discretization: distributed kind only")
@@ -404,13 +421,17 @@ def solve_variational(spec, mesh, tol=1e-10, max_iter=200, ws=None,
     free = ws.dofmap.free
     lu = ws.lu
     m_f = ws.mass.free
+    geom = element_geometry(mesh)
+    rule = quadrature("triangle", quad_degree)
+    vals = shape_values(rule.points)
 
     phi = np.zeros(len(free))
     omega = 1.0
     prev_res = np.inf
     u = np.zeros(len(free))
     for _ in range(max_iter):
-        load_q = _clamped_control_load(ws, ws.full_coeffs(phi), quad_degree)
+        load_q = _clamped_control_load(ws, ws.full_coeffs(phi), geom, rule,
+                                       vals)
         u = lu.solve(ws.load_f[free] + load_q[free])
         phi_new = lu.solve(m_f @ u - ws.load_ud[free])
         res = float(np.max(np.abs(phi_new - phi))) if len(phi) else 0.0
@@ -437,8 +458,10 @@ def solve_variational(spec, mesh, tol=1e-10, max_iter=200, ws=None,
 
 
 def evaluate_p2(v, x, y):
-    """Evaluate a P2 function at arbitrary points inside the domain."""
-    from .fem import shape_values
+    """Evaluate a P2 function at arbitrary points inside the domain.
+
+    Every point is located by a search over all triangles.
+    """
     mesh = v.mesh
     pts = np.column_stack([np.atleast_1d(np.asarray(x, dtype=float)).ravel(),
                            np.atleast_1d(np.asarray(y, dtype=float)).ravel()])
@@ -476,7 +499,7 @@ def projection_ph(spec, mesh, which, ws=None, degree=8):
     lu = ws.lu
     case = spec.exact
     if which == "state":
-        rhs = assemble_load(mesh, ws.dofmap, spec.f, spec.load_degree)
+        rhs = ws.load_f
         if spec.kind == "distributed":
             rhs = rhs + assemble_load(mesh, ws.dofmap, case.q, degree)
         else:

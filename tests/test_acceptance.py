@@ -308,6 +308,18 @@ class TestCriterion4OptimalityConditions:
             assert report.vi_lower >= -1e-10
             assert report.vi_upper >= -1e-10
 
+    def test_objective_rises_follow_infeasible_iterates(self, uniform_study):
+        # the objective of PDAS rises only right after an iterate whose
+        # inactive controls leave the box (h = 1/32 and 1/64 have one each)
+        infeasible = 0
+        for level in uniform_study["levels"]:
+            sol = level["sol"]
+            hist = np.asarray(sol.objective_history)
+            for it in np.flatnonzero(np.diff(hist) > 1e-12 * hist[:-1]) + 1:
+                assert sol.trace[it - 1].infeasible > 0
+            infeasible += sum(step.infeasible for step in sol.trace)
+        assert infeasible > 0
+
 
 class TestCriterion5Oracles:
     def test_projection_orthogonality(self):

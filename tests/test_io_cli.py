@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from c0ip_control import make_lshape, make_unit_square
+from c0ip_control import example1_spec, make_lshape, make_unit_square
+from c0ip_control import solver
+from c0ip_control.assembly import element_geometry, _quad_points
 from c0ip_control.cli import (RunConfig, main, run_boundary_demo,
-                              run_example1, run_example2,
+                              run_example1, run_example2, run_vd_compare,
                               _uniform_square_meshes)
+from c0ip_control.fem import quadrature
 from c0ip_control.io import read_mesh_txt, write_csv, write_mesh_txt, write_vtk
 
 
@@ -113,6 +116,34 @@ class TestCommandLine:
         text = (tmp_path / "vd_compare.csv").read_text()
         assert text.splitlines()[0] == ("h,err_u_full,err_u_vd,"
                                         "err_phi_full,err_phi_vd,q_distance")
+
+    def test_vd_compare_locates_no_points(self, tmp_path, monkeypatch):
+        def locate(*args, **kwargs):
+            raise AssertionError("point location in vd-compare")
+
+        monkeypatch.setattr(solver, "evaluate_p2", locate)
+        rc = main(["--mode", "vd-compare", "--levels", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+
+    def test_vd_compare_q_distance_matches_point_evaluation(self, tmp_path):
+        config = RunConfig(mode="vd-compare", levels=2, out=str(tmp_path))
+        rows = run_vd_compare(config)
+        spec = example1_spec()
+        rule = quadrature("triangle", 8)
+        meshes = list(_uniform_square_meshes(config))
+        assert len(rows) == len(meshes) == 2
+        for row, (h, mesh) in zip(rows, meshes):
+            ws = solver.discretize(spec, mesh)
+            sol = solver.solve_pdas(spec, mesh, ws=ws)
+            _, _, q_tilde = solver.solve_variational(spec, mesh, ws=ws)
+            geom = element_geometry(mesh)
+            pts = _quad_points(mesh, geom, rule)
+            diff = q_tilde(pts[..., 0], pts[..., 1]) - sol.q.values[:, None]
+            qdist = np.sqrt(np.einsum("q,tq->", rule.weights,
+                                      diff ** 2 * geom.det[:, None]))
+            assert row[0] == h
+            assert abs(row[-1] - qdist) <= 1e-12 * qdist
 
     def test_boundary_problem_flag(self, tmp_path):
         rc = main(["--problem", "boundary", "--out", str(tmp_path)])

@@ -15,7 +15,7 @@ from c0ip_control.fem import quadrature
 from c0ip_control.solver import (PdasError, ProblemSpec, _objective,
                                  discretize, evaluate_p2, projection_ph,
                                  solve_linear_block, solve_pdas,
-                                 solve_variational)
+                                 solve_variational, variational_control)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +180,24 @@ class TestReducedSolveEquivalence:
     def test_matches_block_lu_boundary_control(self):
         self._compare(boundary_demo_spec(), make_unit_square(8))
 
+    @pytest.mark.parametrize("alpha, bounds", [
+        (alpha, bounds) for bounds in [(-750.0, -50.0), (-np.inf, np.inf)]
+        for alpha in [1e-3, 1e-5, 1e-7]] + [(None, None)])
+    def test_objective_rises_follow_infeasible_iterates(self, alpha, bounds):
+        # PDAS is monotone only between feasible iterates: the objective
+        # may rise right after an iterate with inactive controls outside
+        # the box, and nowhere else (alpha None: the boundary-control case)
+        if alpha is None:
+            spec, mesh = boundary_demo_spec(), make_unit_square(8)
+        else:
+            spec, mesh = example1_spec(alpha, *bounds), make_unit_square(16)
+        sol = solve_pdas(spec, mesh)
+        hist = np.asarray(sol.objective_history)
+        for it in np.flatnonzero(np.diff(hist) > 1e-12 * hist[:-1]) + 1:
+            assert sol.trace[it - 1].infeasible > 0
+        if not (np.isfinite(spec.lower) or np.isfinite(spec.upper)):
+            assert all(step.infeasible == 0 for step in sol.trace)
+
     @staticmethod
     def _compare(spec, mesh):
         ws = discretize(spec, mesh)
@@ -224,6 +242,23 @@ class TestVariational:
         phiv = evaluate_p2(phi, pts[:, 0], pts[:, 1])
         expected = clamp(-phiv / spec.alpha, spec.lower, spec.upper)
         assert np.array_equal(qv, expected)
+
+    def test_variational_control_matches_point_evaluation(self):
+        spec = example1_spec()
+        mesh = make_unit_square(8)
+        ws = discretize(spec, mesh)
+        _, phi, q = solve_variational(spec, mesh, ws=ws)
+        geom = element_geometry(mesh)
+        rule = quadrature("triangle", 8)
+        pts = _quad_points(mesh, geom, rule)
+        got = variational_control(ws, phi.coeffs, geom, rule)
+        expected = q(pts[..., 0], pts[..., 1])
+        assert got.shape == (mesh.num_triangles, len(rule.weights))
+        # the clamp is active somewhere and inactive somewhere
+        assert np.any(got == spec.upper) and np.any(
+            (got > spec.lower) & (got < spec.upper))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(
+            np.abs(expected))
 
     def test_unconstrained_matches_direct_solve(self):
         case = example1_case()
