@@ -6,8 +6,6 @@ import csv
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .assembly import error_norms
 from .estimator import estimate
 from .mesh import bisect, dorfler_mark, mesh_metrics
@@ -80,10 +78,11 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=25,
         if spec.exact is not None:
             case = spec.exact
             err_u, _ = error_norms(sol.u, case.u, case.u_hess,
-                                   eta=spec.eta, cache=ws.cache)
+                                   eta=spec.eta, cache=ws.cache, geom=ws.geom)
             err_phi, _ = error_norms(sol.phi, case.phi, case.phi_hess,
-                                     eta=spec.eta, cache=ws.cache)
-            err_q = case.control_error(mesh, sol.q)
+                                     eta=spec.eta, cache=ws.cache,
+                                     geom=ws.geom)
+            err_q = case.control_error(mesh, sol.q, geom=ws.geom)
         seconds = time.perf_counter() - t0
         h_max, min_angle, _ = mesh_metrics(mesh)
         history.records.append(LevelRecord(

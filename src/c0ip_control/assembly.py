@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (P2Function, REFERENCE_HESSIANS, build_dofmap, quadrature,
+from .fem import (REFERENCE_HESSIANS, build_dofmap, quadrature,
                   shape_gradients, shape_values)
 
 __all__ = [
@@ -47,7 +47,11 @@ _EDGE_RULE = quadrature("edge", 3)  # 2-point Gauss, exact for the edge terms
 
 @dataclass(frozen=True)
 class ElementGeometry:
-    """Affine maps and physical basis Hessians, one entry per triangle."""
+    """Affine maps and physical basis Hessians, one entry per triangle.
+
+    One geometry is shared by every operator of a discretization, so its
+    arrays are read-only.
+    """
 
     v0: np.ndarray        # (nt, 2)
     jac: np.ndarray       # (nt, 2, 2), columns v1-v0, v2-v0
@@ -55,6 +59,11 @@ class ElementGeometry:
     det: np.ndarray       # (nt,)
     area: np.ndarray      # (nt,)
     hessians: np.ndarray  # (nt, 6, 2, 2) physical basis Hessians
+
+    def __post_init__(self):
+        for arr in (self.v0, self.jac, self.inv_jac, self.det, self.area,
+                    self.hessians):
+            arr.setflags(write=False)
 
 
 def element_geometry(mesh):
@@ -67,8 +76,9 @@ def element_geometry(mesh):
     inv_jac[:, 0, 1] = -jac[:, 0, 1] / det
     inv_jac[:, 1, 0] = -jac[:, 1, 0] / det
     inv_jac[:, 1, 1] = jac[:, 0, 0] / det
-    # H_phys = J^{-T} H_ref J^{-1}
-    hess = np.einsum("tak,iab,tbl->tikl", inv_jac, REFERENCE_HESSIANS, inv_jac)
+    # H_phys = J^{-T} H_ref J^{-1}, batched over triangles and basis functions
+    hess = np.matmul(inv_jac.transpose(0, 2, 1)[:, None],
+                     np.matmul(REFERENCE_HESSIANS, inv_jac[:, None]))
     return ElementGeometry(v0, jac, inv_jac, det, 0.5 * det, hess)
 
 
@@ -191,19 +201,21 @@ class SparseOperator:
 def _accumulate(ndof, dofs, local):
     """Sum (n, k, k) local matrices with (n, k) dof maps into a CSR matrix."""
     k = dofs.shape[1]
+    dofs = dofs.astype(np.int32)
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(ndof, ndof))
     return mat.tocsr()
 
 
-def assemble_a_h(mesh, dofmap=None, eta=10.0, cache=None):
+def assemble_a_h(mesh, dofmap=None, eta=10.0, cache=None, geom=None):
     """Assemble the interior penalty bilinear form as a SparseOperator."""
     if eta <= 0.0:
         raise ValueError("penalty parameter eta must be positive")
     if dofmap is None:
         dofmap = build_dofmap(mesh)
-    geom = element_geometry(mesh)
+    if geom is None:
+        geom = element_geometry(mesh)
     if cache is None:
         cache = build_edge_cache(mesh, dofmap, geom)
 
@@ -222,11 +234,12 @@ def assemble_a_h(mesh, dofmap=None, eta=10.0, cache=None):
     return SparseOperator(mat, dofmap)
 
 
-def assemble_mass(mesh, dofmap=None, cache=None):
+def assemble_mass(mesh, dofmap=None, cache=None, geom=None):
     """Standard P2 mass matrix (SPD), exact quadrature."""
     if dofmap is None:
         dofmap = build_dofmap(mesh)
-    geom = element_geometry(mesh)
+    if geom is None:
+        geom = element_geometry(mesh)
     rule = quadrature("triangle", 4)
     vals = shape_values(rule.points)                    # (nq, 6)
     m_ref = np.einsum("g,gi,gj->ij", rule.weights, vals, vals)
@@ -241,9 +254,10 @@ def _quad_points(mesh, geom, rule):
             + np.einsum("tab,qb->tqa", geom.jac, rule.points))
 
 
-def assemble_load(mesh, dofmap, f, degree=6):
+def assemble_load(mesh, dofmap, f, degree=6, geom=None):
     """Load vector F_i = int f v_i with a degree-``degree`` triangle rule."""
-    geom = element_geometry(mesh)
+    if geom is None:
+        geom = element_geometry(mesh)
     rule = quadrature("triangle", degree)
     pts = _quad_points(mesh, geom, rule)
     fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
@@ -256,20 +270,21 @@ def assemble_load(mesh, dofmap, f, degree=6):
     return vec
 
 
-def control_coupling(mesh, dofmap, kind, cache=None):
+def control_coupling(mesh, dofmap, kind, cache=None, geom=None):
     """Coupling matrix B with entries <p_entity, B_h v_i> and entity measures.
 
     Distributed: B[i, T] = int_T v_i dx, measures are triangle areas.
     Boundary:    B[i, e] = int_e dv_i/dn ds over boundary edges, measures are
     edge lengths (normal derivative from the unique adjacent element).
     """
-    geom = element_geometry(mesh)
+    if geom is None:
+        geom = element_geometry(mesh)
     if kind == "distributed":
         rule = quadrature("triangle", 2)
         vals = np.einsum("q,qi->i", rule.weights, shape_values(rule.points))
         local = geom.det[:, None] * vals            # (nt, 6)
-        rows = dofmap.tri_dofs.ravel()
-        cols = np.repeat(np.arange(mesh.num_triangles), 6)
+        rows = dofmap.tri_dofs.astype(np.int32).ravel()
+        cols = np.repeat(np.arange(mesh.num_triangles, dtype=np.int32), 6)
         mat = sp.coo_matrix((local.ravel(), (rows, cols)),
                             shape=(dofmap.ndof, mesh.num_triangles))
         return mat.tocsr(), geom.area.copy()
@@ -278,8 +293,8 @@ def control_coupling(mesh, dofmap, kind, cache=None):
             cache = build_edge_cache(mesh, dofmap, geom)
         wg = np.asarray(_EDGE_RULE.weights)
         local = np.einsum("g,egi->ei", wg, cache.bgn) * cache.blength[:, None]
-        rows = cache.bdofs.ravel()
-        cols = np.repeat(np.arange(len(cache.boundary)), 6)
+        rows = cache.bdofs.astype(np.int32).ravel()
+        cols = np.repeat(np.arange(len(cache.boundary), dtype=np.int32), 6)
         mat = sp.coo_matrix((local.ravel(), (rows, cols)),
                             shape=(dofmap.ndof, len(cache.boundary)))
         return mat.tocsr(), cache.blength.copy()
@@ -335,7 +350,8 @@ def energy_norm(v, eta=10.0, cache=None, parts=False):
     return np.sqrt(elem + pen)
 
 
-def error_norms(v, exact_value, exact_hessian, eta=10.0, degree=8, cache=None):
+def error_norms(v, exact_value, exact_hessian, eta=10.0, degree=8, cache=None,
+                geom=None):
     """Energy and L2 error of a P2 function against a smooth exact field.
 
     ``exact_hessian(x, y)`` must return the tuple (w_xx, w_xy, w_yy). The
@@ -343,7 +359,8 @@ def error_norms(v, exact_value, exact_hessian, eta=10.0, degree=8, cache=None):
     energy error is that of ``v`` alone.
     """
     mesh, dofmap = v.mesh, v.dofmap
-    geom = element_geometry(mesh)
+    if geom is None:
+        geom = element_geometry(mesh)
     if cache is None:
         cache = build_edge_cache(mesh, dofmap, geom)
     rule = quadrature("triangle", degree)

@@ -74,9 +74,13 @@ class ManufacturedCase:
     lower: float
     upper: float
 
-    def control_error(self, mesh, q_h, degree=8):
-        """||q - q_h||_{0,Omega} for a piecewise-constant control field."""
-        geom = element_geometry(mesh)
+    def control_error(self, mesh, q_h, degree=8, geom=None):
+        """||q - q_h||_{0,Omega} for a piecewise-constant control field.
+
+        ``geom`` is the element geometry of ``mesh``, built if not given.
+        """
+        if geom is None:
+            geom = element_geometry(mesh)
         rule = quadrature("triangle", degree)
         pts = _quad_points(mesh, geom, rule)
         qex = np.broadcast_to(

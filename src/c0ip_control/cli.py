@@ -6,15 +6,14 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adaptive import run_adaptive
-from .assembly import element_geometry, error_norms
-from .cases import (boundary_demo_spec, example1_case, example1_spec,
-                    example2_spec)
-from .controls import bh_apply, pi_h, vi_residual
+from .assembly import error_norms
+from .cases import boundary_demo_spec, example1_spec, example2_spec
+from .controls import bh_apply, vi_residual
 from .estimator import estimate
 from .fem import quadrature
 from .io import write_csv, write_mesh_txt, write_vtk
@@ -59,9 +58,10 @@ def _uniform_square_meshes(config):
     for _ in range(4):
         mesh = bisect(mesh, range(mesh.num_triangles))
     for j in range(config.levels):
+        if j:
+            for _ in range(2):
+                mesh = bisect(mesh, range(mesh.num_triangles))
         yield 1.0 / (4 * 2 ** j), mesh
-        for _ in range(2):
-            mesh = bisect(mesh, range(mesh.num_triangles))
 
 
 def _orders(errors):
@@ -84,10 +84,10 @@ def run_example1(config):
         ws = discretize(spec, mesh)
         sol = solve_pdas(spec, mesh, ws=ws)
         eu, _ = error_norms(sol.u, case.u, case.u_hess, eta=spec.eta,
-                            cache=ws.cache)
+                            cache=ws.cache, geom=ws.geom)
         ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, eta=spec.eta,
-                              cache=ws.cache)
-        eq = case.control_error(mesh, sol.q)
+                              cache=ws.cache, geom=ws.geom)
+        eq = case.control_error(mesh, sol.q, geom=ws.geom)
         hs.append(h)
         eus.append(eu)
         ephis.append(ephi)
@@ -169,15 +169,15 @@ def run_vd_compare(config):
         ws = discretize(spec, mesh)
         sol = solve_pdas(spec, mesh, ws=ws)
         u_vd, phi_vd, _ = solve_variational(spec, mesh, ws=ws)
+        geom = ws.geom
         eu, _ = error_norms(sol.u, case.u, case.u_hess, eta=spec.eta,
-                            cache=ws.cache)
+                            cache=ws.cache, geom=geom)
         eu_vd, _ = error_norms(u_vd, case.u, case.u_hess, eta=spec.eta,
-                               cache=ws.cache)
+                               cache=ws.cache, geom=geom)
         ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, eta=spec.eta,
-                              cache=ws.cache)
+                              cache=ws.cache, geom=geom)
         ephi_vd, _ = error_norms(phi_vd, case.phi, case.phi_hess,
-                                 eta=spec.eta, cache=ws.cache)
-        geom = element_geometry(mesh)
+                                 eta=spec.eta, cache=ws.cache, geom=geom)
         diff = (variational_control(ws, phi_vd.coeffs, geom, rule)
                 - sol.q.values[:, None])
         qdist = float(np.sqrt(np.einsum("q,tq->", rule.weights,

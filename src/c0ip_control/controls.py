@@ -8,11 +8,11 @@ edge-wise normal derivative (linear per boundary edge) or to itself
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import build_edge_cache, element_geometry, eval_on_elements
+from .assembly import build_edge_cache
 from .fem import quadrature, shape_values
 
 __all__ = [

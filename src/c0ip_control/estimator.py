@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (element_geometry, eval_on_elements, _quad_points)
+from .assembly import eval_on_elements, _quad_points
 from .fem import quadrature
 
 __all__ = ["EstimatorReport", "estimate", "efficiency_index"]
@@ -104,7 +104,7 @@ def _control_consistency(spec, ws, sol):
     """
     phi = sol.phi.coeffs
     if spec.kind == "distributed":
-        geom = element_geometry(ws.mesh)
+        geom = ws.geom
         rule = quadrature("triangle", 4)
         vals = eval_on_elements(geom, ws.dofmap, phi, rule)
         integral = np.einsum("q,tq->t", rule.weights, vals) * geom.det
@@ -122,8 +122,7 @@ def _control_consistency(spec, ws, sol):
 
 def estimate(spec, ws, sol, volume_degree=6):
     """Estimator report for a solved instance (``ws`` from ``discretize``)."""
-    mesh, dofmap, cache = ws.mesh, ws.dofmap, ws.cache
-    geom = element_geometry(mesh)
+    mesh, dofmap, cache, geom = ws.mesh, ws.dofmap, ws.cache, ws.geom
     rule = quadrature("triangle", volume_degree)
     pts = _quad_points(mesh, geom, rule)
     x, y = pts[..., 0], pts[..., 1]

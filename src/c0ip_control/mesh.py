@@ -113,13 +113,16 @@ class Mesh:
         counts = np.bincount(inverse, minlength=ne)
         if np.any(counts > 2):
             raise MeshTopologyError("edge shared by more than two triangles")
+        # the triangles of edge e are tri_idx[order[start[e]:][:counts[e]]]
+        # in the order of ``raw``; that order fixes which one is tri1 and so
+        # the direction of the edge normal
         edge_tris = np.full((ne, 2), -1, dtype=int)
         tri_idx = np.tile(np.arange(len(tris)), 3)
         order = np.argsort(inverse, kind="stable")
-        pos = np.zeros(ne, dtype=int)
-        for e, t in zip(inverse[order], tri_idx[order]):
-            edge_tris[e, pos[e]] = t
-            pos[e] += 1
+        start = np.cumsum(counts) - counts
+        edge_tris[:, 0] = tri_idx[order[start]]
+        shared = counts == 2
+        edge_tris[shared, 1] = tri_idx[order[start[shared] + 1]]
         self.edges = edges
         self.edge_tris = edge_tris
         self.tri_edges = tri_edges

@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 from .assembly import (assemble_a_h, assemble_load, assemble_mass,
                        build_edge_cache, control_coupling, element_geometry,
                        eval_on_elements, _quad_points)
-from .controls import ControlField, clamp, control_measures
+from .controls import ControlField, clamp
 from .fem import P2Function, build_dofmap, quadrature, shape_values
 
 __all__ = [
@@ -89,11 +89,16 @@ class ProblemSpec:
 
 @dataclass
 class Discretization:
-    """Assembled operators for one (spec, mesh) pair."""
+    """Assembled operators for one (spec, mesh) pair.
+
+    ``geom`` is built once here and is the element geometry that every
+    operator, estimator and error norm of this pair uses.
+    """
 
     spec: ProblemSpec
     mesh: object
     dofmap: object
+    geom: object               # ElementGeometry of ``mesh``
     cache: object
     stiffness: object          # SparseOperator
     mass: object               # SparseOperator
@@ -131,25 +136,26 @@ class Discretization:
     @cached_property
     def ud_norm2(self):
         """int u_d^2 dx with the quadrature rule of ``load_ud``."""
-        geom = element_geometry(self.mesh)
         rule = quadrature("triangle", self.spec.load_degree)
-        pts = _quad_points(self.mesh, geom, rule)
+        pts = _quad_points(self.mesh, self.geom, rule)
         ud = np.broadcast_to(
             np.asarray(self.spec.u_d(pts[..., 0], pts[..., 1]), dtype=float),
             pts.shape[:2])
         return float(np.einsum("q,tq->", rule.weights,
-                               ud ** 2 * geom.det[:, None]))
+                               ud ** 2 * self.geom.det[:, None]))
 
 
 def discretize(spec, mesh):
     dofmap = build_dofmap(mesh)
-    cache = build_edge_cache(mesh, dofmap)
-    a_op = assemble_a_h(mesh, dofmap, spec.eta, cache=cache)
-    m_op = assemble_mass(mesh, dofmap)
-    bmat, measures = control_coupling(mesh, dofmap, spec.kind, cache=cache)
-    load_f = assemble_load(mesh, dofmap, spec.f, spec.load_degree)
-    load_ud = assemble_load(mesh, dofmap, spec.u_d, spec.load_degree)
-    return Discretization(spec, mesh, dofmap, cache, a_op, m_op, bmat,
+    geom = element_geometry(mesh)
+    cache = build_edge_cache(mesh, dofmap, geom)
+    a_op = assemble_a_h(mesh, dofmap, spec.eta, cache=cache, geom=geom)
+    m_op = assemble_mass(mesh, dofmap, geom=geom)
+    bmat, measures = control_coupling(mesh, dofmap, spec.kind, cache=cache,
+                                      geom=geom)
+    load_f = assemble_load(mesh, dofmap, spec.f, spec.load_degree, geom)
+    load_ud = assemble_load(mesh, dofmap, spec.u_d, spec.load_degree, geom)
+    return Discretization(spec, mesh, dofmap, geom, cache, a_op, m_op, bmat,
                           measures, load_f, load_ud)
 
 
@@ -421,7 +427,7 @@ def solve_variational(spec, mesh, tol=1e-10, max_iter=200, ws=None,
     free = ws.dofmap.free
     lu = ws.lu
     m_f = ws.mass.free
-    geom = element_geometry(mesh)
+    geom = ws.geom
     rule = quadrature("triangle", quad_degree)
     vals = shape_values(rule.points)
 
@@ -501,13 +507,14 @@ def projection_ph(spec, mesh, which, ws=None, degree=8):
     if which == "state":
         rhs = ws.load_f
         if spec.kind == "distributed":
-            rhs = rhs + assemble_load(mesh, ws.dofmap, case.q, degree)
+            rhs = rhs + assemble_load(mesh, ws.dofmap, case.q, degree,
+                                      ws.geom)
         else:
             raise NotImplementedError("boundary-control projection")
     elif which == "adjoint":
         def misfit(x, y):
             return case.u(x, y) - spec.u_d(x, y)
-        rhs = assemble_load(mesh, ws.dofmap, misfit, degree)
+        rhs = assemble_load(mesh, ws.dofmap, misfit, degree, ws.geom)
     else:
         raise ValueError("which must be 'state' or 'adjoint'")
     sol = lu.solve(rhs[free])

@@ -1,10 +1,15 @@
 """Adaptive solve-estimate-mark-refine loop."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import c0ip_control
 from c0ip_control import (dorfler_mark, estimate, example2_spec, make_lshape,
                           make_unit_square, run_adaptive)
+from c0ip_control import assembly
 from c0ip_control.adaptive import AdaptiveHistory
 from c0ip_control.solver import discretize, solve_pdas
 
@@ -100,3 +105,26 @@ class TestHistorySerialization:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].split(",") == AdaptiveHistory.CSV_COLUMNS
+
+
+class TestGeometryReuse:
+    def test_one_element_geometry_per_level(self, monkeypatch):
+        # count calls through every binding of the function in the package
+        calls = []
+        original = assembly.element_geometry
+
+        def counting(mesh):
+            calls.append(mesh.num_triangles)
+            return original(mesh)
+
+        modules = [c0ip_control] + [
+            importlib.import_module("c0ip_control." + info.name)
+            for info in pkgutil.iter_modules(c0ip_control.__path__)]
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+        history = run_adaptive(example2_spec(), make_lshape(2), theta=0.3,
+                               max_dofs=500)
+        assert len(history.records) > 3
+        assert calls == [m.num_triangles for m in history.meshes]

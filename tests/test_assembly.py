@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from c0ip_control import (Mesh, assemble_a_h, assemble_load, assemble_mass,
-                          build_dofmap, build_edge_cache, control_coupling,
-                          energy_norm, error_norms, interpolate,
+                          bisect, build_dofmap, build_edge_cache,
+                          control_coupling, energy_norm, error_norms,
+                          example1_spec, interpolate, make_lshape,
                           make_unit_square)
 from c0ip_control.assembly import element_geometry
 from c0ip_control.cases import example1_case
-from c0ip_control.fem import quadrature, shape_gradients
+from c0ip_control.fem import REFERENCE_HESSIANS, quadrature, shape_gradients
+from c0ip_control.solver import discretize
 
 # |u|_{H^2}^2 for u = sin^3(pi x) sin^3(pi y) on the unit square, from the
 # separable integrals int sin^6 = 5/16, int (sin^3)'^2 = 9 pi^2/16,
@@ -225,3 +227,48 @@ class TestNorms:
                       + mesh.vertices[mesh.edges[cache.boundary, 1]])
         outward = np.sum(cache.bnormal * (mids - 0.5), axis=1)
         assert np.all(outward > 0.0)
+
+
+def random_nvb_mesh(seed=7, steps=6):
+    """L-shape refined by newest-vertex bisection of random markings."""
+    rng = np.random.default_rng(seed)
+    mesh = make_lshape(2)
+    for _ in range(steps):
+        k = rng.integers(1, max(2, mesh.num_triangles // 3))
+        mesh = bisect(mesh, rng.choice(mesh.num_triangles, size=k,
+                                       replace=False))
+    return mesh
+
+
+class TestElementGeometry:
+    def test_hessians_match_einsum(self):
+        # the three-operand contraction J^{-T} H_ref J^{-1} written out
+        mesh = random_nvb_mesh()
+        geom = element_geometry(mesh)
+        expected = np.einsum("tak,iab,tbl->tikl", geom.inv_jac,
+                             REFERENCE_HESSIANS, geom.inv_jac)
+        scale = np.abs(expected).max(axis=(1, 2, 3))
+        gap = np.abs(geom.hessians - expected).max(axis=(1, 2, 3))
+        assert np.all(gap <= 1e-14 * scale)
+
+    def test_shared_geometry_is_read_only(self):
+        ws = discretize(example1_spec(), make_unit_square(2))
+        with pytest.raises(ValueError):
+            ws.geom.det[0] = 1.0
+        for name in ("v0", "jac", "inv_jac", "det", "area", "hessians"):
+            assert not getattr(ws.geom, name).flags.writeable
+
+    def test_operators_on_shared_geometry_match_fresh_ones(self):
+        # every operator takes the given geometry as it would build its own
+        mesh = random_nvb_mesh()
+        spec = example1_spec()
+        ws = discretize(spec, mesh)
+        dm = ws.dofmap
+        fresh_a = assemble_a_h(mesh, dm, spec.eta)
+        fresh_m = assemble_mass(mesh, dm)
+        fresh_b, _ = control_coupling(mesh, dm, spec.kind)
+        assert (ws.stiffness.full != fresh_a.full).nnz == 0
+        assert (ws.mass.full != fresh_m.full).nnz == 0
+        assert (ws.coupling != fresh_b).nnz == 0
+        np.testing.assert_array_equal(
+            ws.load_f, assemble_load(mesh, dm, spec.f, spec.load_degree))

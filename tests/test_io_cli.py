@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from c0ip_control import example1_spec, make_lshape, make_unit_square
-from c0ip_control import solver
+from c0ip_control import cli, solver
 from c0ip_control.assembly import element_geometry, _quad_points
 from c0ip_control.cli import (RunConfig, main, run_boundary_demo,
                               run_example1, run_example2, run_vd_compare,
@@ -60,6 +60,21 @@ class TestUniformMeshFamily:
             assert mesh.num_vertices == (n + 1) ** 2
             assert abs(mesh.signed_areas().sum() - 1.0) < 1e-12
             assert abs(mesh.min_angle() - np.pi / 4.0) < 1e-12
+
+    def test_refines_no_further_than_the_last_level(self, monkeypatch):
+        # four bisect-all passes reach h = 1/4 and each later level takes
+        # two; nothing is refined after the last level is yielded
+        calls = []
+        original = cli.bisect
+
+        def counting_bisect(mesh, marked):
+            calls.append(mesh.num_triangles)
+            return original(mesh, marked)
+
+        monkeypatch.setattr(cli, "bisect", counting_bisect)
+        seq = list(_uniform_square_meshes(RunConfig(levels=3)))
+        assert len(calls) == 4 + 2 * 2
+        assert max(calls) < seq[-1][1].num_triangles
 
 
 class TestDrivers:

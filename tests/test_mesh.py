@@ -11,6 +11,25 @@ def euler_characteristic(mesh):
     return mesh.num_vertices - mesh.num_edges + mesh.num_triangles
 
 
+def edge_tris_loop(mesh):
+    """Adjacent triangles per edge, filled one (edge, triangle) pair at a
+    time in the order of the stably sorted edge list: the oracle of the
+    vectorized fill in ``Mesh``."""
+    tris = mesh.triangles
+    raw = np.sort(np.concatenate([tris[:, [1, 2]], tris[:, [2, 0]],
+                                  tris[:, [0, 1]]]), axis=1)
+    _, inverse = np.unique(raw, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    edge_tris = np.full((mesh.num_edges, 2), -1, dtype=int)
+    tri_idx = np.tile(np.arange(len(tris)), 3)
+    order = np.argsort(inverse, kind="stable")
+    pos = np.zeros(mesh.num_edges, dtype=int)
+    for e, t in zip(inverse[order], tri_idx[order]):
+        edge_tris[e, pos[e]] = t
+        pos[e] += 1
+    return edge_tris
+
+
 class TestMakeUnitSquare:
     def test_smallest_grid_counts(self):
         mesh = make_unit_square(1)
@@ -201,3 +220,15 @@ class TestRandomRefinementChains:
                 interior = mesh.boundary_segment < 0
                 assert np.all(mesh.edge_tris[interior] >= 0)
                 assert np.all(mesh.edge_tris[~interior, 1] == -1)
+
+    @pytest.mark.parametrize("maker", [make_unit_square, make_lshape])
+    def test_edge_tris_match_loop(self, maker):
+        rng = np.random.default_rng(42)
+        for chain in range(4):
+            mesh = maker(1)
+            for _ in range(6):
+                k = rng.integers(1, max(2, mesh.num_triangles // 3))
+                marked = rng.choice(mesh.num_triangles, size=k, replace=False)
+                mesh = bisect(mesh, marked)
+                np.testing.assert_array_equal(mesh.edge_tris,
+                                              edge_tris_loop(mesh))
