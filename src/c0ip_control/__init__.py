@@ -11,7 +11,6 @@ from .mesh import (Mesh, MeshTopologyError, bisect, dorfler_mark,
 from .fem import (DofMap, P2Function, QuadratureRule, build_dofmap,
                   eval_basis, interpolate, quadrature)
 from .assembly import (SparseOperator, assemble_a_h, assemble_load,
-                       assemble_load_boundary, assemble_load_distributed,
                        assemble_mass, build_edge_cache, control_coupling,
                        energy_norm, error_norms)
 from .controls import (ControlField, TraceField, bh_apply, clamp,

@@ -33,8 +33,6 @@ __all__ = [
     "assemble_a_h",
     "assemble_mass",
     "assemble_load",
-    "assemble_load_distributed",
-    "assemble_load_boundary",
     "control_coupling",
     "energy_norm",
     "error_norms",
@@ -82,17 +80,27 @@ def element_geometry(mesh):
     return ElementGeometry(v0, jac, inv_jac, det, 0.5 * det, hess)
 
 
+# The small contractions below (length 2 or 4) are written as broadcast
+# multiply-adds: they sum the same products in the same order as einsum, so
+# the results are bitwise equal, without einsum's per-call overhead.
+
 def _reference_coords(geom, tri, phys_pts):
     """Pull physical points (n, m, 2) back to reference coords in ``tri``."""
     rel = phys_pts - geom.v0[tri][:, None, :]
-    return np.einsum("nab,nmb->nma", geom.inv_jac[tri], rel)
+    inv = geom.inv_jac[tri][:, None]                 # (n, 1, 2, 2)
+    out = inv[..., 0] * rel[..., 0, None]
+    out += inv[..., 1] * rel[..., 1, None]
+    return out
 
 
 def _physical_gradients(geom, tri, ref_pts):
     """Physical basis gradients: (n, m, 6, 2) for ref points (n, m, 2)."""
     n, m = ref_pts.shape[:2]
     gref = shape_gradients(ref_pts.reshape(-1, 2)).reshape(n, m, 6, 2)
-    return np.einsum("nba,nmib->nmia", geom.inv_jac[tri], gref)
+    inv = geom.inv_jac[tri][:, None, None]           # (n, 1, 1, 2, 2)
+    out = inv[..., 0, :] * gref[..., 0, None]
+    out += inv[..., 1, :] * gref[..., 1, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,12 @@ def build_edge_cache(mesh, dofmap, geom=None):
         ref = _reference_coords(geom, tris, phys)
         gphys = _physical_gradients(geom, tris, ref)
         gn = np.einsum("egia,ea->egi", gphys, normal)
-        d2n = np.einsum("ea,eiab,eb->ei", normal, geom.hessians[tris], normal)
+        hess = geom.hessians[tris]                       # (n, 6, 2, 2)
+        n0, n1 = normal[:, None, 0], normal[:, None, 1]
+        d2n = n0 * hess[..., 0, 0] * n0
+        d2n += n0 * hess[..., 0, 1] * n1
+        d2n += n1 * hess[..., 1, 0] * n0
+        d2n += n1 * hess[..., 1, 1] * n1
         return gn, d2n
 
     interior = mesh.interior_edges
@@ -227,9 +240,19 @@ def assemble_a_h(mesh, dofmap=None, eta=10.0, cache=None, geom=None):
     mean = 0.5 * np.concatenate([cache.d2n1, cache.d2n2], axis=1)  # (nE, 12)
     jump = np.concatenate([cache.gn1, -cache.gn2], axis=2)          # (nE, 2, 12)
     jump_int = np.einsum("g,egi->ei", wg, jump) * cache.length[:, None]
-    consistency = np.einsum("ei,ej->eij", mean, jump_int)
-    penalty = eta * np.einsum("g,egi,egj->eij", wg, jump, jump)
-    local = -consistency - consistency.transpose(0, 2, 1) + penalty
+    # local = penalty - (consistency + consistency^T), built in place in
+    # two (nE, 12, 12) buffers (NumPy copies the transposed operand of the
+    # symmetric sum) with the sums ordered as in the einsum form
+    # eta * sum_g w_g j_g j_g^T - mean jump_int^T - jump_int mean^T
+    j0, j1 = jump[:, 0], jump[:, 1]
+    local = (wg[0] * j0)[:, :, None] * j0[:, None, :]
+    work = np.multiply((wg[1] * j1)[:, :, None], j1[:, None, :])
+    local += work
+    local *= eta
+    np.multiply(mean[:, :, None], jump_int[:, None, :], out=work)
+    work += work.transpose(0, 2, 1)
+    local -= work
+    del work
     mat = mat + _accumulate(dofmap.ndof, cache.dofs, local)
     return SparseOperator(mat, dofmap)
 
@@ -250,8 +273,11 @@ def assemble_mass(mesh, dofmap=None, cache=None, geom=None):
 
 def _quad_points(mesh, geom, rule):
     """Physical quadrature points (nt, nq, 2) for a triangle rule."""
-    return (geom.v0[:, None, :]
-            + np.einsum("tab,qb->tqa", geom.jac, rule.points))
+    jac = geom.jac[:, None]                          # (nt, 1, 2, 2)
+    pts = jac[..., 0] * rule.points[:, 0, None]
+    pts += jac[..., 1] * rule.points[:, 1, None]
+    pts += geom.v0[:, None, :]
+    return pts
 
 
 def assemble_load(mesh, dofmap, f, degree=6, geom=None):
@@ -299,24 +325,6 @@ def control_coupling(mesh, dofmap, kind, cache=None, geom=None):
                             shape=(dofmap.ndof, len(cache.boundary)))
         return mat.tocsr(), cache.blength.copy()
     raise ValueError("kind must be 'distributed' or 'boundary'")
-
-
-def assemble_load_distributed(mesh, dofmap, f, q=None, degree=6):
-    """Entries int f v_i + int q v_i with piecewise-constant q."""
-    vec = assemble_load(mesh, dofmap, f, degree)
-    if q is not None:
-        bmat, _ = control_coupling(mesh, dofmap, "distributed")
-        vec = vec + bmat @ np.asarray(q.values if hasattr(q, "values") else q)
-    return vec
-
-
-def assemble_load_boundary(mesh, dofmap, f, q=None, degree=6, cache=None):
-    """Entries int f v_i + sum_e q_e int_e dv_i/dn ds."""
-    vec = assemble_load(mesh, dofmap, f, degree)
-    if q is not None:
-        bmat, _ = control_coupling(mesh, dofmap, "boundary", cache=cache)
-        vec = vec + bmat @ np.asarray(q.values if hasattr(q, "values") else q)
-    return vec
 
 
 def broken_hessians(geom, dofmap, coeffs):

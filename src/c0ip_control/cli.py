@@ -200,7 +200,8 @@ def _build_parser():
                         default="square")
     parser.add_argument("--mode", choices=["uniform", "adaptive",
                                            "vd-compare", "boundary-demo"],
-                        default="uniform")
+                        help="study to run (default: uniform, or "
+                             "boundary-demo with --problem boundary)")
     parser.add_argument("--levels", type=int, default=5)
     parser.add_argument("--alpha", type=float, default=1e-3)
     parser.add_argument("--eta", type=float, default=10.0)
@@ -213,15 +214,30 @@ def _build_parser():
     return parser
 
 
+def _study_mode(problem, mode):
+    """The study that ``--problem`` and ``--mode`` name together.
+
+    Boundary control has one study, the boundary demo; ``mode`` is None
+    when the flag was not given.
+    """
+    if problem == "boundary":
+        if mode not in (None, "boundary-demo"):
+            raise ValueError("--problem boundary runs the boundary demo; "
+                             "--mode %s needs --problem distributed" % mode)
+        return "boundary-demo"
+    return mode or "uniform"
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    config = RunConfig(problem=args.problem, domain=args.domain,
-                       mode=args.mode, levels=args.levels, alpha=args.alpha,
-                       eta=args.eta, qmin=args.qmin, qmax=args.qmax,
-                       theta=args.theta, max_dofs=args.max_dofs,
-                       diagonal=args.diagonal, out=args.out)
     try:
-        if config.mode == "boundary-demo" or config.problem == "boundary":
+        config = RunConfig(problem=args.problem, domain=args.domain,
+                           mode=_study_mode(args.problem, args.mode),
+                           levels=args.levels, alpha=args.alpha,
+                           eta=args.eta, qmin=args.qmin, qmax=args.qmax,
+                           theta=args.theta, max_dofs=args.max_dofs,
+                           diagonal=args.diagonal, out=args.out)
+        if config.mode == "boundary-demo":
             run_boundary_demo(config)
         elif config.mode == "uniform":
             if config.domain != "square":

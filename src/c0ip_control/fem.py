@@ -10,6 +10,7 @@ on the edge opposite local vertex k, matching ``Mesh.tri_edges``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -141,8 +142,14 @@ def quadrature(kind, degree):
     """Quadrature on the reference triangle or the reference edge [0, 1].
 
     Triangle rules use the conical (Duffy) product of Gauss-Jacobi and
-    Gauss-Legendre points, exact for total degree <= ``degree``.
+    Gauss-Legendre points, exact for total degree <= ``degree``. Each rule
+    is computed once and shared, so its arrays are read-only.
     """
+    return _rule(kind, degree)
+
+
+@lru_cache(maxsize=None)
+def _rule(kind, degree):
     if kind == "triangle":
         if degree not in _TRIANGLE_DEGREES:
             raise ValueError("unsupported triangle degree %r" % (degree,))
@@ -156,11 +163,14 @@ def quadrature(kind, degree):
         pts = np.column_stack([np.repeat(r, n),
                                np.tile(s, n) * np.repeat(1.0 - r, n)])
         wts = np.repeat(wr, n) * np.tile(ws, n)
-        return QuadratureRule(pts, wts, degree)
-    if kind == "edge":
+    elif kind == "edge":
         if not 1 <= degree <= 9:
             raise ValueError("unsupported edge degree %r" % (degree,))
         n = (degree + 2) // 2
         xl, wl = np.polynomial.legendre.leggauss(n)
-        return QuadratureRule(0.5 * (xl + 1.0), 0.5 * wl, degree)
-    raise ValueError("kind must be 'triangle' or 'edge'")
+        pts, wts = 0.5 * (xl + 1.0), 0.5 * wl
+    else:
+        raise ValueError("kind must be 'triangle' or 'edge'")
+    pts.setflags(write=False)
+    wts.setflags(write=False)
+    return QuadratureRule(pts, wts, degree)

@@ -293,7 +293,9 @@ def solve_pdas(spec, mesh, max_iter=50, ws=None):
     module docstring by CG, warm-started from the raw estimate; the final
     state and adjoint are back-solved from them and the inactive controls
     are then set to the raw estimate of that adjoint, so the clamp relation
-    holds exactly. Terminates when the active sets repeat.
+    holds exactly. Terminates when the active sets repeat; raises
+    ``PdasError`` with the cycle's signatures when an earlier active set
+    other than the last one comes back.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -313,7 +315,6 @@ def solve_pdas(spec, mesh, max_iter=50, ws=None):
         return u, lu.solve(m_f @ u - load_ud)
 
     raw = np.zeros(nent)        # from phi = 0, q0 = clamp(0)
-    prev_sig = None
     prev_status = np.zeros(nent, dtype=np.int8)
     seen = []
     solution = None
@@ -327,11 +328,15 @@ def solve_pdas(spec, mesh, max_iter=50, ws=None):
             else np.zeros(nent, dtype=bool)
         act_lo &= ~act_up
         sig = (act_up.tobytes(), act_lo.tobytes())
-        if sig == prev_sig and solution is not None:
+        if seen and sig == seen[-1]:
             u_free, phi_free, qvals, cg_res = solution
             break
+        if sig in seen:
+            cycle = seen[seen.index(sig):]
+            raise PdasError(
+                "active sets cycle with period %d after %d iterations"
+                % (len(cycle), it - 1), signatures=cycle)
         seen.append(sig)
-        prev_sig = sig
 
         inactive = ~(act_up | act_lo)
         qvals = np.zeros(nent)

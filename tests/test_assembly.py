@@ -8,7 +8,9 @@ from c0ip_control import (Mesh, assemble_a_h, assemble_load, assemble_mass,
                           control_coupling, energy_norm, error_norms,
                           example1_spec, interpolate, make_lshape,
                           make_unit_square)
-from c0ip_control.assembly import element_geometry
+from c0ip_control.assembly import (_accumulate, _EDGE_RULE,
+                                   _physical_gradients, _quad_points,
+                                   _reference_coords, element_geometry)
 from c0ip_control.cases import example1_case
 from c0ip_control.fem import REFERENCE_HESSIANS, quadrature, shape_gradients
 from c0ip_control.solver import discretize
@@ -272,3 +274,66 @@ class TestElementGeometry:
         assert (ws.coupling != fresh_b).nnz == 0
         np.testing.assert_array_equal(
             ws.load_f, assemble_load(mesh, dm, spec.f, spec.load_degree))
+
+
+class TestArrayKernels:
+    """The broadcast kernels equal, bit for bit, the einsum forms they
+    replaced, which are kept here as oracles."""
+
+    @pytest.fixture(scope="class", params=["nvb_lshape", "square16"])
+    def discrete(self, request):
+        if request.param == "nvb_lshape":
+            mesh = random_nvb_mesh()
+        else:
+            mesh = make_unit_square(16)
+        dm = build_dofmap(mesh)
+        geom = element_geometry(mesh)
+        return mesh, dm, geom, build_edge_cache(mesh, dm, geom)
+
+    @pytest.mark.parametrize("degree", [1, 2, 4, 6, 8])
+    def test_quad_points(self, discrete, degree):
+        mesh, _, geom, _ = discrete
+        rule = quadrature("triangle", degree)
+        expected = (geom.v0[:, None, :]
+                    + np.einsum("tab,qb->tqa", geom.jac, rule.points))
+        assert np.array_equal(_quad_points(mesh, geom, rule), expected)
+
+    def test_reference_coords_and_gradients(self, discrete):
+        mesh, _, geom, _ = discrete
+        rng = np.random.default_rng(5)
+        tri = rng.integers(0, mesh.num_triangles, size=200)
+        phys = rng.random((200, 3, 2))
+        rel = phys - geom.v0[tri][:, None, :]
+        ref = np.einsum("nab,nmb->nma", geom.inv_jac[tri], rel)
+        assert np.array_equal(_reference_coords(geom, tri, phys), ref)
+        gref = shape_gradients(ref.reshape(-1, 2)).reshape(200, 3, 6, 2)
+        expected = np.einsum("nba,nmib->nmia", geom.inv_jac[tri], gref)
+        assert np.array_equal(_physical_gradients(geom, tri, ref), expected)
+
+    def test_second_normal_derivatives(self, discrete):
+        _, _, geom, cache = discrete
+        for normal, tris, d2n in ((cache.normal, cache.tri1, cache.d2n1),
+                                  (cache.normal, cache.tri2, cache.d2n2),
+                                  (cache.bnormal, cache.btri, cache.bd2n)):
+            expected = np.einsum("ea,eiab,eb->ei", normal,
+                                 geom.hessians[tris], normal)
+            assert np.array_equal(d2n, expected)
+
+    def test_interior_penalty_form(self, discrete):
+        mesh, dm, geom, cache = discrete
+        eta = 10.0
+        k_el = np.einsum("tikl,tjkl->tij", geom.hessians, geom.hessians)
+        k_el *= geom.area[:, None, None]
+        wg = np.asarray(_EDGE_RULE.weights)
+        mean = 0.5 * np.concatenate([cache.d2n1, cache.d2n2], axis=1)
+        jump = np.concatenate([cache.gn1, -cache.gn2], axis=2)
+        jump_int = np.einsum("g,egi->ei", wg, jump) * cache.length[:, None]
+        consistency = np.einsum("ei,ej->eij", mean, jump_int)
+        penalty = eta * np.einsum("g,egi,egj->eij", wg, jump, jump)
+        local = -consistency - consistency.transpose(0, 2, 1) + penalty
+        expected = (_accumulate(dm.ndof, dm.tri_dofs, k_el)
+                    + _accumulate(dm.ndof, cache.dofs, local))
+        got = assemble_a_h(mesh, dm, eta, cache=cache, geom=geom).full
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        assert np.array_equal(got.data, expected.data)

@@ -6,6 +6,7 @@ import pytest
 from c0ip_control import (biharmonic_sin3, boundary_demo_spec, example1_case,
                           example1_spec, example2_spec, g_sin3,
                           make_unit_square)
+from c0ip_control.cases import _sin3_derivatives
 from c0ip_control.controls import ControlField, clamp
 
 
@@ -46,6 +47,40 @@ class TestSin3Derivatives:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             g_sin3(0.5, 5)
+
+
+def g_sin3_per_order(t, order):
+    """The per-order formulas, one sine and cosine per call (oracle)."""
+    s, c = np.sin(np.pi * t), np.cos(np.pi * t)
+    return [s ** 3,
+            3.0 * np.pi * s ** 2 * c,
+            3.0 * np.pi ** 2 * (2.0 * s * c ** 2 - s ** 3),
+            3.0 * np.pi ** 3 * (2.0 * c ** 3 - 7.0 * s ** 2 * c),
+            3.0 * np.pi ** 4 * (7.0 * s ** 3 - 20.0 * s * c ** 2)][order]
+
+
+class TestSharedSineCosine:
+    t = np.random.default_rng(11).random((50, 25))
+
+    @pytest.mark.parametrize("orders", [(0,), (4,), (0, 1, 2), (0, 2, 4),
+                                        (4, 3, 2, 1, 0)])
+    def test_matches_per_order_formulas(self, orders):
+        got = _sin3_derivatives(self.t, orders)
+        assert len(got) == len(orders)
+        for order, values in zip(orders, got):
+            assert np.array_equal(values, g_sin3_per_order(self.t, order))
+            assert np.array_equal(values, g_sin3(self.t, order))
+
+    def test_biharmonic_and_hessian(self):
+        x, y = self.t, self.t[::-1]
+        g = g_sin3_per_order
+        assert np.array_equal(biharmonic_sin3(x, y),
+                              g(x, 4) * g(y, 0) + 2.0 * g(x, 2) * g(y, 2)
+                              + g(x, 0) * g(y, 4))
+        hess = example1_case().u_hess(x, y)
+        expected = (g(x, 2) * g(y, 0), g(x, 1) * g(y, 1), g(x, 0) * g(y, 2))
+        for got, want in zip(hess, expected):
+            assert np.array_equal(got, want)
 
 
 class TestBiharmonic:

@@ -147,3 +147,12 @@ class TestQuadrature:
             quadrature("edge", 0)
         with pytest.raises(ValueError):
             quadrature("tetrahedron", 2)
+
+    @pytest.mark.parametrize("kind, degree", [("triangle", 8), ("edge", 3)])
+    def test_rules_are_shared_and_read_only(self, kind, degree):
+        rule = quadrature(kind, degree)
+        assert quadrature(kind, degree) is rule
+        with pytest.raises(ValueError):
+            rule.points[0] = 0.5
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.5

@@ -166,6 +166,23 @@ class TestCommandLine:
         assert (tmp_path / "boundary_demo.csv").exists()
 
 
+    def test_boundary_problem_accepts_boundary_demo_mode(self, tmp_path):
+        rc = main(["--problem", "boundary", "--mode", "boundary-demo",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "boundary_demo.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["uniform", "adaptive", "vd-compare"])
+    def test_boundary_problem_rejects_other_modes(self, tmp_path, capsys,
+                                                  mode):
+        rc = main(["--problem", "boundary", "--mode", mode,
+                   "--levels", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--problem boundary" in err and mode in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestDeterminism:
     def test_example1_reproducible(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -137,6 +137,25 @@ class TestPdas:
         got = _objective(ws, sol.u.coeffs[ws.dofmap.free], sol.q.values)
         assert abs(got - expected) <= 1e-12 * expected
 
+    def test_active_set_cycle_raises_at_once(self, monkeypatch):
+        # a reduced solve that returns a huge negative control drives the
+        # next estimate above the upper bound everywhere, back to the
+        # all-upper active set of the first iteration: A, B, A, B, ...
+        calls = []
+
+        def fake_pcg(apply, rhs, x, inv_diag):
+            calls.append(len(x))
+            return np.full_like(x, -1e8), 1, 0.0
+
+        monkeypatch.setattr(solver, "_pcg", fake_pcg)
+        with pytest.raises(PdasError, match="cycle") as info:
+            solve_pdas(example1_spec(), make_unit_square(4))
+        assert len(calls) == 1 and calls[0] > 0
+        first, second = info.value.signatures
+        assert first != second
+        up, lo = (np.frombuffer(part, dtype=bool) for part in first)
+        assert up.all() and not lo.any()
+
     def test_cg_nonconvergence_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "CG_MAX_ITER", 1)
         spec = example1_spec(alpha=1e-7, lower=-np.inf, upper=np.inf)
