@@ -60,8 +60,10 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=25,
                  keep_solutions=False):
     """Adaptive refinement loop driven by Doerfler marking of the estimator.
 
-    Stops once the free dof count reaches ``max_dofs`` or after
-    ``max_levels`` levels, whichever comes first. When ``spec.exact`` is
+    Stops once the free dof count reaches ``max_dofs``, after
+    ``max_levels`` levels, or on a level whose estimator is zero on every
+    triangle (an exact discrete solution), whichever comes first; the last
+    level is always recorded. When ``spec.exact`` is
     available the true errors are recorded alongside the estimator.
     """
     if not 0.0 < theta <= 1.0:
@@ -95,7 +97,7 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=25,
         history.meshes.append(mesh)
         if keep_solutions:
             history.solutions.append(sol)
-        if ws.dofmap.nfree >= max_dofs:
+        if ws.dofmap.nfree >= max_dofs or not report.marking.sum() > 0.0:
             break
         marked = dorfler_mark(report.marking, theta)
         mesh = bisect(mesh, marked)

@@ -202,7 +202,11 @@ def _build_parser():
                                            "vd-compare", "boundary-demo"],
                         help="study to run (default: uniform, or "
                              "boundary-demo with --problem boundary)")
-    parser.add_argument("--levels", type=int, default=5)
+    parser.add_argument("--levels", type=int, default=5,
+                        help="mesh levels of the uniform and vd-compare "
+                             "studies (h = 1/4, 1/8, ...); --mode adaptive "
+                             "ignores it and starts from make_unit_square(4) "
+                             "on the square, make_lshape(2) on the L-shape")
     parser.add_argument("--alpha", type=float, default=1e-3)
     parser.add_argument("--eta", type=float, default=10.0)
     parser.add_argument("--qmin", type=float, default=-750.0)

@@ -107,7 +107,11 @@ class Mesh:
         raw = np.concatenate([tris[:, [1, 2]], tris[:, [2, 0]],
                               tris[:, [0, 1]]])
         raw_sorted = np.sort(raw, axis=1)
-        edges, inverse = np.unique(raw_sorted, axis=0, return_inverse=True)
+        # one int64 key per sorted pair orders the edges lexicographically
+        nv = np.int64(len(self.vertices))
+        keys, inverse = np.unique(raw_sorted[:, 0] * nv + raw_sorted[:, 1],
+                                  return_inverse=True)
+        edges = np.column_stack([keys // nv, keys % nv])
         ne = len(edges)
         tri_edges = inverse.reshape(3, -1).T.copy()
         counts = np.bincount(inverse, minlength=ne)
@@ -203,13 +207,10 @@ def _orient_refinement_edges(vertices, triangles):
         np.linalg.norm(p[:, 2] - p[:, 0], axis=1),
         np.linalg.norm(p[:, 0] - p[:, 1], axis=1),
     ], axis=1)
-    out = triangles.copy()
-    for t in range(len(triangles)):
-        lmax = lens[t].max()
-        cand = np.flatnonzero(lens[t] >= lmax - _GEOM_TOL)
-        k = cand[np.argmin(triangles[t, cand])]
-        out[t] = np.roll(triangles[t], -k)
-    return out
+    longest = lens >= lens.max(axis=1, keepdims=True) - _GEOM_TOL
+    k = np.argmin(np.where(longest, triangles, np.iinfo(int).max), axis=1)
+    return triangles[np.arange(len(triangles))[:, None],
+                     (k[:, None] + np.arange(3)) % 3]
 
 
 def make_unit_square(n, diagonal="ne"):
@@ -284,93 +285,132 @@ def make_lshape(n, diagonal="ne"):
     return Mesh(vertices, triangles, domain="lshape")
 
 
-def bisect(mesh, marked, closure_limit=None):
+def bisect(mesh, marked):
     """Newest-vertex bisection of the marked triangles with conforming closure.
 
     Every marked triangle is bisected at least once; neighbors are bisected
     recursively until the mesh is conforming. Returns a new mesh whose
     ``parent`` array points into ``mesh``.
+
+    The result is that of refining the marked triangles one at a time in
+    ascending order, each by walking across refinement edges to the first
+    triangle that can be split together with its neighbour, and numbering
+    vertices and triangles as they are created. That order is computed in
+    closed form. Let N(t) be the triangle across the refinement edge of t; t
+    and N(t) are a compatible pair when N(N(t)) = t. A triangle is *claimed*
+    by the smallest marked triangle whose walk t -> N(t) -> ... reaches it;
+    the walk stops at a compatible pair, at the boundary, or at a triangle
+    claimed earlier. Each claimed triangle is split once as a *primary*,
+    except the side of a compatible pair with the larger claim, which is
+    split right after the other side as its partner. The primaries are split
+    in the order of (claim, decreasing distance from the claim along the
+    walk). The partner of a primary t is N(t) for a compatible pair and
+    otherwise the child of the already split N(t) whose refinement edge is
+    that of t. Split number s creates the midpoint vertex of its primary and
+    triangles ``nt + 2s`` and ``nt + 2s + 1``; the new mesh keeps the
+    unsplit triangles in the order of their ids.
     """
     marked = np.unique(np.asarray(list(marked), dtype=int))
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.num_triangles):
         raise ValueError("marked set contains invalid triangle indices")
     if marked.size == 0:
         return mesh
-    if closure_limit is None:
-        closure_limit = 2 * mesh.num_triangles
+    nt, nv = mesh.num_triangles, mesh.num_vertices
+    tris = mesh.triangles
+    idx = np.arange(nt)
+    # N(t), -1 on the boundary
+    pair = mesh.edge_tris[mesh.tri_edges[:, 0]]
+    nb = np.where(pair[:, 0] == idx, pair[:, 1], pair[:, 0])
+    inner = nb >= 0
+    nb_or_0 = np.where(inner, nb, 0)
+    compatible = inner & (nb[nb_or_0] == idx)
+    link = inner & ~compatible
 
-    verts = [tuple(v) for v in mesh.vertices]
-    tris = {t: tuple(mesh.triangles[t]) for t in range(mesh.num_triangles)}
-    level = {t: int(mesh.level[t]) for t in tris}
-    root = {t: t for t in tris}
-    next_id = mesh.num_triangles
+    # claim: smallest marked triangle whose walk reaches the triangle
+    claim = np.full(nt, nt)
+    claim[marked] = marked
+    front = marked
+    while front.size:
+        front = front[link[front]]
+        dst = nb[front]
+        before = claim[dst]
+        np.minimum.at(claim, dst, claim[front])
+        front = np.unique(dst[claim[dst] < before])
 
-    edge2tris = {}
-    for t, (a, b, c) in tris.items():
-        for e in ((a, b), (b, c), (c, a)):
-            edge2tris.setdefault(frozenset(e), set()).add(t)
-    midpoint = {}
+    # depth: distance from the claim along its walk; a walk that comes back
+    # to a triangle it passed runs round a cycle of refinement edges
+    depth = np.full(nt, -1)
+    front = np.flatnonzero(claim == idx)
+    depth[front] = 0
+    step = 0
+    while front.size:
+        front = front[link[front]]
+        dst = nb[front]
+        front = dst[claim[dst] == claim[front]]
+        step += 1
+        if np.any(depth[front] >= 0):
+            raise MeshTopologyError("refinement edges form a cycle")
+        depth[front] = step
 
-    def get_midpoint(u, v):
-        key = frozenset((u, v))
-        if key not in midpoint:
-            pu, pv = verts[u], verts[v]
-            verts.append((0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
+    # a compatible pair's side with the larger claim is split as a partner
+    follower = compatible & (claim[nb_or_0] < claim)
+    prim = np.flatnonzero((claim < nt) & ~follower)
+    prim = prim[np.lexsort((-depth[prim], claim[prim]))]
 
-    def split(t, m):
-        nonlocal next_id
-        a, b, c = tris.pop(t)
-        for e in ((a, b), (b, c), (c, a)):
-            edge2tris[frozenset(e)].discard(t)
-        for child in ((m, a, b), (m, c, a)):
-            cid = next_id
-            next_id += 1
-            tris[cid] = child
-            level[cid] = level[t] + 1
-            root[cid] = root[t]
-            for e in ((child[0], child[1]), (child[1], child[2]),
-                      (child[2], child[0])):
-                edge2tris.setdefault(frozenset(e), set()).add(cid)
+    # split events: each primary, then its partner if it has a neighbour
+    paired = inner[prim]
+    first = np.cumsum(1 + paired) - (1 + paired)
+    nev = len(prim) + int(paired.sum())
+    event_of = np.full(nt, -1)
+    event_of[prim] = first
+    pc = paired & compatible[prim]
+    event_of[nb[prim[pc]]] = first[pc] + 1
 
-    def refine(t0):
-        stack = [t0]
-        steps = 0
-        while stack:
-            steps += 1
-            if steps > closure_limit:
-                raise MeshTopologyError(
-                    "refinement closure exceeded %d steps" % closure_limit)
-            t = stack[-1]
-            if t not in tris:
-                stack.pop()
-                continue
-            a, b, c = tris[t]
-            ekey = frozenset((b, c))
-            others = edge2tris[ekey] - {t}
-            nb = min(others) if others else None
-            if nb is not None:
-                na, nb_b, nb_c = tris[nb]
-                if frozenset((nb_b, nb_c)) != ekey:
-                    stack.append(nb)
-                    continue
-            m = get_midpoint(b, c)
-            split(t, m)
-            if nb is not None:
-                split(nb, m)
-            stack.pop()
+    ev_tri = np.empty((nev, 3), dtype=int)
+    ev_level = np.empty(nev, dtype=int)
+    ev_root = np.empty(nev, dtype=int)
+    ev_mid = np.empty(nev, dtype=int)
+    mids = nv + np.arange(len(prim))
+    split = tris[prim]
+    ev_tri[first] = split
+    ev_level[first] = mesh.level[prim]
+    ev_root[first] = prim
+    ev_mid[first] = mids
+    ev_mid[first[paired] + 1] = mids[paired]
+    partner = nb[prim[pc]]
+    ev_tri[first[pc] + 1] = tris[partner]
+    ev_level[first[pc] + 1] = mesh.level[partner]
+    ev_root[first[pc] + 1] = partner
 
-    for t in marked:
-        if t in tris:  # may already be split by closure
-            refine(int(t))
+    # the partner child of N(t) made by split s: (m, a, b) if it holds the
+    # vertex b of N(t) = (a, b, c), else (m, c, a)
+    pl = paired & ~compatible[prim]
+    x, y = prim[pl], nb[prim[pl]]
+    s = event_of[y]
+    ya, yb, yc = tris[y].T
+    holds_b = (tris[x, 1] == yb) | (tris[x, 2] == yb)
+    k = np.where(holds_b, 0, 1)
+    ev_tri[first[pl] + 1] = np.where(
+        holds_b[:, None],
+        np.column_stack([ev_mid[s], ya, yb]),
+        np.column_stack([ev_mid[s], yc, ya]))
+    ev_level[first[pl] + 1] = mesh.level[y] + 1
+    ev_root[first[pl] + 1] = y
 
-    order = sorted(tris)
-    new_tris = np.array([tris[t] for t in order], dtype=int)
-    new_level = np.array([level[t] for t in order], dtype=int)
-    new_parent = np.array([root[t] for t in order], dtype=int)
-    return Mesh(np.array(verts), new_tris, new_level, new_parent,
-                domain=mesh.domain)
+    a, b, c = ev_tri.T
+    created = np.stack([np.column_stack([ev_mid, a, b]),
+                        np.column_stack([ev_mid, c, a])], axis=1)
+    keep_old = event_of < 0
+    keep_new = np.ones(2 * nev, dtype=bool)
+    keep_new[2 * s + k] = False
+    midpoints = 0.5 * (mesh.vertices[split[:, 1]] + mesh.vertices[split[:, 2]])
+    return Mesh(
+        np.concatenate([mesh.vertices, midpoints]),
+        np.concatenate([tris[keep_old], created.reshape(-1, 3)[keep_new]]),
+        np.concatenate([mesh.level[keep_old],
+                        np.repeat(ev_level + 1, 2)[keep_new]]),
+        np.concatenate([idx[keep_old], np.repeat(ev_root, 2)[keep_new]]),
+        domain=mesh.domain)
 
 
 def dorfler_mark(indicators, theta):

@@ -11,7 +11,7 @@ from c0ip_control import (dorfler_mark, estimate, example2_spec, make_lshape,
                           make_unit_square, run_adaptive)
 from c0ip_control import assembly
 from c0ip_control.adaptive import AdaptiveHistory
-from c0ip_control.solver import discretize, solve_pdas
+from c0ip_control.solver import ProblemSpec, discretize, solve_pdas
 
 
 class TestValidation:
@@ -60,6 +60,18 @@ class TestLoop:
         marked = dorfler_mark(report.marking, 1.0)
         positive = np.flatnonzero(report.marking > 0.0)
         assert np.array_equal(marked, positive)
+
+    def test_exact_solution_stops_after_recording_its_level(self):
+        # zero data inside the bounds: u = phi = q = 0 is the discrete
+        # solution, every indicator is 0 and there is nothing to mark
+        def zero(x, y):
+            return np.zeros_like(x)
+
+        spec = ProblemSpec("distributed", zero, zero, lower=-1.0, upper=1.0)
+        history = run_adaptive(spec, make_unit_square(2))
+        assert len(history.records) == len(history.meshes) == 1
+        assert history.records[0].eta_total == 0.0
+        assert history.records[0].ntriangles == 8
 
     def test_exact_errors_recorded_when_available(self):
         from c0ip_control import example1_spec

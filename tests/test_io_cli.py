@@ -124,6 +124,21 @@ class TestCommandLine:
         assert rc == 0
         assert (tmp_path / "adaptive_square.csv").exists()
 
+    def test_adaptive_square_ignores_levels(self, tmp_path):
+        # the square's adaptive run always starts from make_unit_square(4):
+        # 49 free P2 dofs on its first level, whatever --levels is
+        rows = []
+        for levels in ("1", "7"):
+            out = tmp_path / levels
+            assert main(["--mode", "adaptive", "--domain", "square",
+                         "--levels", levels, "--max-dofs", "200",
+                         "--out", str(out)]) == 0
+            lines = (out / "adaptive_square.csv").read_text().splitlines()
+            rows.append([line.rsplit(",", 1)[0] for line in lines])
+        assert rows[0] == rows[1]
+        assert rows[0][1].split(",")[1] == "49"
+        assert "make_unit_square(4)" in cli._build_parser().format_help()
+
     def test_vd_compare(self, tmp_path):
         rc = main(["--mode", "vd-compare", "--levels", "1",
                    "--out", str(tmp_path)])

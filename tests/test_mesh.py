@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from c0ip_control import (bisect, dorfler_mark, make_lshape, make_unit_square,
-                          mesh_metrics)
+from c0ip_control import (Mesh, MeshTopologyError, bisect, dorfler_mark,
+                          make_lshape, make_unit_square, mesh_metrics)
+from c0ip_control.mesh import _GEOM_TOL, _orient_refinement_edges
+
+MESH_ARRAYS = ("vertices", "triangles", "level", "parent", "edges",
+               "edge_tris", "tri_edges", "boundary_segment")
 
 
 def euler_characteristic(mesh):
@@ -28,6 +34,151 @@ def edge_tris_loop(mesh):
         edge_tris[e, pos[e]] = t
         pos[e] += 1
     return edge_tris
+
+
+def edge_table_rows(mesh):
+    """Edges and the per-triangle edge ids from a row-wise ``np.unique`` of
+    the sorted vertex pairs: the oracle of the int64 keys in ``Mesh``."""
+    tris = mesh.triangles
+    raw = np.sort(np.concatenate([tris[:, [1, 2]], tris[:, [2, 0]],
+                                  tris[:, [0, 1]]]), axis=1)
+    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
+    return edges, inverse.ravel().reshape(3, -1).T
+
+
+def orient_refinement_edges_loop(vertices, triangles):
+    """Triangle-by-triangle rotation of the longest edge (ties: smallest
+    opposite vertex) to local edge 0: the oracle of the vectorized
+    ``_orient_refinement_edges``."""
+    triangles = np.asarray(triangles, dtype=int)
+    p = vertices[triangles]
+    lens = np.stack([
+        np.linalg.norm(p[:, 1] - p[:, 2], axis=1),
+        np.linalg.norm(p[:, 2] - p[:, 0], axis=1),
+        np.linalg.norm(p[:, 0] - p[:, 1], axis=1),
+    ], axis=1)
+    out = triangles.copy()
+    for t in range(len(triangles)):
+        lmax = lens[t].max()
+        cand = np.flatnonzero(lens[t] >= lmax - _GEOM_TOL)
+        k = cand[np.argmin(triangles[t, cand])]
+        out[t] = np.roll(triangles[t], -k)
+    return out
+
+
+def bisect_loop(mesh, marked):
+    """Newest-vertex bisection with dicts, one marked triangle at a time:
+    the oracle of the array ``bisect``, whose meshes must be the same array
+    for array.
+
+    Each marked triangle still present is refined by a stack walk across
+    refinement edges to a triangle that can be split with its neighbour;
+    vertices and triangles are numbered as they are created, and the
+    unsplit triangles are returned in id order. The walk gives up after
+    ``2 * num_triangles`` steps, which is how this version detects a cycle
+    of refinement edges.
+    """
+    marked = np.unique(np.asarray(list(marked), dtype=int))
+    if marked.size and (marked.min() < 0 or marked.max() >= mesh.num_triangles):
+        raise ValueError("marked set contains invalid triangle indices")
+    if marked.size == 0:
+        return mesh
+    closure_limit = 2 * mesh.num_triangles
+
+    verts = [tuple(v) for v in mesh.vertices]
+    tris = {t: tuple(mesh.triangles[t]) for t in range(mesh.num_triangles)}
+    level = {t: int(mesh.level[t]) for t in tris}
+    root = {t: t for t in tris}
+    next_id = mesh.num_triangles
+
+    edge2tris = {}
+    for t, (a, b, c) in tris.items():
+        for e in ((a, b), (b, c), (c, a)):
+            edge2tris.setdefault(frozenset(e), set()).add(t)
+    midpoint = {}
+
+    def get_midpoint(u, v):
+        key = frozenset((u, v))
+        if key not in midpoint:
+            pu, pv = verts[u], verts[v]
+            verts.append((0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    def split(t, m):
+        nonlocal next_id
+        a, b, c = tris.pop(t)
+        for e in ((a, b), (b, c), (c, a)):
+            edge2tris[frozenset(e)].discard(t)
+        for child in ((m, a, b), (m, c, a)):
+            cid = next_id
+            next_id += 1
+            tris[cid] = child
+            level[cid] = level[t] + 1
+            root[cid] = root[t]
+            for e in ((child[0], child[1]), (child[1], child[2]),
+                      (child[2], child[0])):
+                edge2tris.setdefault(frozenset(e), set()).add(cid)
+
+    def refine(t0):
+        stack = [t0]
+        steps = 0
+        while stack:
+            steps += 1
+            if steps > closure_limit:
+                raise MeshTopologyError(
+                    "refinement closure exceeded %d steps" % closure_limit)
+            t = stack[-1]
+            if t not in tris:
+                stack.pop()
+                continue
+            a, b, c = tris[t]
+            ekey = frozenset((b, c))
+            others = edge2tris[ekey] - {t}
+            nb = min(others) if others else None
+            if nb is not None:
+                na, nb_b, nb_c = tris[nb]
+                if frozenset((nb_b, nb_c)) != ekey:
+                    stack.append(nb)
+                    continue
+            m = get_midpoint(b, c)
+            split(t, m)
+            if nb is not None:
+                split(nb, m)
+            stack.pop()
+
+    for t in marked:
+        if t in tris:  # may already be split by closure
+            refine(int(t))
+
+    order = sorted(tris)
+    new_tris = np.array([tris[t] for t in order], dtype=int)
+    new_level = np.array([level[t] for t in order], dtype=int)
+    new_parent = np.array([root[t] for t in order], dtype=int)
+    return Mesh(np.array(verts), new_tris, new_level, new_parent,
+                domain=mesh.domain)
+
+
+def assert_same_mesh(mesh, reference):
+    for name in MESH_ARRAYS:
+        np.testing.assert_array_equal(getattr(mesh, name),
+                                      getattr(reference, name), err_msg=name)
+
+
+def hexagon_fan(extra=False):
+    """Six triangles (p_i, p_{i+1}, centre) around (0, 0): each refinement
+    edge (p_{i+1}, centre) is a non-refinement edge of the next triangle,
+    so the refinement edges form a 6-cycle. ``extra`` adds a seventh
+    triangle outside the edge (p_0, p_1) whose refinement edge is that
+    edge, so its walk runs into the cycle."""
+    ang = np.arange(6) * np.pi / 3.0
+    ring = np.column_stack([np.cos(ang), np.sin(ang)])
+    vertices = np.vstack([ring, [[0.0, 0.0]]])
+    triangles = [(i, (i + 1) % 6, 6) for i in range(6)]
+    if extra:
+        vertices = np.vstack([vertices, [ring[0] + ring[1]]])
+        triangles.append((7, 1, 0))
+    return Mesh(vertices, triangles)
 
 
 class TestMakeUnitSquare:
@@ -232,3 +383,106 @@ class TestRandomRefinementChains:
                 mesh = bisect(mesh, marked)
                 np.testing.assert_array_equal(mesh.edge_tris,
                                               edge_tris_loop(mesh))
+
+
+class TestArrayBisection:
+    """The array ``bisect`` against the dict oracle, array for array."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data(),
+           maker=st.sampled_from([make_unit_square, make_lshape]),
+           diagonal=st.sampled_from(["ne", "nw"]),
+           n=st.integers(1, 2),
+           steps=st.integers(1, 6))
+    def test_random_chains_match_dict_oracle(self, data, maker, diagonal, n,
+                                             steps):
+        mesh = maker(n, diagonal)
+        for _ in range(steps):
+            nt = mesh.num_triangles
+            marked = data.draw(st.lists(st.integers(0, nt - 1), min_size=1,
+                                        max_size=max(1, nt // 2)))
+            fine = bisect(mesh, marked)
+            assert_same_mesh(fine, bisect_loop(mesh, marked))
+            edges, tri_edges = edge_table_rows(fine)
+            np.testing.assert_array_equal(fine.edges, edges)
+            np.testing.assert_array_equal(fine.tri_edges, tri_edges)
+            mesh = fine
+
+    @pytest.mark.parametrize("diagonal", ["ne", "nw"])
+    def test_point_localized_chain_matches_dict_oracle(self, diagonal):
+        # refine the triangles nearest a point off every grid line until
+        # the chain is twenty levels deep
+        point = np.array([0.3137, 0.6911])
+        mesh = make_unit_square(1, diagonal)
+        while mesh.level.max() < 20:
+            cent = mesh.vertices[mesh.triangles].mean(axis=1)
+            dist = np.linalg.norm(cent - point, axis=1)
+            marked = np.flatnonzero(dist <= 1.5 * dist.min())
+            fine = bisect(mesh, marked)
+            assert_same_mesh(fine, bisect_loop(mesh, marked))
+            mesh = fine
+        assert mesh.level.max() >= 20
+
+    def test_uniform_refinement_matches_dict_oracle(self):
+        mesh = make_lshape(2, "nw")
+        for _ in range(4):
+            fine = bisect(mesh, range(mesh.num_triangles))
+            assert_same_mesh(fine, bisect_loop(mesh,
+                                               range(mesh.num_triangles)))
+            mesh = fine
+
+    @pytest.mark.parametrize("marked", [[0], [3], [0, 2, 5]])
+    def test_refinement_edge_cycle_raises(self, marked):
+        fan = hexagon_fan()
+        with pytest.raises(MeshTopologyError):
+            bisect(fan, marked)
+        with pytest.raises(MeshTopologyError):
+            bisect_loop(fan, marked)
+
+    def test_walk_into_refinement_edge_cycle_raises(self):
+        fan = hexagon_fan(extra=True)
+        with pytest.raises(MeshTopologyError):
+            bisect(fan, [6])
+        with pytest.raises(MeshTopologyError):
+            bisect_loop(fan, [6])
+
+    def test_closure_limit_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            bisect(make_unit_square(1), [0], closure_limit=10)
+
+
+class TestOrientRefinementEdges:
+    def test_random_meshes_match_loop(self):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            vertices = rng.uniform(-1.0, 1.0, size=(40, 2))
+            triangles = np.array([rng.choice(40, size=3, replace=False)
+                                  for _ in range(200)])
+            np.testing.assert_array_equal(
+                _orient_refinement_edges(vertices, triangles),
+                orient_refinement_edges_loop(vertices, triangles))
+
+    def test_equilateral_ties_pick_smallest_opposite_vertex(self):
+        # every edge of each triangle ties; the smallest vertex id becomes
+        # the peak, whatever the rotation of the input triple
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(0.75)],
+                             [1.5, np.sqrt(0.75)]])
+        triangles = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1],
+                              [1, 3, 2], [3, 2, 1], [2, 1, 3]])
+        oriented = _orient_refinement_edges(vertices, triangles)
+        np.testing.assert_array_equal(
+            oriented, orient_refinement_edges_loop(vertices, triangles))
+        np.testing.assert_array_equal(oriented[:3], [[0, 1, 2]] * 3)
+        np.testing.assert_array_equal(oriented[3:], [[1, 3, 2]] * 3)
+
+    @pytest.mark.parametrize("maker", [make_unit_square, make_lshape])
+    @pytest.mark.parametrize("diagonal", ["ne", "nw"])
+    def test_rotated_initial_meshes_match_loop(self, maker, diagonal):
+        mesh = maker(3, diagonal)
+        shift = np.random.default_rng(11).integers(0, 3, mesh.num_triangles)
+        rotated = mesh.triangles[np.arange(mesh.num_triangles)[:, None],
+                                 (shift[:, None] + np.arange(3)) % 3]
+        oriented = _orient_refinement_edges(mesh.vertices, rotated)
+        np.testing.assert_array_equal(
+            oriented, orient_refinement_edges_loop(mesh.vertices, rotated))
+        np.testing.assert_array_equal(oriented, mesh.triangles)
