@@ -221,6 +221,25 @@ def _accumulate(ndof, dofs, local):
     return mat.tocsr()
 
 
+def _edge_block(eta, wg, side_a, side_b):
+    """(nE, 6, 6) block of the interior-edge form between two sides.
+
+    Each side is (jump, mean, jump_int): its part of the normal-derivative
+    jump at the Gauss points, of the mean second normal derivative, and of
+    the integrated jump. The block is
+    eta * sum_g w_g j_a j_b^T - (mean_a int_b^T + int_a mean_b^T).
+    """
+    (ja, ma, ia), (jb, mb, ib) = side_a, side_b
+    block = (wg[0] * ja[:, 0])[:, :, None] * jb[:, 0, None, :]
+    work = np.multiply((wg[1] * ja[:, 1])[:, :, None], jb[:, 1, None, :])
+    block += work
+    block *= eta
+    np.multiply(ma[:, :, None], ib[:, None, :], out=work)
+    work += ia[:, :, None] * mb[:, None, :]
+    block -= work
+    return block
+
+
 def assemble_a_h(mesh, dofmap=None, eta=10.0, cache=None, geom=None):
     """Assemble the interior penalty bilinear form as a SparseOperator."""
     if eta <= 0.0:
@@ -234,26 +253,32 @@ def assemble_a_h(mesh, dofmap=None, eta=10.0, cache=None, geom=None):
 
     k_el = np.einsum("tikl,tjkl->tij", geom.hessians, geom.hessians)
     k_el *= geom.area[:, None, None]
-    mat = _accumulate(dofmap.ndof, dofmap.tri_dofs, k_el)
 
+    # The 12x12 block of an interior edge couples tri1 (side 1) and tri2
+    # (side 2). Its two diagonal 6x6 blocks are added into the element
+    # matrices of tri1 and tri2; the (1, 2) block is scattered once and the
+    # (2, 1) block is its transpose, so no (nE, 12, 12) array is formed.
     wg = np.asarray(_EDGE_RULE.weights)
-    mean = 0.5 * np.concatenate([cache.d2n1, cache.d2n2], axis=1)  # (nE, 12)
-    jump = np.concatenate([cache.gn1, -cache.gn2], axis=2)          # (nE, 2, 12)
-    jump_int = np.einsum("g,egi->ei", wg, jump) * cache.length[:, None]
-    # local = penalty - (consistency + consistency^T), built in place in
-    # two (nE, 12, 12) buffers (NumPy copies the transposed operand of the
-    # symmetric sum) with the sums ordered as in the einsum form
-    # eta * sum_g w_g j_g j_g^T - mean jump_int^T - jump_int mean^T
-    j0, j1 = jump[:, 0], jump[:, 1]
-    local = (wg[0] * j0)[:, :, None] * j0[:, None, :]
-    work = np.multiply((wg[1] * j1)[:, :, None], j1[:, None, :])
-    local += work
-    local *= eta
-    np.multiply(mean[:, :, None], jump_int[:, None, :], out=work)
-    work += work.transpose(0, 2, 1)
-    local -= work
-    del work
-    mat = mat + _accumulate(dofmap.ndof, cache.dofs, local)
+    sides = []
+    for gn, d2n, sign in ((cache.gn1, cache.d2n1, 1.0),
+                          (cache.gn2, cache.d2n2, -1.0)):
+        jump = sign * gn                                   # (nE, 2, 6)
+        jump_int = np.einsum("g,egi->ei", wg, jump) * cache.length[:, None]
+        sides.append((jump, 0.5 * d2n, jump_int))
+    for side, tri in zip(sides, (cache.tri1, cache.tri2)):
+        np.add.at(k_el, tri, _edge_block(eta, wg, side, side))
+    rows = np.repeat(cache.dofs[:, :6].astype(np.int32), 6, axis=1).ravel()
+    cols = np.tile(cache.dofs[:, 6:].astype(np.int32), (1, 6)).ravel()
+    off = sp.coo_matrix((_edge_block(eta, wg, *sides).ravel(), (rows, cols)),
+                        shape=(dofmap.ndof, dofmap.ndof)).tocsr()
+    # the peak is reached in the CSR sums below, so every array they do not
+    # read is released first; each sum stores only its nonzero results
+    del sides, rows, cols
+    mat = _accumulate(dofmap.ndof, dofmap.tri_dofs, k_el)
+    del k_el
+    mat = mat + off
+    off = off.T.tocsr()
+    mat = mat + off
     return SparseOperator(mat, dofmap)
 
 

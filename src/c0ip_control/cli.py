@@ -241,11 +241,16 @@ def main(argv=None):
                            eta=args.eta, qmin=args.qmin, qmax=args.qmax,
                            theta=args.theta, max_dofs=args.max_dofs,
                            diagonal=args.diagonal, out=args.out)
+        if config.levels < 1:
+            raise ValueError("--levels must be at least 1, got %d"
+                             % config.levels)
+        if config.mode != "adaptive" and config.domain != "square":
+            raise ValueError("the %s study runs on the square; --domain %s "
+                             "needs --mode adaptive"
+                             % (config.mode, config.domain))
         if config.mode == "boundary-demo":
             run_boundary_demo(config)
         elif config.mode == "uniform":
-            if config.domain != "square":
-                raise ValueError("uniform convergence mode needs the square")
             run_example1(config)
         elif config.mode == "adaptive":
             if config.domain == "lshape":

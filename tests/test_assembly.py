@@ -1,5 +1,7 @@
 """Interior penalty form, mass matrix, loads, and norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from c0ip_control.assembly import (_accumulate, _EDGE_RULE,
                                    _physical_gradients, _quad_points,
                                    _reference_coords, element_geometry)
 from c0ip_control.cases import example1_case
+from c0ip_control.cli import RunConfig, _uniform_square_meshes
 from c0ip_control.fem import REFERENCE_HESSIANS, quadrature, shape_gradients
 from c0ip_control.solver import discretize
 
@@ -24,6 +27,25 @@ SIN3_H2_SQ = 153.0 * np.pi ** 4 / 64.0
 def reference_triangle_mesh():
     return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]))
+
+
+def random_nvb_mesh(seed=7, steps=6):
+    """L-shape refined by newest-vertex bisection of random markings."""
+    rng = np.random.default_rng(seed)
+    mesh = make_lshape(2)
+    for _ in range(steps):
+        k = rng.integers(1, max(2, mesh.num_triangles // 3))
+        mesh = bisect(mesh, rng.choice(mesh.num_triangles, size=k,
+                                       replace=False))
+    return mesh
+
+
+def discrete_setup(name):
+    """Mesh, dofmap, geometry and edge cache of a named test mesh."""
+    mesh = random_nvb_mesh() if name == "nvb_lshape" else make_unit_square(16)
+    dm = build_dofmap(mesh)
+    geom = element_geometry(mesh)
+    return mesh, dm, geom, build_edge_cache(mesh, dm, geom)
 
 
 class TestStiffness:
@@ -67,6 +89,67 @@ class TestStiffness:
         val = v.coeffs @ (op.full @ v.coeffs)
         # int |D^2 v|^2 = 4 + 2*0.25 + 4 = 8.5 over the unit square
         assert abs(val - 8.5) < 1e-12
+
+    @pytest.mark.parametrize("name", ["nvb_lshape", "square16"])
+    def test_interior_penalty_form(self, name):
+        # the einsum form of the element and 12x12 interior-edge blocks is
+        # the oracle; A_h sums the same entries in another order, so the two
+        # agree to a few units of round-off of the largest entry
+        mesh, dm, geom, cache = discrete_setup(name)
+        eta = 10.0
+        k_el = np.einsum("tikl,tjkl->tij", geom.hessians, geom.hessians)
+        k_el *= geom.area[:, None, None]
+        wg = np.asarray(_EDGE_RULE.weights)
+        mean = 0.5 * np.concatenate([cache.d2n1, cache.d2n2], axis=1)
+        jump = np.concatenate([cache.gn1, -cache.gn2], axis=2)
+        jump_int = np.einsum("g,egi->ei", wg, jump) * cache.length[:, None]
+        consistency = np.einsum("ei,ej->eij", mean, jump_int)
+        penalty = eta * np.einsum("g,egi,egj->eij", wg, jump, jump)
+        local = -consistency - consistency.transpose(0, 2, 1) + penalty
+        expected = (_accumulate(dm.ndof, dm.tri_dofs, k_el)
+                    + _accumulate(dm.ndof, cache.dofs, local))
+        got = assemble_a_h(mesh, dm, eta, cache=cache, geom=geom).full
+        scale = np.abs(expected.data).max()
+        assert abs(got - expected).max() <= 1e-14 * scale
+        # an entry whose contributions cancel to exactly 0.0 is not stored
+        assert np.all(got.data != 0.0)
+
+    def test_one_triangle_is_the_element_term(self):
+        # no interior edge, so A_h is the Hessian term of the one element
+        mesh = reference_triangle_mesh()
+        dm = build_dofmap(mesh)
+        geom = element_geometry(mesh)
+        cache = build_edge_cache(mesh, dm, geom)
+        assert len(cache.interior) == 0
+        k_el = np.einsum("ikl,jkl->ij", geom.hessians[0], geom.hessians[0])
+        expected = np.zeros((dm.ndof, dm.ndof))
+        expected[np.ix_(dm.tri_dofs[0], dm.tri_dofs[0])] = geom.area[0] * k_el
+        got = assemble_a_h(mesh, dm, 10.0, cache=cache, geom=geom).full
+        np.testing.assert_array_equal(got.toarray(), expected)
+
+    def test_transient_memory_bounded_by_the_result(self):
+        # At h = 1/64 (8 192 triangles, 12 160 interior edges, 376 577
+        # stored entries) the returned CSR takes 12 bytes per entry, 4.6 MB.
+        # The largest transient is the last CSR sum: the partial sum, the
+        # transposed (1, 2) blocks (36 entries per edge) and SciPy's output
+        # buffer, sized for both operands; the peak is 4.6 times the result.
+        # One (nE, 12, 12) float array is 3.1 times the result, and the
+        # 12x12 edge blocks need two of them plus their 144-per-edge COO
+        # triples (14 times the result in all), so the 8x bound fails
+        # whenever those blocks are formed and leaves headroom over 4.6x.
+        config = RunConfig(levels=5)
+        mesh = list(_uniform_square_meshes(config))[-1][1]
+        dm = build_dofmap(mesh)
+        geom = element_geometry(mesh)
+        cache = build_edge_cache(mesh, dm, geom)
+        tracemalloc.start()
+        try:
+            full = assemble_a_h(mesh, dm, 10.0, cache=cache, geom=geom).full
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = full.data.nbytes + full.indices.nbytes + full.indptr.nbytes
+        assert peak <= 8.0 * result
 
 
 class TestMass:
@@ -231,17 +314,6 @@ class TestNorms:
         assert np.all(outward > 0.0)
 
 
-def random_nvb_mesh(seed=7, steps=6):
-    """L-shape refined by newest-vertex bisection of random markings."""
-    rng = np.random.default_rng(seed)
-    mesh = make_lshape(2)
-    for _ in range(steps):
-        k = rng.integers(1, max(2, mesh.num_triangles // 3))
-        mesh = bisect(mesh, rng.choice(mesh.num_triangles, size=k,
-                                       replace=False))
-    return mesh
-
-
 class TestElementGeometry:
     def test_hessians_match_einsum(self):
         # the three-operand contraction J^{-T} H_ref J^{-1} written out
@@ -282,13 +354,7 @@ class TestArrayKernels:
 
     @pytest.fixture(scope="class", params=["nvb_lshape", "square16"])
     def discrete(self, request):
-        if request.param == "nvb_lshape":
-            mesh = random_nvb_mesh()
-        else:
-            mesh = make_unit_square(16)
-        dm = build_dofmap(mesh)
-        geom = element_geometry(mesh)
-        return mesh, dm, geom, build_edge_cache(mesh, dm, geom)
+        return discrete_setup(request.param)
 
     @pytest.mark.parametrize("degree", [1, 2, 4, 6, 8])
     def test_quad_points(self, discrete, degree):
@@ -318,22 +384,3 @@ class TestArrayKernels:
             expected = np.einsum("ea,eiab,eb->ei", normal,
                                  geom.hessians[tris], normal)
             assert np.array_equal(d2n, expected)
-
-    def test_interior_penalty_form(self, discrete):
-        mesh, dm, geom, cache = discrete
-        eta = 10.0
-        k_el = np.einsum("tikl,tjkl->tij", geom.hessians, geom.hessians)
-        k_el *= geom.area[:, None, None]
-        wg = np.asarray(_EDGE_RULE.weights)
-        mean = 0.5 * np.concatenate([cache.d2n1, cache.d2n2], axis=1)
-        jump = np.concatenate([cache.gn1, -cache.gn2], axis=2)
-        jump_int = np.einsum("g,egi->ei", wg, jump) * cache.length[:, None]
-        consistency = np.einsum("ei,ej->eij", mean, jump_int)
-        penalty = eta * np.einsum("g,egi,egj->eij", wg, jump, jump)
-        local = -consistency - consistency.transpose(0, 2, 1) + penalty
-        expected = (_accumulate(dm.ndof, dm.tri_dofs, k_el)
-                    + _accumulate(dm.ndof, cache.dofs, local))
-        got = assemble_a_h(mesh, dm, eta, cache=cache, geom=geom).full
-        assert np.array_equal(got.indptr, expected.indptr)
-        assert np.array_equal(got.indices, expected.indices)
-        assert np.array_equal(got.data, expected.data)

@@ -118,6 +118,27 @@ class TestCommandLine:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_vd_compare_rejects_lshape(self, tmp_path, capsys):
+        rc = main(["--mode", "vd-compare", "--domain", "lshape",
+                   "--levels", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "--domain lshape" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_boundary_problem_rejects_lshape(self, tmp_path, capsys):
+        rc = main(["--problem", "boundary", "--domain", "lshape",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "--domain lshape" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_levels_rejected(self, tmp_path, capsys):
+        rc = main(["--mode", "uniform", "--levels", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "--levels" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_adaptive_square(self, tmp_path):
         rc = main(["--mode", "adaptive", "--domain", "square",
                    "--max-dofs", "200", "--out", str(tmp_path)])
