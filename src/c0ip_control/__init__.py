@@ -13,8 +13,7 @@ from .fem import (DofMap, P2Function, QuadratureRule, build_dofmap,
 from .assembly import (SparseOperator, assemble_a_h, assemble_load,
                        assemble_mass, build_edge_cache, control_coupling,
                        energy_norm, error_norms)
-from .controls import (ControlField, TraceField, bh_apply, clamp,
-                       clamp_field, control_measures, pi_h, vi_residual)
+from .controls import ControlField, TraceField, bh_apply, clamp, vi_residual
 from .solver import (Discretization, KktSolution, PdasError, ProblemSpec,
                      discretize, evaluate_p2, projection_ph,
                      solve_linear_block, solve_pdas, solve_variational)

@@ -39,8 +39,7 @@ class AdaptiveHistory:
     solutions: list = field(default_factory=list)
 
     CSV_COLUMNS = ["level", "N", "eta_u", "eta_phi", "eta_control",
-                   "eta_total", "err_u", "err_phi", "err_q", "pdas_iters",
-                   "seconds"]
+                   "eta_total", "err_u", "err_phi", "err_q", "pdas_iters"]
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -53,7 +52,7 @@ class AdaptiveHistory:
                                  fmt(r.eta_phi), fmt(r.eta_control),
                                  fmt(r.eta_total), fmt(r.err_u),
                                  fmt(r.err_phi), fmt(r.err_q),
-                                 r.pdas_iterations, "%.3f" % r.seconds])
+                                 r.pdas_iterations])
 
 
 def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=25,
@@ -74,17 +73,16 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=25,
     for level in range(max_levels):
         t0 = time.perf_counter()
         ws = discretize(spec, mesh)
-        sol = solve_pdas(spec, mesh, ws=ws)
-        report = estimate(spec, ws, sol)
+        sol = solve_pdas(ws)
+        report = estimate(ws, sol)
         err_u = err_phi = err_q = None
         if spec.exact is not None:
             case = spec.exact
-            err_u, _ = error_norms(sol.u, case.u, case.u_hess,
-                                   eta=spec.eta, cache=ws.cache, geom=ws.geom)
+            err_u, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom,
+                                   ws.cache, spec.eta)
             err_phi, _ = error_norms(sol.phi, case.phi, case.phi_hess,
-                                     eta=spec.eta, cache=ws.cache,
-                                     geom=ws.geom)
-            err_q = case.control_error(mesh, sol.q, geom=ws.geom)
+                                     ws.geom, ws.cache, spec.eta)
+            err_q = case.control_error(ws.geom, sol.q)
         seconds = time.perf_counter() - t0
         h_max, min_angle, _ = mesh_metrics(mesh)
         history.records.append(LevelRecord(

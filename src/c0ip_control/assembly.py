@@ -21,8 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (REFERENCE_HESSIANS, build_dofmap, quadrature,
-                  shape_gradients, shape_values)
+from .fem import REFERENCE_HESSIANS, quadrature, shape_gradients, shape_values
 
 __all__ = [
     "ElementGeometry",
@@ -41,6 +40,9 @@ __all__ = [
 ]
 
 _EDGE_RULE = quadrature("edge", 3)  # 2-point Gauss, exact for the edge terms
+
+# degree of the triangle rule of the error norms
+ERROR_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -145,9 +147,7 @@ class EdgeTraceCache:
         return np.einsum("egi,ei->eg", self.bgn, coeffs[self.bdofs])
 
 
-def build_edge_cache(mesh, dofmap, geom=None):
-    if geom is None:
-        geom = element_geometry(mesh)
+def build_edge_cache(mesh, dofmap, geom):
     tg = np.asarray(_EDGE_RULE.points)
     wg = np.asarray(_EDGE_RULE.weights)
 
@@ -240,16 +240,10 @@ def _edge_block(eta, wg, side_a, side_b):
     return block
 
 
-def assemble_a_h(mesh, dofmap=None, eta=10.0, cache=None, geom=None):
+def assemble_a_h(dofmap, geom, cache, eta):
     """Assemble the interior penalty bilinear form as a SparseOperator."""
     if eta <= 0.0:
         raise ValueError("penalty parameter eta must be positive")
-    if dofmap is None:
-        dofmap = build_dofmap(mesh)
-    if geom is None:
-        geom = element_geometry(mesh)
-    if cache is None:
-        cache = build_edge_cache(mesh, dofmap, geom)
 
     k_el = np.einsum("tikl,tjkl->tij", geom.hessians, geom.hessians)
     k_el *= geom.area[:, None, None]
@@ -282,12 +276,8 @@ def assemble_a_h(mesh, dofmap=None, eta=10.0, cache=None, geom=None):
     return SparseOperator(mat, dofmap)
 
 
-def assemble_mass(mesh, dofmap=None, cache=None, geom=None):
+def assemble_mass(dofmap, geom):
     """Standard P2 mass matrix (SPD), exact quadrature."""
-    if dofmap is None:
-        dofmap = build_dofmap(mesh)
-    if geom is None:
-        geom = element_geometry(mesh)
     rule = quadrature("triangle", 4)
     vals = shape_values(rule.points)                    # (nq, 6)
     m_ref = np.einsum("g,gi,gj->ij", rule.weights, vals, vals)
@@ -296,7 +286,7 @@ def assemble_mass(mesh, dofmap=None, cache=None, geom=None):
                           dofmap)
 
 
-def _quad_points(mesh, geom, rule):
+def _quad_points(geom, rule):
     """Physical quadrature points (nt, nq, 2) for a triangle rule."""
     jac = geom.jac[:, None]                          # (nt, 1, 2, 2)
     pts = jac[..., 0] * rule.points[:, 0, None]
@@ -305,12 +295,10 @@ def _quad_points(mesh, geom, rule):
     return pts
 
 
-def assemble_load(mesh, dofmap, f, degree=6, geom=None):
+def assemble_load(dofmap, geom, f, degree):
     """Load vector F_i = int f v_i with a degree-``degree`` triangle rule."""
-    if geom is None:
-        geom = element_geometry(mesh)
     rule = quadrature("triangle", degree)
-    pts = _quad_points(mesh, geom, rule)
+    pts = _quad_points(geom, rule)
     fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     fvals = np.broadcast_to(fvals, pts.shape[:2])
     vals = shape_values(rule.points)
@@ -321,27 +309,24 @@ def assemble_load(mesh, dofmap, f, degree=6, geom=None):
     return vec
 
 
-def control_coupling(mesh, dofmap, kind, cache=None, geom=None):
+def control_coupling(dofmap, geom, cache, kind):
     """Coupling matrix B with entries <p_entity, B_h v_i> and entity measures.
 
     Distributed: B[i, T] = int_T v_i dx, measures are triangle areas.
     Boundary:    B[i, e] = int_e dv_i/dn ds over boundary edges, measures are
     edge lengths (normal derivative from the unique adjacent element).
     """
-    if geom is None:
-        geom = element_geometry(mesh)
     if kind == "distributed":
         rule = quadrature("triangle", 2)
         vals = np.einsum("q,qi->i", rule.weights, shape_values(rule.points))
         local = geom.det[:, None] * vals            # (nt, 6)
+        nt = len(local)
         rows = dofmap.tri_dofs.astype(np.int32).ravel()
-        cols = np.repeat(np.arange(mesh.num_triangles, dtype=np.int32), 6)
+        cols = np.repeat(np.arange(nt, dtype=np.int32), 6)
         mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                            shape=(dofmap.ndof, mesh.num_triangles))
+                            shape=(dofmap.ndof, nt))
         return mat.tocsr(), geom.area.copy()
     if kind == "boundary":
-        if cache is None:
-            cache = build_edge_cache(mesh, dofmap, geom)
         wg = np.asarray(_EDGE_RULE.weights)
         local = np.einsum("g,egi->ei", wg, cache.bgn) * cache.blength[:, None]
         rows = cache.bdofs.astype(np.int32).ravel()
@@ -357,23 +342,19 @@ def broken_hessians(geom, dofmap, coeffs):
     return np.einsum("tikl,ti->tkl", geom.hessians, coeffs[dofmap.tri_dofs])
 
 
-def eval_on_elements(geom, dofmap, coeffs, rule):
+def eval_on_elements(dofmap, coeffs, rule):
     """Values of a P2 function at the rule's points on every element."""
     vals = shape_values(rule.points)
     return coeffs[dofmap.tri_dofs] @ vals.T     # (nt, nq)
 
 
-def energy_norm(v, eta=10.0, cache=None, parts=False):
+def energy_norm(v, geom, cache, eta, parts=False):
     """Mesh-dependent energy norm of a P2 function.
 
     ||v||_h^2 = sum_T ||D^2 v||_{0,T}^2 + sum_e (eta/h_e) int_e [grad v.n]^2.
     With ``parts`` returns (norm, element part, penalty part) of the square.
     """
-    mesh, dofmap = v.mesh, v.dofmap
-    geom = element_geometry(mesh)
-    if cache is None:
-        cache = build_edge_cache(mesh, dofmap, geom)
-    hess = broken_hessians(geom, dofmap, v.coeffs)
+    hess = broken_hessians(geom, v.dofmap, v.coeffs)
     elem = float(np.sum(geom.area * np.einsum("tkl,tkl->t", hess, hess)))
     wg = np.asarray(_EDGE_RULE.weights)
     jumps = cache.jump_values(v.coeffs)
@@ -383,21 +364,16 @@ def energy_norm(v, eta=10.0, cache=None, parts=False):
     return np.sqrt(elem + pen)
 
 
-def error_norms(v, exact_value, exact_hessian, eta=10.0, degree=8, cache=None,
-                geom=None):
+def error_norms(v, exact_value, exact_hessian, geom, cache, eta):
     """Energy and L2 error of a P2 function against a smooth exact field.
 
     ``exact_hessian(x, y)`` must return the tuple (w_xx, w_xy, w_yy). The
     exact field has no normal-derivative jumps, so the penalty part of the
     energy error is that of ``v`` alone.
     """
-    mesh, dofmap = v.mesh, v.dofmap
-    if geom is None:
-        geom = element_geometry(mesh)
-    if cache is None:
-        cache = build_edge_cache(mesh, dofmap, geom)
-    rule = quadrature("triangle", degree)
-    pts = _quad_points(mesh, geom, rule)
+    dofmap = v.dofmap
+    rule = quadrature("triangle", ERROR_DEGREE)
+    pts = _quad_points(geom, rule)
     x, y = pts[..., 0], pts[..., 1]
 
     hxx, hxy, hyy = (np.broadcast_to(np.asarray(h, dtype=float), x.shape)
@@ -414,7 +390,7 @@ def error_norms(v, exact_value, exact_hessian, eta=10.0, degree=8, cache=None,
     energy_err = np.sqrt(float(misfit.sum()) + pen)
 
     uvals = np.broadcast_to(np.asarray(exact_value(x, y), dtype=float), x.shape)
-    vvals = eval_on_elements(geom, dofmap, v.coeffs, rule)
+    vvals = eval_on_elements(dofmap, v.coeffs, rule)
     l2_err = np.sqrt(float(np.einsum(
         "q,tq->", rule.weights, (uvals - vvals) ** 2 * geom.det[:, None])))
     return energy_err, l2_err

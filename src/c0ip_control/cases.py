@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import element_geometry, _quad_points
+from .assembly import _quad_points
 from .controls import clamp
 from .fem import quadrature
 from .solver import ProblemSpec
@@ -27,6 +27,9 @@ __all__ = [
     "example2_spec",
     "boundary_demo_spec",
 ]
+
+# degree of the triangle rule of ``ManufacturedCase.control_error``
+CONTROL_ERROR_DEGREE = 8
 
 
 def _sin3_derivatives(t, orders):
@@ -88,15 +91,13 @@ class ManufacturedCase:
     lower: float
     upper: float
 
-    def control_error(self, mesh, q_h, degree=8, geom=None):
+    def control_error(self, geom, q_h):
         """||q - q_h||_{0,Omega} for a piecewise-constant control field.
 
-        ``geom`` is the element geometry of ``mesh``, built if not given.
+        ``geom`` is the element geometry of the mesh that carries ``q_h``.
         """
-        if geom is None:
-            geom = element_geometry(mesh)
-        rule = quadrature("triangle", degree)
-        pts = _quad_points(mesh, geom, rule)
+        rule = quadrature("triangle", CONTROL_ERROR_DEGREE)
+        pts = _quad_points(geom, rule)
         qex = np.broadcast_to(
             np.asarray(self.q(pts[..., 0], pts[..., 1]), dtype=float),
             pts.shape[:2])

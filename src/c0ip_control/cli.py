@@ -82,12 +82,12 @@ def run_example1(config):
     hs, eus, ephis, eqs = [], [], [], []
     for h, mesh in _uniform_square_meshes(config):
         ws = discretize(spec, mesh)
-        sol = solve_pdas(spec, mesh, ws=ws)
-        eu, _ = error_norms(sol.u, case.u, case.u_hess, eta=spec.eta,
-                            cache=ws.cache, geom=ws.geom)
-        ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, eta=spec.eta,
-                              cache=ws.cache, geom=ws.geom)
-        eq = case.control_error(mesh, sol.q, geom=ws.geom)
+        sol = solve_pdas(ws)
+        eu, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom, ws.cache,
+                            spec.eta)
+        ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, ws.geom,
+                              ws.cache, spec.eta)
+        eq = case.control_error(ws.geom, sol.q)
         hs.append(h)
         eus.append(eu)
         ephis.append(ephi)
@@ -133,10 +133,10 @@ def run_boundary_demo(config, subdivision=8):
                               config.eta)
     mesh = make_unit_square(subdivision, diagonal=config.diagonal)
     ws = discretize(spec, mesh)
-    sol = solve_pdas(spec, mesh, ws=ws)
-    trace = bh_apply("boundary", sol.phi, cache=ws.cache)
+    sol = solve_pdas(ws)
+    trace = bh_apply("boundary", sol.phi, ws.cache)
     kkt = vi_residual(sol.q, trace, spec.alpha)
-    report = estimate(spec, ws, sol)
+    report = estimate(ws, sol)
     rows = [
         ("state_residual", sol.state_residual),
         ("adjoint_residual", sol.adjoint_residual),
@@ -167,21 +167,20 @@ def run_vd_compare(config):
     rule = quadrature("triangle", 8)
     for h, mesh in _uniform_square_meshes(config):
         ws = discretize(spec, mesh)
-        sol = solve_pdas(spec, mesh, ws=ws)
-        u_vd, phi_vd, _ = solve_variational(spec, mesh, ws=ws)
-        geom = ws.geom
-        eu, _ = error_norms(sol.u, case.u, case.u_hess, eta=spec.eta,
-                            cache=ws.cache, geom=geom)
-        eu_vd, _ = error_norms(u_vd, case.u, case.u_hess, eta=spec.eta,
-                               cache=ws.cache, geom=geom)
-        ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, eta=spec.eta,
-                              cache=ws.cache, geom=geom)
-        ephi_vd, _ = error_norms(phi_vd, case.phi, case.phi_hess,
-                                 eta=spec.eta, cache=ws.cache, geom=geom)
-        diff = (variational_control(ws, phi_vd.coeffs, geom, rule)
+        sol = solve_pdas(ws)
+        u_vd, phi_vd, _ = solve_variational(ws)
+        eu, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom, ws.cache,
+                            spec.eta)
+        eu_vd, _ = error_norms(u_vd, case.u, case.u_hess, ws.geom, ws.cache,
+                               spec.eta)
+        ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, ws.geom,
+                              ws.cache, spec.eta)
+        ephi_vd, _ = error_norms(phi_vd, case.phi, case.phi_hess, ws.geom,
+                                 ws.cache, spec.eta)
+        diff = (variational_control(ws, phi_vd.coeffs, rule)
                 - sol.q.values[:, None])
         qdist = float(np.sqrt(np.einsum("q,tq->", rule.weights,
-                                        diff ** 2 * geom.det[:, None])))
+                                        diff ** 2 * ws.geom.det[:, None])))
         rows.append((h, eu, eu_vd, ephi, ephi_vd, qdist))
     write_csv(config.outpath("vd_compare.csv"),
               ["h", "err_u_full", "err_u_vd", "err_phi_full", "err_phi_vd",

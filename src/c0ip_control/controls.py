@@ -12,17 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import build_edge_cache
 from .fem import quadrature, shape_values
 
 __all__ = [
     "ControlField",
     "TraceField",
-    "control_measures",
     "bh_apply",
-    "pi_h",
     "clamp",
-    "clamp_field",
     "vi_residual",
 ]
 
@@ -64,15 +60,6 @@ class ControlField:
         return float(np.sqrt(np.sum(self.measures * self.values ** 2)))
 
 
-def control_measures(mesh, kind):
-    """Entity measures for a control space on ``mesh``."""
-    if kind == "distributed":
-        return mesh.signed_areas()
-    if kind == "boundary":
-        return mesh.edge_lengths()[mesh.boundary_edges]
-    raise ValueError("kind must be 'distributed' or 'boundary'")
-
-
 @dataclass
 class TraceField:
     """Entity-local polynomial data of B_h v.
@@ -98,31 +85,18 @@ class TraceField:
         return integral / 0.5
 
 
-def bh_apply(kind, v, cache=None):
-    """Apply the control trace operator B_h to a P2 function."""
+def bh_apply(kind, v, cache):
+    """Apply the control trace operator B_h to a P2 function.
+
+    ``cache`` is the edge trace cache of ``v``'s mesh and dofmap; the
+    boundary kind reads its normal derivatives.
+    """
     if kind == "distributed":
         return TraceField(kind, v.mesh, v.coeffs[v.dofmap.tri_dofs].copy())
     if kind == "boundary":
-        if cache is None:
-            cache = build_edge_cache(v.mesh, v.dofmap)
         return TraceField(kind, v.mesh,
                           cache.boundary_normal_derivative(v.coeffs))
     raise ValueError("kind must be 'distributed' or 'boundary'")
-
-
-def pi_h(trace):
-    """Project a trace (or per-entity values) onto piecewise constants."""
-    if isinstance(trace, TraceField):
-        return trace.means()
-    return np.asarray(trace, dtype=float).copy()
-
-
-def clamp_field(d, alpha, lower, upper, kind, measures):
-    """Control field with values min(upper, max(lower, -d/alpha))."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    values = clamp(-np.asarray(d, dtype=float) / alpha, lower, upper)
-    return ControlField(kind, values, lower, upper, measures)
 
 
 @dataclass
@@ -151,7 +125,7 @@ def vi_residual(q, trace, alpha, tol=1e-10):
     """
     if not q.admissible:
         raise ValueError("control field is not admissible")
-    m = pi_h(trace) + alpha * q.values
+    m = trace.means() + alpha * q.values
     bound_tol = 1e-12 * max(1.0, np.abs(q.values).max(initial=0.0))
     at_lower = (np.isfinite(q.lower)
                 & (np.abs(q.values - q.lower) <= bound_tol))

@@ -24,6 +24,9 @@ __all__ = ["EstimatorReport", "estimate", "efficiency_index"]
 
 _EDGE_W = np.asarray(quadrature("edge", 3).weights)
 
+# degree of the triangle rule of the volume residuals
+VOLUME_DEGREE = 6
+
 
 @dataclass
 class EstimatorReport:
@@ -96,17 +99,17 @@ def _boundary_term(cache, coeffs, offset=None):
     return cache.blength ** 2 * d2 ** 2
 
 
-def _control_consistency(spec, ws, sol):
+def _control_consistency(ws, sol):
     """|| (B_h phi_h + alpha q_h) - Pi_h(B_h phi_h + alpha q_h) ||_Q.
 
     The piecewise-constant alpha q_h drops out of the fluctuation, so this
     is the projection defect of B_h phi_h alone.
     """
     phi = sol.phi.coeffs
-    if spec.kind == "distributed":
+    if ws.spec.kind == "distributed":
         geom = ws.geom
         rule = quadrature("triangle", 4)
-        vals = eval_on_elements(geom, ws.dofmap, phi, rule)
+        vals = eval_on_elements(ws.dofmap, phi, rule)
         integral = np.einsum("q,tq->t", rule.weights, vals) * geom.det
         sq_integral = np.einsum("q,tq->t", rule.weights, vals ** 2) * geom.det
         mean = integral / geom.area
@@ -120,11 +123,12 @@ def _control_consistency(spec, ws, sol):
     return float(np.sqrt(max(defect.sum(), 0.0)))
 
 
-def estimate(spec, ws, sol, volume_degree=6):
+def estimate(ws, sol):
     """Estimator report for a solved instance (``ws`` from ``discretize``)."""
-    mesh, dofmap, cache, geom = ws.mesh, ws.dofmap, ws.cache, ws.geom
-    rule = quadrature("triangle", volume_degree)
-    pts = _quad_points(mesh, geom, rule)
+    spec, mesh, dofmap, cache, geom = (ws.spec, ws.mesh, ws.dofmap, ws.cache,
+                                       ws.geom)
+    rule = quadrature("triangle", VOLUME_DEGREE)
+    pts = _quad_points(geom, rule)
     x, y = pts[..., 0], pts[..., 1]
 
     fvals = np.broadcast_to(np.asarray(spec.f(x, y), dtype=float), x.shape)
@@ -135,7 +139,7 @@ def estimate(spec, ws, sol, volume_degree=6):
     volume_u = _volume_residual(mesh, geom, rule, state_resid)
 
     udvals = np.broadcast_to(np.asarray(spec.u_d(x, y), dtype=float), x.shape)
-    uhvals = eval_on_elements(geom, dofmap, sol.u.coeffs, rule)
+    uhvals = eval_on_elements(dofmap, sol.u.coeffs, rule)
     volume_phi = _volume_residual(mesh, geom, rule, uhvals - udvals)
 
     hess_u, grad_u = _edge_terms(cache, sol.u.coeffs)
@@ -144,7 +148,7 @@ def estimate(spec, ws, sol, volume_degree=6):
     boundary_u = _boundary_term(cache, sol.u.coeffs, offset)
     boundary_phi = _boundary_term(cache, sol.phi.coeffs)
 
-    control = _control_consistency(spec, ws, sol)
+    control = _control_consistency(ws, sol)
 
     marking = volume_u + volume_phi
     edge_sq = 0.5 * (hess_u + grad_u + hess_phi + grad_phi)

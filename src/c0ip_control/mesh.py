@@ -169,10 +169,6 @@ class Mesh:
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    def edge_lengths(self):
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
-
     def diameters(self):
         p = self.vertices[self.triangles]
         sides = np.stack([

@@ -49,9 +49,19 @@ __all__ = [
 CG_RTOL = 1e-13
 CG_MAX_ITER = 200
 
+# the variational fixed point stops once no adjoint coefficient moves by
+# more than VD_TOL and fails after VD_MAX_ITER steps; it integrates the
+# clamped control with the degree-VD_QUAD_DEGREE triangle rule
+VD_TOL = 1e-10
+VD_MAX_ITER = 200
+VD_QUAD_DEGREE = 8
+
+# degree of the triangle rule of the loads of ``projection_ph``
+PROJECTION_DEGREE = 8
+
 
 class PdasError(RuntimeError):
-    """Active-set iteration failed to terminate."""
+    """Active-set or variational fixed-point iteration failed to terminate."""
 
     def __init__(self, message, signatures=None):
         super().__init__(message)
@@ -137,7 +147,7 @@ class Discretization:
     def ud_norm2(self):
         """int u_d^2 dx with the quadrature rule of ``load_ud``."""
         rule = quadrature("triangle", self.spec.load_degree)
-        pts = _quad_points(self.mesh, self.geom, rule)
+        pts = _quad_points(self.geom, rule)
         ud = np.broadcast_to(
             np.asarray(self.spec.u_d(pts[..., 0], pts[..., 1]), dtype=float),
             pts.shape[:2])
@@ -149,12 +159,11 @@ def discretize(spec, mesh):
     dofmap = build_dofmap(mesh)
     geom = element_geometry(mesh)
     cache = build_edge_cache(mesh, dofmap, geom)
-    a_op = assemble_a_h(mesh, dofmap, spec.eta, cache=cache, geom=geom)
-    m_op = assemble_mass(mesh, dofmap, geom=geom)
-    bmat, measures = control_coupling(mesh, dofmap, spec.kind, cache=cache,
-                                      geom=geom)
-    load_f = assemble_load(mesh, dofmap, spec.f, spec.load_degree, geom)
-    load_ud = assemble_load(mesh, dofmap, spec.u_d, spec.load_degree, geom)
+    a_op = assemble_a_h(dofmap, geom, cache, spec.eta)
+    m_op = assemble_mass(dofmap, geom)
+    bmat, measures = control_coupling(dofmap, geom, cache, spec.kind)
+    load_f = assemble_load(dofmap, geom, spec.f, spec.load_degree)
+    load_ud = assemble_load(dofmap, geom, spec.u_d, spec.load_degree)
     return Discretization(spec, mesh, dofmap, geom, cache, a_op, m_op, bmat,
                           measures, load_f, load_ud)
 
@@ -284,7 +293,7 @@ def _pcg(apply, rhs, x, inv_diag):
                     "%d steps (relative residual %.3e)" % (CG_MAX_ITER, rel))
 
 
-def solve_pdas(spec, mesh, max_iter=50, ws=None):
+def solve_pdas(ws, max_iter=50):
     """Primal-dual active set iteration for the coupled optimality system.
 
     Active sets come from the raw (unclamped) control estimate
@@ -299,8 +308,7 @@ def solve_pdas(spec, mesh, max_iter=50, ws=None):
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if ws is None:
-        ws = discretize(spec, mesh)
+    spec = ws.spec
     free = ws.dofmap.free
     m_f = ws.mass.free
     b_f = ws.coupling[free].tocsc()
@@ -377,8 +385,8 @@ def solve_pdas(spec, mesh, max_iter=50, ws=None):
     q = ControlField(spec.kind, qvals, spec.lower, spec.upper, d_meas)
     r_state, r_adj = _residuals(ws, u_free, phi_free, qvals)
     return KktSolution(
-        u=P2Function(mesh, ws.dofmap, ws.full_coeffs(u_free)),
-        phi=P2Function(mesh, ws.dofmap, ws.full_coeffs(phi_free)),
+        u=P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(u_free)),
+        phi=P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(phi_free)),
         q=q,
         active_lower=np.flatnonzero(act_lo),
         active_upper=np.flatnonzero(act_up),
@@ -391,31 +399,29 @@ def solve_pdas(spec, mesh, max_iter=50, ws=None):
     )
 
 
-def variational_control(ws, phi_coeffs, geom, rule):
+def variational_control(ws, phi_coeffs, rule):
     """Clamped control clamp(-phi_h/alpha) at ``rule``'s points, (nt, nq).
 
-    ``geom`` is the element geometry of ``ws.mesh`` and ``phi_coeffs`` the
-    adjoint's coefficients on all dofs.
+    ``phi_coeffs`` are the adjoint's coefficients on all dofs.
     """
-    phivals = eval_on_elements(geom, ws.dofmap, phi_coeffs, rule)
+    phivals = eval_on_elements(ws.dofmap, phi_coeffs, rule)
     return clamp(-phivals / ws.spec.alpha, ws.spec.lower, ws.spec.upper)
 
 
-def _clamped_control_load(ws, phi_coeffs, geom, rule, vals):
+def _clamped_control_load(ws, phi_coeffs, rule, vals):
     """Load vector of int clamp(-phi_h/alpha) v_i dx (distributed only).
 
     ``vals`` holds the P2 shape values at ``rule``'s points.
     """
-    qvals = variational_control(ws, phi_coeffs, geom, rule)
+    qvals = variational_control(ws, phi_coeffs, rule)
     local = np.einsum("q,tq,qi->ti", rule.weights, qvals, vals)
-    local *= geom.det[:, None]
+    local *= ws.geom.det[:, None]
     vec = np.zeros(ws.dofmap.ndof)
     np.add.at(vec, ws.dofmap.tri_dofs, local)
     return vec
 
 
-def solve_variational(spec, mesh, tol=1e-10, max_iter=200, ws=None,
-                      quad_degree=8):
+def solve_variational(ws):
     """Variational discretization: the control stays continuous.
 
     The control is the pointwise clamp of -B_h phi / alpha; a damped fixed
@@ -423,30 +429,28 @@ def solve_variational(spec, mesh, tol=1e-10, max_iter=200, ws=None,
     Only distributed control is supported. Returns (u, phi, q_callable)
     where the callable evaluates the clamped control at arbitrary points by
     locating them in the mesh; at quadrature points of known elements use
-    ``variational_control`` instead.
+    ``variational_control`` instead. Raises ``PdasError`` when the fixed
+    point does not converge in VD_MAX_ITER steps.
     """
+    spec = ws.spec
     if spec.kind != "distributed":
         raise ValueError("variational discretization: distributed kind only")
-    if ws is None:
-        ws = discretize(spec, mesh)
     free = ws.dofmap.free
     lu = ws.lu
     m_f = ws.mass.free
-    geom = ws.geom
-    rule = quadrature("triangle", quad_degree)
+    rule = quadrature("triangle", VD_QUAD_DEGREE)
     vals = shape_values(rule.points)
 
     phi = np.zeros(len(free))
     omega = 1.0
     prev_res = np.inf
     u = np.zeros(len(free))
-    for _ in range(max_iter):
-        load_q = _clamped_control_load(ws, ws.full_coeffs(phi), geom, rule,
-                                       vals)
+    for _ in range(VD_MAX_ITER):
+        load_q = _clamped_control_load(ws, ws.full_coeffs(phi), rule, vals)
         u = lu.solve(ws.load_f[free] + load_q[free])
         phi_new = lu.solve(m_f @ u - ws.load_ud[free])
         res = float(np.max(np.abs(phi_new - phi))) if len(phi) else 0.0
-        if res <= tol:
+        if res <= VD_TOL:
             phi = phi_new
             break
         if res > prev_res:
@@ -454,12 +458,12 @@ def solve_variational(spec, mesh, tol=1e-10, max_iter=200, ws=None,
         prev_res = res
         phi = phi + omega * (phi_new - phi)
     else:
-        raise RuntimeError(
+        raise PdasError(
             "variational fixed point did not converge in %d iterations"
-            % max_iter)
+            % VD_MAX_ITER)
 
-    u_fn = P2Function(mesh, ws.dofmap, ws.full_coeffs(u))
-    phi_fn = P2Function(mesh, ws.dofmap, ws.full_coeffs(phi))
+    u_fn = P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(u))
+    phi_fn = P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(phi))
 
     def q_tilde(x, y):
         vals = evaluate_p2(phi_fn, x, y)
@@ -495,32 +499,31 @@ def evaluate_p2(v, x, y):
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
-def projection_ph(spec, mesh, which, ws=None, degree=8):
+def projection_ph(ws, which):
     """Discrete solutions of the auxiliary problems driven by exact data.
 
     ``which`` = "state": a_h(P_h u, v) = (f, v) + <q, B_h v> with the exact
     control q; "adjoint": a_h(v, P_h phi) = (u - u_d, v) with the exact
     state u. Requires ``spec.exact``.
     """
+    spec = ws.spec
     if spec.exact is None:
         raise ValueError("projection requires a manufactured exact solution")
-    if ws is None:
-        ws = discretize(spec, mesh)
     free = ws.dofmap.free
     lu = ws.lu
     case = spec.exact
     if which == "state":
         rhs = ws.load_f
         if spec.kind == "distributed":
-            rhs = rhs + assemble_load(mesh, ws.dofmap, case.q, degree,
-                                      ws.geom)
+            rhs = rhs + assemble_load(ws.dofmap, ws.geom, case.q,
+                                      PROJECTION_DEGREE)
         else:
             raise NotImplementedError("boundary-control projection")
     elif which == "adjoint":
         def misfit(x, y):
             return case.u(x, y) - spec.u_d(x, y)
-        rhs = assemble_load(mesh, ws.dofmap, misfit, degree, ws.geom)
+        rhs = assemble_load(ws.dofmap, ws.geom, misfit, PROJECTION_DEGREE)
     else:
         raise ValueError("which must be 'state' or 'adjoint'")
     sol = lu.solve(rhs[free])
-    return P2Function(mesh, ws.dofmap, ws.full_coeffs(sol))
+    return P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(sol))

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from c0ip_control import (assemble_a_h, bh_apply, bisect, build_dofmap,
-                          clamp, dorfler_mark, error_norms, estimate,
-                          example1_case, example1_spec, example2_spec,
-                          interpolate, make_lshape, make_unit_square, pi_h,
-                          vi_residual)
+                          build_edge_cache, clamp, dorfler_mark, error_norms,
+                          estimate, example1_case, example1_spec,
+                          example2_spec, interpolate, make_lshape,
+                          make_unit_square, vi_residual)
 from c0ip_control.assembly import (element_geometry, eval_on_elements,
                                    _quad_points)
 from c0ip_control.cases import biharmonic_sin3
@@ -57,18 +57,25 @@ def uniform_study():
     t0 = time.perf_counter()
     for h, mesh in _uniform_square_meshes(RunConfig(levels=5)):
         ws = discretize(spec, mesh)
-        sol = solve_pdas(spec, mesh, ws=ws)
-        report = estimate(spec, ws, sol)
-        err_u, _ = error_norms(sol.u, case.u, case.u_hess, eta=spec.eta,
-                               cache=ws.cache)
-        err_phi, _ = error_norms(sol.phi, case.phi, case.phi_hess,
-                                 eta=spec.eta, cache=ws.cache)
-        err_q = case.control_error(mesh, sol.q)
+        sol = solve_pdas(ws)
+        report = estimate(ws, sol)
+        err_u, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom,
+                               ws.cache, spec.eta)
+        err_phi, _ = error_norms(sol.phi, case.phi, case.phi_hess, ws.geom,
+                                 ws.cache, spec.eta)
+        err_q = case.control_error(ws.geom, sol.q)
         levels.append({"h": h, "mesh": mesh, "ws": ws, "sol": sol,
                        "report": report, "err_u": err_u,
                        "err_phi": err_phi, "err_q": err_q})
     runtime = time.perf_counter() - t0
     return {"spec": spec, "levels": levels, "runtime": runtime}
+
+
+def _discrete_parts(mesh):
+    """Dofmap, element geometry and edge cache of ``mesh``."""
+    dm = build_dofmap(mesh)
+    geom = element_geometry(mesh)
+    return dm, geom, build_edge_cache(mesh, dm, geom)
 
 
 def _subtriangle_rules(k):
@@ -98,7 +105,7 @@ def _cell_moments(q, mesh):
     m1 = np.zeros(mesh.num_triangles)
     m2 = np.zeros(mesh.num_triangles)
     for rule in _subtriangle_rules(3):
-        pts = _quad_points(mesh, geom, rule)
+        pts = _quad_points(geom, rule)
         vals = np.broadcast_to(q(pts[..., 0], pts[..., 1]), pts.shape[:2])
         m1 += vals @ rule.weights * geom.det
         m2 += vals ** 2 @ rule.weights * geom.det
@@ -143,8 +150,8 @@ def adaptive_study():
     t0 = time.perf_counter()
     for level in range(80):
         ws = discretize(spec, mesh)
-        sol = solve_pdas(spec, mesh, ws=ws)
-        report = estimate(spec, ws, sol)
+        sol = solve_pdas(ws)
+        report = estimate(ws, sol)
         ndof = ws.dofmap.nfree
         if ndof >= max_dofs:
             records.append({"ndof": ndof, "eta_total": report.eta_total,
@@ -302,8 +309,8 @@ class TestCriterion4OptimalityConditions:
                 / (spec.alpha * sol.q.measures)
             assert np.array_equal(sol.q.values,
                                   clamp(raw, spec.lower, spec.upper))
-            report = vi_residual(sol.q, bh_apply("distributed", sol.phi),
-                                 spec.alpha)
+            report = vi_residual(
+                sol.q, bh_apply("distributed", sol.phi, ws.cache), spec.alpha)
             assert report.satisfied
             assert report.vi_lower >= -1e-10
             assert report.vi_upper >= -1e-10
@@ -324,20 +331,19 @@ class TestCriterion4OptimalityConditions:
 class TestCriterion5Oracles:
     def test_projection_orthogonality(self):
         mesh = make_unit_square(4)
-        dm = build_dofmap(mesh)
+        dm, geom, cache = _discrete_parts(mesh)
         rng = np.random.default_rng(31)
         v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
         v.coeffs[:] = rng.standard_normal(dm.ndof)
-        means = pi_h(bh_apply("distributed", v))
-        geom = element_geometry(mesh)
+        means = bh_apply("distributed", v, cache).means()
         rule = quadrature("triangle", 2)
-        vals = eval_on_elements(geom, dm, v.coeffs, rule)
+        vals = eval_on_elements(dm, v.coeffs, rule)
         defect = np.einsum("q,tq->t", rule.weights,
                            vals - means[:, None]) * geom.det
         assert np.max(np.abs(defect)) < 1e-12
 
     def test_bilinear_form_symmetric_and_positive(self):
-        op = assemble_a_h(make_unit_square(4), eta=10.0)
+        op = assemble_a_h(*_discrete_parts(make_unit_square(4)), 10.0)
         a = op.full.toarray()
         assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
         eigs = np.linalg.eigvalsh(op.free.toarray())
@@ -345,19 +351,19 @@ class TestCriterion5Oracles:
 
     def test_penalty_vanishes_on_quadratics(self):
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, geom, cache = _discrete_parts(mesh)
         from c0ip_control import energy_norm
         for coeffs in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, -1.0, 2.0)):
             a, b, c = coeffs
             v = interpolate(mesh, dm,
                             lambda x, y: a * x * x + b * x * y + c * y * y)
-            _, _, pen = energy_norm(v, eta=10.0, parts=True)
+            _, _, pen = energy_norm(v, geom, cache, 10.0, parts=True)
             assert pen < 1e-12
 
     def test_single_free_dof_brute_force(self):
         # hand-computed entry for the two-triangle square (see
         # test_assembly.py for the derivation): 32*eta - 32
-        op = assemble_a_h(make_unit_square(1), eta=10.0)
+        op = assemble_a_h(*_discrete_parts(make_unit_square(1)), 10.0)
         assert abs(op.free[0, 0] - 288.0) < 1e-10
 
     def test_biharmonic_finite_difference_oracle(self):
@@ -376,25 +382,25 @@ class TestCriterion5Oracles:
         case = spec.exact
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)
-        sol = solve_pdas(spec, mesh, ws=ws)
-        ph_u = projection_ph(spec, mesh, "state", ws=ws)
-        ph_phi = projection_ph(spec, mesh, "adjoint", ws=ws)
+        sol = solve_pdas(ws)
+        ph_u = projection_ph(ws, "state")
+        ph_phi = projection_ph(ws, "adjoint")
         geom = element_geometry(mesh)
         rule = quadrature("triangle", 8)
-        pts = _quad_points(mesh, geom, rule)
+        pts = _quad_points(geom, rule)
         x, y = pts[..., 0], pts[..., 1]
 
         def integral(values):
             return float(np.einsum("q,tq->", rule.weights,
                                    values * geom.det[:, None]))
 
-        v = eval_on_elements(geom, ws.dofmap,
+        v = eval_on_elements(ws.dofmap,
                              ph_phi.coeffs - sol.phi.coeffs, rule)
         lhs = integral((np.broadcast_to(case.q(x, y), x.shape)
                         - sol.q.values[:, None]) * v)
-        w = eval_on_elements(geom, ws.dofmap,
+        w = eval_on_elements(ws.dofmap,
                              ph_u.coeffs - sol.u.coeffs, rule)
-        u_h = eval_on_elements(geom, ws.dofmap, sol.u.coeffs, rule)
+        u_h = eval_on_elements(ws.dofmap, sol.u.coeffs, rule)
         rhs = integral((np.broadcast_to(case.u(x, y), x.shape) - u_h) * w)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
 
@@ -405,12 +411,12 @@ class TestCriterion6VariationalDiscretization:
         case = spec.exact
         level = next(lv for lv in uniform_study["levels"]
                      if lv["h"] == 1 / 16)
-        mesh, ws = level["mesh"], level["ws"]
-        u_vd, phi_vd, _ = solve_variational(spec, mesh, ws=ws)
-        e_u, _ = error_norms(u_vd, case.u, case.u_hess, eta=spec.eta,
-                             cache=ws.cache)
-        e_phi, _ = error_norms(phi_vd, case.phi, case.phi_hess,
-                               eta=spec.eta, cache=ws.cache)
+        ws = level["ws"]
+        u_vd, phi_vd, _ = solve_variational(ws)
+        e_u, _ = error_norms(u_vd, case.u, case.u_hess, ws.geom, ws.cache,
+                             spec.eta)
+        e_phi, _ = error_norms(phi_vd, case.phi, case.phi_hess, ws.geom,
+                               ws.cache, spec.eta)
         assert e_u <= 2.0 * level["err_u"]
         assert e_phi <= 2.0 * level["err_phi"]
         assert level["err_u"] <= 2.0 * e_u
@@ -419,8 +425,7 @@ class TestCriterion6VariationalDiscretization:
     def test_pointwise_clamp_identity(self, uniform_study):
         spec = uniform_study["spec"]
         level = uniform_study["levels"][1]
-        u_vd, phi_vd, q_vd = solve_variational(spec, level["mesh"],
-                                               ws=level["ws"])
+        u_vd, phi_vd, q_vd = solve_variational(level["ws"])
         rng = np.random.default_rng(37)
         pts = rng.uniform(0.01, 0.99, size=(1000, 2))
         phiv = evaluate_p2(phi_vd, pts[:, 0], pts[:, 1])
@@ -433,7 +438,7 @@ class TestCriterion6VariationalDiscretization:
                            alpha=1e-3, lower=-np.inf, upper=np.inf)
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)
-        u_vd, phi_vd, _ = solve_variational(spec, mesh, ws=ws)
+        u_vd, phi_vd, _ = solve_variational(ws)
         free = ws.dofmap.free
         m_f = ws.mass.free
         u_dir, phi_dir, _ = solve_linear_block(

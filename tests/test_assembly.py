@@ -40,22 +40,32 @@ def random_nvb_mesh(seed=7, steps=6):
     return mesh
 
 
+def discrete_parts(mesh):
+    """Dofmap, element geometry and edge cache of ``mesh``."""
+    dm = build_dofmap(mesh)
+    geom = element_geometry(mesh)
+    return dm, geom, build_edge_cache(mesh, dm, geom)
+
+
 def discrete_setup(name):
     """Mesh, dofmap, geometry and edge cache of a named test mesh."""
     mesh = random_nvb_mesh() if name == "nvb_lshape" else make_unit_square(16)
-    dm = build_dofmap(mesh)
-    geom = element_geometry(mesh)
-    return mesh, dm, geom, build_edge_cache(mesh, dm, geom)
+    return (mesh,) + discrete_parts(mesh)
+
+
+def stiffness(mesh, eta):
+    """A_h of ``mesh`` on its own dofmap, geometry and edge cache."""
+    return assemble_a_h(*discrete_parts(mesh), eta)
 
 
 class TestStiffness:
     def test_symmetry(self):
-        op = assemble_a_h(make_unit_square(4), eta=10.0)
+        op = stiffness(make_unit_square(4), 10.0)
         a = op.full.toarray()
         assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
 
     def test_spd_on_free_dofs(self):
-        op = assemble_a_h(make_unit_square(4), eta=10.0)
+        op = stiffness(make_unit_square(4), 10.0)
         eigs = np.linalg.eigvalsh(op.free.toarray())
         assert eigs.min() > 0.0
 
@@ -72,20 +82,20 @@ class TestStiffness:
         #   consistency: -2 * mean * int jump = -2 * 4 * (4 sqrt2 * sqrt2)
         #              = -64,
         #   penalty: (eta/h_e) * int jump^2 = (eta/sqrt2) * 32 sqrt2 = 32 eta.
-        op = assemble_a_h(make_unit_square(1), eta=eta)
+        op = stiffness(make_unit_square(1), eta)
         assert op.free.shape == (1, 1)
         assert abs(op.free[0, 0] - (32.0 * eta - 32.0)) < 1e-10
 
     def test_penalty_requires_positive_eta(self):
         with pytest.raises(ValueError):
-            assemble_a_h(make_unit_square(2), eta=0.0)
+            stiffness(make_unit_square(2), 0.0)
 
     def test_quadratic_in_kernel_of_jump_terms(self):
         # a_h(v, v) reduces to the pure Hessian term for global quadratics
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, geom, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: x * x - 0.5 * x * y + y * y)
-        op = assemble_a_h(mesh, dm, eta=10.0)
+        op = assemble_a_h(dm, geom, cache, 10.0)
         val = v.coeffs @ (op.full @ v.coeffs)
         # int |D^2 v|^2 = 4 + 2*0.25 + 4 = 8.5 over the unit square
         assert abs(val - 8.5) < 1e-12
@@ -108,7 +118,7 @@ class TestStiffness:
         local = -consistency - consistency.transpose(0, 2, 1) + penalty
         expected = (_accumulate(dm.ndof, dm.tri_dofs, k_el)
                     + _accumulate(dm.ndof, cache.dofs, local))
-        got = assemble_a_h(mesh, dm, eta, cache=cache, geom=geom).full
+        got = assemble_a_h(dm, geom, cache, eta).full
         scale = np.abs(expected.data).max()
         assert abs(got - expected).max() <= 1e-14 * scale
         # an entry whose contributions cancel to exactly 0.0 is not stored
@@ -116,15 +126,12 @@ class TestStiffness:
 
     def test_one_triangle_is_the_element_term(self):
         # no interior edge, so A_h is the Hessian term of the one element
-        mesh = reference_triangle_mesh()
-        dm = build_dofmap(mesh)
-        geom = element_geometry(mesh)
-        cache = build_edge_cache(mesh, dm, geom)
+        dm, geom, cache = discrete_parts(reference_triangle_mesh())
         assert len(cache.interior) == 0
         k_el = np.einsum("ikl,jkl->ij", geom.hessians[0], geom.hessians[0])
         expected = np.zeros((dm.ndof, dm.ndof))
         expected[np.ix_(dm.tri_dofs[0], dm.tri_dofs[0])] = geom.area[0] * k_el
-        got = assemble_a_h(mesh, dm, 10.0, cache=cache, geom=geom).full
+        got = assemble_a_h(dm, geom, cache, 10.0).full
         np.testing.assert_array_equal(got.toarray(), expected)
 
     def test_transient_memory_bounded_by_the_result(self):
@@ -139,12 +146,10 @@ class TestStiffness:
         # whenever those blocks are formed and leaves headroom over 4.6x.
         config = RunConfig(levels=5)
         mesh = list(_uniform_square_meshes(config))[-1][1]
-        dm = build_dofmap(mesh)
-        geom = element_geometry(mesh)
-        cache = build_edge_cache(mesh, dm, geom)
+        dm, geom, cache = discrete_parts(mesh)
         tracemalloc.start()
         try:
-            full = assemble_a_h(mesh, dm, 10.0, cache=cache, geom=geom).full
+            full = assemble_a_h(dm, geom, cache, 10.0).full
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -154,14 +159,16 @@ class TestStiffness:
 
 class TestMass:
     def test_total_mass_is_area(self):
-        m = assemble_mass(make_unit_square(3))
+        dm, geom, _ = discrete_parts(make_unit_square(3))
+        m = assemble_mass(dm, geom)
         ones = np.ones(m.shape[0])
         assert abs(ones @ (m.full @ ones) - 1.0) < 1e-13
 
     def test_reference_triangle_pattern(self):
         # classical P2 mass matrix, here in global dof order
         # (v0, v1, v2, m01, m02, m12) with area 1/2
-        m = assemble_mass(reference_triangle_mesh()).full.toarray()
+        dm, geom, _ = discrete_parts(reference_triangle_mesh())
+        m = assemble_mass(dm, geom).full.toarray()
         pattern = np.array([
             [6, -1, -1, 0, 0, -4],
             [-1, 6, -1, 0, -4, 0],
@@ -175,31 +182,27 @@ class TestMass:
 
 class TestLoads:
     def test_zero_source(self):
-        mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
-        vec = assemble_load(mesh, dm, lambda x, y: 0.0 * x)
+        dm, geom, _ = discrete_parts(make_unit_square(2))
+        vec = assemble_load(dm, geom, lambda x, y: 0.0 * x, 6)
         assert np.allclose(vec, 0.0)
 
     def test_constant_source_total(self):
-        mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
-        vec = assemble_load(mesh, dm, lambda x, y: 1.0 + 0.0 * x)
+        dm, geom, _ = discrete_parts(make_unit_square(2))
+        vec = assemble_load(dm, geom, lambda x, y: 1.0 + 0.0 * x, 6)
         assert abs(vec.sum() - 1.0) < 1e-14
 
     def test_polynomial_source_integrated_exactly(self):
         # x^4 y^2 times a P2 basis function has total degree 8
-        mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
-        vec = assemble_load(mesh, dm, lambda x, y: x ** 4 * y ** 2, degree=8)
+        dm, geom, _ = discrete_parts(make_unit_square(2))
+        vec = assemble_load(dm, geom, lambda x, y: x ** 4 * y ** 2, 8)
         assert abs(vec.sum() - 1.0 / 15.0) < 1e-14
 
     def test_transcendental_source_quadrature_stability(self):
         # degree-6 and degree-8 rules agree on a smooth oscillatory source
         from c0ip_control.cases import biharmonic_sin3
-        mesh = make_unit_square(16)
-        dm = build_dofmap(mesh)
-        v6 = assemble_load(mesh, dm, biharmonic_sin3, degree=6)
-        v8 = assemble_load(mesh, dm, biharmonic_sin3, degree=8)
+        dm, geom, _ = discrete_parts(make_unit_square(16))
+        v6 = assemble_load(dm, geom, biharmonic_sin3, 6)
+        v8 = assemble_load(dm, geom, biharmonic_sin3, 8)
         scale = np.max(np.abs(v8))
         assert np.max(np.abs(v6 - v8)) < 1e-6 * scale
 
@@ -207,8 +210,8 @@ class TestLoads:
 class TestControlCoupling:
     def test_distributed_column_sums_are_areas(self):
         mesh = make_unit_square(3)
-        dm = build_dofmap(mesh)
-        bmat, measures = control_coupling(mesh, dm, "distributed")
+        bmat, measures = control_coupling(*discrete_parts(mesh),
+                                          "distributed")
         assert np.allclose(measures, mesh.signed_areas())
         # sum over i of int_T v_i = |T| by partition of unity
         colsums = np.asarray(bmat.sum(axis=0)).ravel()
@@ -217,9 +220,9 @@ class TestControlCoupling:
     def test_boundary_flux_of_quadratic(self):
         # v = x^2: dv/dn = 2 on x = 1, 0 on the other three sides
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, geom, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: x * x)
-        bmat, measures = control_coupling(mesh, dm, "boundary")
+        bmat, measures = control_coupling(dm, geom, cache, "boundary")
         per_edge = bmat.T @ v.coeffs
         mids = 0.5 * (mesh.vertices[mesh.edges[mesh.boundary_edges, 0]]
                       + mesh.vertices[mesh.edges[mesh.boundary_edges, 1]])
@@ -231,15 +234,15 @@ class TestControlCoupling:
 class TestNorms:
     def test_affine_has_zero_energy(self):
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, geom, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: 1.0 + 2.0 * x - 3.0 * y)
-        assert energy_norm(v, eta=10.0) < 1e-13
+        assert energy_norm(v, geom, cache, 10.0) < 1e-13
 
     def test_quadratic_interpolant_penalty_vanishes(self):
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, geom, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: x * x)
-        norm, elem, pen = energy_norm(v, eta=10.0, parts=True)
+        norm, elem, pen = energy_norm(v, geom, cache, 10.0, parts=True)
         assert pen < 1e-12
         assert abs(elem - 4.0) < 1e-13       # int |D^2 x^2|^2 = 4
         assert abs(norm - 2.0) < 1e-13
@@ -247,14 +250,13 @@ class TestNorms:
     def test_penalty_against_independent_jump_evaluation(self):
         # recompute the gradient jumps from scratch for a random function
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, geom, cache = discrete_parts(mesh)
         rng = np.random.default_rng(5)
         v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
         v.coeffs[:] = rng.standard_normal(dm.ndof)
         eta = 10.0
-        _, _, pen = energy_norm(v, eta=eta, parts=True)
+        _, _, pen = energy_norm(v, geom, cache, eta, parts=True)
 
-        geom = element_geometry(mesh)
         gauss = quadrature("edge", 3)
         total = 0.0
         for e in mesh.interior_edges:
@@ -279,7 +281,7 @@ class TestNorms:
 
     def test_error_norms_exact_reproduction(self):
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, geom, cache = discrete_parts(mesh)
 
         def quad(x, y):
             return x * x + x * y - 2.0 * y * y
@@ -289,7 +291,7 @@ class TestNorms:
             return 2.0 + z, 1.0 + z, -4.0 + z
 
         v = interpolate(mesh, dm, quad)
-        e_energy, e_l2 = error_norms(v, quad, hess, eta=10.0)
+        e_energy, e_l2 = error_norms(v, quad, hess, geom, cache, 10.0)
         assert e_energy < 1e-10
         assert e_l2 < 1e-12
 
@@ -297,17 +299,18 @@ class TestNorms:
         # v = 0 makes the energy error the H2 seminorm of the exact field
         case = example1_case()
         mesh = make_unit_square(4)
-        dm = build_dofmap(mesh)
+        dm, geom, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
         v.coeffs[:] = 0.0
-        e_energy, e_l2 = error_norms(v, case.u, case.u_hess, eta=10.0)
+        e_energy, e_l2 = error_norms(v, case.u, case.u_hess, geom, cache,
+                                     10.0)
         assert abs(e_energy ** 2 - SIN3_H2_SQ) < 1e-6 * SIN3_H2_SQ
         # ||u||_0^2 = (5/16)^2
         assert abs(e_l2 ** 2 - (5.0 / 16.0) ** 2) < 1e-10
 
     def test_edge_cache_boundary_normals_point_outward(self):
         mesh = make_unit_square(2)
-        cache = build_edge_cache(mesh, build_dofmap(mesh))
+        _, _, cache = discrete_parts(mesh)
         mids = 0.5 * (mesh.vertices[mesh.edges[cache.boundary, 0]]
                       + mesh.vertices[mesh.edges[cache.boundary, 1]])
         outward = np.sum(cache.bnormal * (mids - 0.5), axis=1)
@@ -333,19 +336,22 @@ class TestElementGeometry:
             assert not getattr(ws.geom, name).flags.writeable
 
     def test_operators_on_shared_geometry_match_fresh_ones(self):
-        # every operator takes the given geometry as it would build its own
+        # the operators of a discretization equal those assembled on a
+        # freshly built geometry and edge cache
         mesh = random_nvb_mesh()
         spec = example1_spec()
         ws = discretize(spec, mesh)
         dm = ws.dofmap
-        fresh_a = assemble_a_h(mesh, dm, spec.eta)
-        fresh_m = assemble_mass(mesh, dm)
-        fresh_b, _ = control_coupling(mesh, dm, spec.kind)
+        geom = element_geometry(mesh)
+        cache = build_edge_cache(mesh, dm, geom)
+        fresh_a = assemble_a_h(dm, geom, cache, spec.eta)
+        fresh_m = assemble_mass(dm, geom)
+        fresh_b, _ = control_coupling(dm, geom, cache, spec.kind)
         assert (ws.stiffness.full != fresh_a.full).nnz == 0
         assert (ws.mass.full != fresh_m.full).nnz == 0
         assert (ws.coupling != fresh_b).nnz == 0
         np.testing.assert_array_equal(
-            ws.load_f, assemble_load(mesh, dm, spec.f, spec.load_degree))
+            ws.load_f, assemble_load(dm, geom, spec.f, spec.load_degree))
 
 
 class TestArrayKernels:
@@ -358,11 +364,11 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("degree", [1, 2, 4, 6, 8])
     def test_quad_points(self, discrete, degree):
-        mesh, _, geom, _ = discrete
+        _, _, geom, _ = discrete
         rule = quadrature("triangle", degree)
         expected = (geom.v0[:, None, :]
                     + np.einsum("tab,qb->tqa", geom.jac, rule.points))
-        assert np.array_equal(_quad_points(mesh, geom, rule), expected)
+        assert np.array_equal(_quad_points(geom, rule), expected)
 
     def test_reference_coords_and_gradients(self, discrete):
         mesh, _, geom, _ = discrete

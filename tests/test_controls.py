@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
-from c0ip_control import (bh_apply, build_dofmap, clamp, clamp_field,
-                          control_measures, interpolate, make_unit_square,
-                          pi_h, vi_residual)
-from c0ip_control.assembly import element_geometry, _quad_points
-from c0ip_control.controls import ControlField, TraceField
+from c0ip_control import (bh_apply, build_dofmap, build_edge_cache, clamp,
+                          control_coupling, interpolate, make_unit_square,
+                          vi_residual)
+from c0ip_control.assembly import element_geometry, eval_on_elements
+from c0ip_control.controls import ControlField
 from c0ip_control.fem import quadrature
 from c0ip_control.mesh import Mesh
+
+
+def discrete_parts(mesh):
+    """Dofmap, element geometry and edge cache of ``mesh``."""
+    dm = build_dofmap(mesh)
+    geom = element_geometry(mesh)
+    return dm, geom, build_edge_cache(mesh, dm, geom)
 
 
 class TestClamp:
@@ -26,51 +33,33 @@ class TestClamp:
         vals = clamp(np.array([-1e9, 0.0, 1e9]), -np.inf, np.inf)
         assert np.array_equal(vals, [-1e9, 0.0, 1e9])
 
-    def test_clamp_field(self):
-        measures = np.ones(3)
-        q = clamp_field(np.array([1.0, 1e-4, 0.2]), 1e-3, -750.0, -50.0,
-                        "distributed", measures)
-        assert np.allclose(q.values, [-750.0, -50.0, -200.0])
-        assert q.admissible
-
-    def test_clamp_field_requires_positive_alpha(self):
-        with pytest.raises(ValueError):
-            clamp_field(np.zeros(2), 0.0, -1.0, 1.0, "distributed",
-                        np.ones(2))
-
 
 class TestProjection:
     def test_constant_reproduced(self):
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, _, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: 3.5 + 0.0 * x)
-        means = pi_h(bh_apply("distributed", v))
+        means = bh_apply("distributed", v, cache).means()
         assert np.allclose(means, 3.5, atol=1e-13)
 
     def test_linear_mean_on_reference_triangle(self):
         mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     np.array([[0, 1, 2]]))
-        dm = build_dofmap(mesh)
+        dm, _, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: x)
-        means = pi_h(bh_apply("distributed", v))
+        means = bh_apply("distributed", v, cache).means()
         assert np.allclose(means, 1.0 / 3.0)
-
-    def test_idempotence(self):
-        vals = np.array([1.0, -2.0, 0.25])
-        assert np.array_equal(pi_h(pi_h(vals)), vals)
 
     def test_orthogonality(self):
         # <v - Pi_h v, p> = 0 for every piecewise-constant p
         mesh = make_unit_square(3)
-        dm = build_dofmap(mesh)
+        dm, geom, cache = discrete_parts(mesh)
         rng = np.random.default_rng(11)
         v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
         v.coeffs[:] = rng.standard_normal(dm.ndof)
-        means = pi_h(bh_apply("distributed", v))
-        geom = element_geometry(mesh)
+        means = bh_apply("distributed", v, cache).means()
         rule = quadrature("triangle", 2)
-        from c0ip_control.assembly import eval_on_elements
-        vals = eval_on_elements(geom, dm, v.coeffs, rule)
+        vals = eval_on_elements(dm, v.coeffs, rule)
         defect = np.einsum("q,tq->t", rule.weights,
                            vals - means[:, None]) * geom.det
         assert np.max(np.abs(defect)) < 1e-12
@@ -78,10 +67,9 @@ class TestProjection:
     def test_boundary_trace_projection(self):
         # v = x^2 has dv/dn = 2 on x = 1 and 0 elsewhere
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, _, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: x * x)
-        trace = bh_apply("boundary", v)
-        means = pi_h(trace)
+        means = bh_apply("boundary", v, cache).means()
         mids = 0.5 * (mesh.vertices[mesh.edges[mesh.boundary_edges, 0]]
                       + mesh.vertices[mesh.edges[mesh.boundary_edges, 1]])
         on_right = np.isclose(mids[:, 0], 1.0)
@@ -92,36 +80,39 @@ class TestProjection:
 class TestTraces:
     def test_distributed_is_identity_on_coefficients(self):
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, _, cache = discrete_parts(mesh)
         rng = np.random.default_rng(2)
         v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
         v.coeffs[:] = rng.standard_normal(dm.ndof)
-        trace = bh_apply("distributed", v)
+        trace = bh_apply("distributed", v, cache)
         assert np.array_equal(trace.data, v.coeffs[dm.tri_dofs])
 
     def test_zero_function_zero_trace(self):
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, _, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
-        trace = bh_apply("boundary", v)
+        trace = bh_apply("boundary", v, cache)
         assert np.allclose(trace.data, 0.0)
 
     def test_invalid_kind(self):
         mesh = make_unit_square(1)
-        v = interpolate(mesh, build_dofmap(mesh), lambda x, y: 0.0 * x)
+        dm, _, cache = discrete_parts(mesh)
+        v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
         with pytest.raises(ValueError):
-            bh_apply("volume", v)
+            bh_apply("volume", v, cache)
 
 
 class TestControlMeasures:
+    """The entity measures that ``control_coupling`` returns."""
+
     def test_distributed_measures(self):
         mesh = make_unit_square(3)
-        assert np.allclose(control_measures(mesh, "distributed"),
-                           mesh.signed_areas())
+        _, measures = control_coupling(*discrete_parts(mesh), "distributed")
+        assert np.allclose(measures, mesh.signed_areas())
 
     def test_boundary_measures(self):
         mesh = make_unit_square(2)
-        measures = control_measures(mesh, "boundary")
+        _, measures = control_coupling(*discrete_parts(mesh), "boundary")
         assert len(measures) == len(mesh.boundary_edges)
         assert abs(measures.sum() - 4.0) < 1e-14
 
@@ -130,14 +121,14 @@ class TestViResidual:
     def _optimal_pair(self):
         """A control that exactly satisfies the clamp relation."""
         mesh = make_unit_square(2)
-        dm = build_dofmap(mesh)
+        dm, geom, cache = discrete_parts(mesh)
         rng = np.random.default_rng(9)
         phi = interpolate(mesh, dm, lambda x, y: 0.0 * x)
         phi.coeffs[:] = rng.standard_normal(dm.ndof)
-        trace = bh_apply("distributed", phi)
+        trace = bh_apply("distributed", phi, cache)
         alpha, lo, hi = 1e-3, -1.0, 1.0
-        measures = control_measures(mesh, "distributed")
-        q = clamp_field(pi_h(trace), alpha, lo, hi, "distributed", measures)
+        q = ControlField("distributed", clamp(-trace.means() / alpha, lo, hi),
+                         lo, hi, geom.area)
         return q, trace, alpha
 
     def test_clamped_control_satisfies_kkt(self):

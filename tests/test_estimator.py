@@ -1,11 +1,12 @@
 """Residual error estimator terms and the efficiency index."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from c0ip_control import (build_dofmap, efficiency_index, error_norms,
-                          estimate, example1_spec, interpolate,
-                          make_unit_square)
+from c0ip_control import (efficiency_index, error_norms, estimate,
+                          example1_spec, interpolate, make_unit_square)
 from c0ip_control.assembly import (broken_hessians, element_geometry,
                                    eval_on_elements)
 from c0ip_control.estimator import _control_consistency
@@ -18,14 +19,14 @@ def solved_instance():
     spec = example1_spec()
     mesh = make_unit_square(8)
     ws = discretize(spec, mesh)
-    sol = solve_pdas(spec, mesh, ws=ws)
+    sol = solve_pdas(ws)
     return spec, ws, sol
 
 
 class TestReportStructure:
     def test_all_contributions_nonnegative(self, solved_instance):
         spec, ws, sol = solved_instance
-        report = estimate(spec, ws, sol)
+        report = estimate(ws, sol)
         for arr in (report.volume_u, report.volume_phi, report.hess_jump_u,
                     report.grad_jump_u, report.hess_jump_phi,
                     report.grad_jump_phi, report.boundary_u,
@@ -35,7 +36,7 @@ class TestReportStructure:
 
     def test_totals_are_root_sum_of_parts(self, solved_instance):
         spec, ws, sol = solved_instance
-        report = estimate(spec, ws, sol)
+        report = estimate(ws, sol)
         eta_u_sq = (report.volume_u.sum() + report.hess_jump_u.sum()
                     + report.grad_jump_u.sum() + report.boundary_u.sum())
         assert abs(report.eta_u ** 2 - eta_u_sq) < 1e-12 * max(eta_u_sq, 1.0)
@@ -46,7 +47,7 @@ class TestReportStructure:
 
     def test_marking_covers_all_triangles(self, solved_instance):
         spec, ws, sol = solved_instance
-        report = estimate(spec, ws, sol)
+        report = estimate(ws, sol)
         assert len(report.marking) == ws.mesh.num_triangles
         # aggregates contain the volume terms plus half of each edge term
         total_edges = (report.hess_jump_u.sum() + report.grad_jump_u.sum()
@@ -63,7 +64,7 @@ class TestEdgeJumpOracle:
     def test_hessian_jump_matches_elementwise_hessians(self, solved_instance):
         # h_e^2 (n^T (H1 - H2) n)^2 recomputed from the broken Hessians
         spec, ws, sol = solved_instance
-        report = estimate(spec, ws, sol)
+        report = estimate(ws, sol)
         mesh, cache = ws.mesh, ws.cache
         geom = element_geometry(mesh)
         hess = broken_hessians(geom, ws.dofmap, sol.u.coeffs)
@@ -80,11 +81,11 @@ class TestControlTerm:
         # the piecewise-constant control drops out of the projection defect,
         # so the fluctuation of phi_h + alpha*q_h equals that of phi_h alone
         spec, ws, sol = solved_instance
-        implemented = _control_consistency(spec, ws, sol)
+        implemented = _control_consistency(ws, sol)
 
         geom = element_geometry(ws.mesh)
         rule = quadrature("triangle", 4)
-        phivals = eval_on_elements(geom, ws.dofmap, sol.phi.coeffs, rule)
+        phivals = eval_on_elements(ws.dofmap, sol.phi.coeffs, rule)
         combined = phivals + spec.alpha * sol.q.values[:, None]
         integral = np.einsum("q,tq->t", rule.weights, combined) * geom.det
         mean = integral / geom.area
@@ -101,7 +102,7 @@ class TestConstructedZeroResidual:
         spec = example1_spec()
         mesh = make_unit_square(2)
         ws = discretize(spec, mesh)
-        sol = solve_pdas(spec, mesh, ws=ws)
+        sol = solve_pdas(ws)
 
         quad = interpolate(mesh, ws.dofmap, lambda x, y: x * x + y * y)
         sol.u.coeffs[:] = quad.coeffs
@@ -109,7 +110,7 @@ class TestConstructedZeroResidual:
         sol.q.values[:] = c
         spec2 = example1_spec()
         spec2.f = lambda x, y: -c + 0.0 * x
-        report = estimate(spec2, ws, sol)
+        report = estimate(dataclasses.replace(ws, spec=spec2), sol)
         assert np.max(report.volume_u) < 1e-20
         assert np.max(report.grad_jump_u) < 1e-20
         assert np.max(report.hess_jump_u) < 1e-20
@@ -118,18 +119,18 @@ class TestConstructedZeroResidual:
 class TestEfficiencyIndex:
     def test_zero_error_rejected(self, solved_instance):
         spec, ws, sol = solved_instance
-        report = estimate(spec, ws, sol)
+        report = estimate(ws, sol)
         with pytest.raises(ValueError):
             efficiency_index(report, [0.0, 0.0, 0.0])
 
     def test_index_is_order_one(self, solved_instance):
         spec, ws, sol = solved_instance
         case = spec.exact
-        report = estimate(spec, ws, sol)
-        eu, _ = error_norms(sol.u, case.u, case.u_hess, eta=spec.eta,
-                            cache=ws.cache)
-        ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, eta=spec.eta,
-                              cache=ws.cache)
-        eq = case.control_error(ws.mesh, sol.q)
+        report = estimate(ws, sol)
+        eu, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom, ws.cache,
+                            spec.eta)
+        ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, ws.geom,
+                              ws.cache, spec.eta)
+        eq = case.control_error(ws.geom, sol.q)
         index = efficiency_index(report, [eu, ephi, eq])
         assert 1.0 < index < 50.0

@@ -154,8 +154,8 @@ class TestCommandLine:
             assert main(["--mode", "adaptive", "--domain", "square",
                          "--levels", levels, "--max-dofs", "200",
                          "--out", str(out)]) == 0
-            lines = (out / "adaptive_square.csv").read_text().splitlines()
-            rows.append([line.rsplit(",", 1)[0] for line in lines])
+            rows.append((out / "adaptive_square.csv").read_text()
+                        .splitlines())
         assert rows[0] == rows[1]
         assert rows[0][1].split(",")[1] == "49"
         assert "make_unit_square(4)" in cli._build_parser().format_help()
@@ -186,10 +186,10 @@ class TestCommandLine:
         assert len(rows) == len(meshes) == 2
         for row, (h, mesh) in zip(rows, meshes):
             ws = solver.discretize(spec, mesh)
-            sol = solver.solve_pdas(spec, mesh, ws=ws)
-            _, _, q_tilde = solver.solve_variational(spec, mesh, ws=ws)
+            sol = solver.solve_pdas(ws)
+            _, _, q_tilde = solver.solve_variational(ws)
             geom = element_geometry(mesh)
-            pts = _quad_points(mesh, geom, rule)
+            pts = _quad_points(geom, rule)
             diff = q_tilde(pts[..., 0], pts[..., 1]) - sol.q.values[:, None]
             qdist = np.sqrt(np.einsum("q,tq->", rule.weights,
                                       diff ** 2 * geom.det[:, None]))
@@ -217,6 +217,45 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "--problem boundary" in err and mode in err
         assert not list(tmp_path.iterdir())
+
+
+# the CSV that each accepted --problem/--mode/--domain combination writes;
+# every other combination is rejected
+ACCEPTED_STUDIES = {
+    ("distributed", None, "square"): "example1.csv",
+    ("distributed", "uniform", "square"): "example1.csv",
+    ("distributed", "adaptive", "square"): "adaptive_square.csv",
+    ("distributed", "adaptive", "lshape"): "example2.csv",
+    ("distributed", "vd-compare", "square"): "vd_compare.csv",
+    ("distributed", "boundary-demo", "square"): "boundary_demo.csv",
+    ("boundary", None, "square"): "boundary_demo.csv",
+    ("boundary", "boundary-demo", "square"): "boundary_demo.csv",
+}
+
+
+class TestFlagCombinations:
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    @pytest.mark.parametrize("mode", [None, "uniform", "adaptive",
+                                      "vd-compare", "boundary-demo"])
+    @pytest.mark.parametrize("problem", ["distributed", "boundary"])
+    def test_runs_the_named_study_or_fails(self, tmp_path, capsys, problem,
+                                           mode, domain):
+        argv = ["--problem", problem, "--domain", domain, "--levels", "1",
+                "--max-dofs", "100", "--out", str(tmp_path)]
+        if mode is not None:
+            argv += ["--mode", mode]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        written = sorted(p.name for p in tmp_path.glob("*.csv"))
+        expected = ACCEPTED_STUDIES.get((problem, mode, domain))
+        if expected is None:
+            assert rc == 1
+            assert err.startswith("error:")
+            assert written == []
+        else:
+            assert rc == 0
+            assert err == ""
+            assert written == [expected]
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from c0ip_control import (boundary_demo_spec, clamp, error_norms,
                           example1_case, example1_spec, make_unit_square,
-                          pi_h, bh_apply, vi_residual)
+                          bh_apply, vi_residual)
 from c0ip_control.assembly import (element_geometry, eval_on_elements,
                                    _quad_points)
 from c0ip_control import solver
@@ -23,7 +23,7 @@ def solved_n8():
     spec = example1_spec()
     mesh = make_unit_square(8)
     ws = discretize(spec, mesh)
-    sol = solve_pdas(spec, mesh, ws=ws)
+    sol = solve_pdas(ws)
     return spec, mesh, ws, sol
 
 
@@ -69,14 +69,14 @@ class TestPdas:
         expected = clamp(raw, spec.lower, spec.upper)
         assert np.array_equal(sol.q.values, expected)
         # the projection-based recomputation agrees to rounding
-        trace = bh_apply("distributed", sol.phi)
-        raw2 = -pi_h(trace) / spec.alpha
+        trace = bh_apply("distributed", sol.phi, ws.cache)
+        raw2 = -trace.means() / spec.alpha
         assert np.allclose(sol.q.values, clamp(raw2, spec.lower, spec.upper),
                            rtol=1e-10, atol=1e-8)
 
     def test_vi_report_clean(self, solved_n8):
         spec, mesh, ws, sol = solved_n8
-        trace = bh_apply("distributed", sol.phi)
+        trace = bh_apply("distributed", sol.phi, ws.cache)
         report = vi_residual(sol.q, trace, spec.alpha)
         assert report.satisfied
         assert report.vi_lower >= -1e-10
@@ -91,7 +91,7 @@ class TestPdas:
 
     def test_large_alpha_pins_upper_bound(self):
         spec = example1_spec(alpha=1e9)
-        sol = solve_pdas(spec, make_unit_square(4))
+        sol = solve_pdas(discretize(spec, make_unit_square(4)))
         assert np.allclose(sol.q.values, -50.0)
         # every control active: no reduced solve at all
         assert sol.cg_residual == 0.0
@@ -106,7 +106,7 @@ class TestPdas:
     def test_nontermination_raises(self):
         spec = example1_spec()
         with pytest.raises(PdasError):
-            solve_pdas(spec, make_unit_square(4), max_iter=1)
+            solve_pdas(discretize(spec, make_unit_square(4)), max_iter=1)
 
     def test_iteration_count_small(self, solved_n8):
         _, _, _, sol = solved_n8
@@ -127,8 +127,8 @@ class TestPdas:
         spec, mesh, ws, sol = solved_n8
         geom = element_geometry(mesh)
         rule = quadrature("triangle", spec.load_degree)
-        pts = _quad_points(mesh, geom, rule)
-        misfit = (eval_on_elements(geom, ws.dofmap, sol.u.coeffs, rule)
+        pts = _quad_points(geom, rule)
+        misfit = (eval_on_elements(ws.dofmap, sol.u.coeffs, rule)
                   - spec.u_d(pts[..., 0], pts[..., 1]))
         track = np.einsum("q,tq->", rule.weights,
                           misfit ** 2 * geom.det[:, None])
@@ -149,7 +149,7 @@ class TestPdas:
 
         monkeypatch.setattr(solver, "_pcg", fake_pcg)
         with pytest.raises(PdasError, match="cycle") as info:
-            solve_pdas(example1_spec(), make_unit_square(4))
+            solve_pdas(discretize(example1_spec(), make_unit_square(4)))
         assert len(calls) == 1 and calls[0] > 0
         first, second = info.value.signatures
         assert first != second
@@ -160,7 +160,7 @@ class TestPdas:
         monkeypatch.setattr(solver, "CG_MAX_ITER", 1)
         spec = example1_spec(alpha=1e-7, lower=-np.inf, upper=np.inf)
         with pytest.raises(PdasError, match="CG"):
-            solve_pdas(spec, make_unit_square(8))
+            solve_pdas(discretize(spec, make_unit_square(8)))
 
 
 def _block_pdas(spec, ws, max_iter=50):
@@ -210,7 +210,7 @@ class TestReducedSolveEquivalence:
             spec, mesh = boundary_demo_spec(), make_unit_square(8)
         else:
             spec, mesh = example1_spec(alpha, *bounds), make_unit_square(16)
-        sol = solve_pdas(spec, mesh)
+        sol = solve_pdas(discretize(spec, mesh))
         hist = np.asarray(sol.objective_history)
         for it in np.flatnonzero(np.diff(hist) > 1e-12 * hist[:-1]) + 1:
             assert sol.trace[it - 1].infeasible > 0
@@ -220,7 +220,7 @@ class TestReducedSolveEquivalence:
     @staticmethod
     def _compare(spec, mesh):
         ws = discretize(spec, mesh)
-        sol = solve_pdas(spec, mesh, ws=ws)
+        sol = solve_pdas(ws)
         u, phi, q, up, lo = _block_pdas(spec, ws)
         assert np.array_equal(sol.active_upper, np.flatnonzero(up))
         assert np.array_equal(sol.active_lower, np.flatnonzero(lo))
@@ -241,10 +241,10 @@ class TestReducedSolveEquivalence:
         spec = example1_spec()
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)
-        solve_pdas(spec, mesh, ws=ws)
-        solve_variational(spec, mesh, ws=ws)
-        projection_ph(spec, mesh, "state", ws=ws)
-        projection_ph(spec, mesh, "adjoint", ws=ws)
+        solve_pdas(ws)
+        solve_variational(ws)
+        projection_ph(ws, "state")
+        projection_ph(ws, "adjoint")
         n = ws.dofmap.nfree
         assert shapes == [(n, n)]
 
@@ -254,7 +254,7 @@ class TestVariational:
         spec = example1_spec()
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)
-        u, phi, q = solve_variational(spec, mesh, ws=ws)
+        u, phi, q = solve_variational(ws)
         rng = np.random.default_rng(13)
         pts = rng.uniform(0.01, 0.99, size=(1000, 2))
         qv = q(pts[:, 0], pts[:, 1])
@@ -266,11 +266,11 @@ class TestVariational:
         spec = example1_spec()
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)
-        _, phi, q = solve_variational(spec, mesh, ws=ws)
+        _, phi, q = solve_variational(ws)
         geom = element_geometry(mesh)
         rule = quadrature("triangle", 8)
-        pts = _quad_points(mesh, geom, rule)
-        got = variational_control(ws, phi.coeffs, geom, rule)
+        pts = _quad_points(geom, rule)
+        got = variational_control(ws, phi.coeffs, rule)
         expected = q(pts[..., 0], pts[..., 1])
         assert got.shape == (mesh.num_triangles, len(rule.weights))
         # the clamp is active somewhere and inactive somewhere
@@ -285,7 +285,7 @@ class TestVariational:
                            alpha=1e-3, lower=-np.inf, upper=np.inf, eta=10.0)
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)
-        u_vd, phi_vd, _ = solve_variational(spec, mesh, ws=ws)
+        u_vd, phi_vd, _ = solve_variational(ws)
         free = ws.dofmap.free
         m_f = ws.mass.free
         u_dir, phi_dir, _ = solve_linear_block(
@@ -299,7 +299,16 @@ class TestVariational:
         case = example1_case()
         spec = ProblemSpec(kind="boundary", f=case.f, u_d=case.u_d)
         with pytest.raises(ValueError):
-            solve_variational(spec, make_unit_square(2))
+            solve_variational(discretize(spec, make_unit_square(2)))
+
+    def test_nonconvergence_raises_pdas_error(self):
+        # the damped fixed point does not settle for alpha = 1e-7 without
+        # bounds; the failure is typed, and PdasError is a RuntimeError
+        spec = example1_spec(alpha=1e-7, lower=-np.inf, upper=np.inf)
+        ws = discretize(spec, make_unit_square(8))
+        with pytest.raises(PdasError, match="variational fixed point"):
+            solve_variational(ws)
+        assert issubclass(PdasError, RuntimeError)
 
 
 class TestProjections:
@@ -307,10 +316,10 @@ class TestProjections:
         spec = example1_spec()
         mesh = make_unit_square(4)
         ws = discretize(spec, mesh)
-        ph_u = projection_ph(spec, mesh, "state", ws=ws)
+        ph_u = projection_ph(ws, "state")
         from c0ip_control.assembly import assemble_load
-        rhs = (assemble_load(mesh, ws.dofmap, spec.f, spec.load_degree)
-               + assemble_load(mesh, ws.dofmap, spec.exact.q, 8))
+        rhs = (assemble_load(ws.dofmap, ws.geom, spec.f, spec.load_degree)
+               + assemble_load(ws.dofmap, ws.geom, spec.exact.q, 8))
         free = ws.dofmap.free
         r = ws.stiffness.free @ ph_u.coeffs[free] - rhs[free]
         assert np.linalg.norm(r) <= 1e-10 * max(np.linalg.norm(rhs[free]), 1.0)
@@ -320,9 +329,10 @@ class TestProjections:
         case = spec.exact
         errs = []
         for n in (8, 16, 32):
-            mesh = make_unit_square(n)
-            ph_u = projection_ph(spec, mesh, "state")
-            e, _ = error_norms(ph_u, case.u, case.u_hess, eta=spec.eta)
+            ws = discretize(spec, make_unit_square(n))
+            ph_u = projection_ph(ws, "state")
+            e, _ = error_norms(ph_u, case.u, case.u_hess, ws.geom, ws.cache,
+                               spec.eta)
             errs.append(e)
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 0.8) and np.all(orders < 1.3)
@@ -331,7 +341,7 @@ class TestProjections:
         spec = example1_spec()
         spec.exact = None
         with pytest.raises(ValueError):
-            projection_ph(spec, make_unit_square(2), "state")
+            projection_ph(discretize(spec, make_unit_square(2)), "state")
 
 
 class TestDualityIdentity:
@@ -343,28 +353,28 @@ class TestDualityIdentity:
         case = spec.exact
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)
-        sol = solve_pdas(spec, mesh, ws=ws)
-        ph_u = projection_ph(spec, mesh, "state", ws=ws)
-        ph_phi = projection_ph(spec, mesh, "adjoint", ws=ws)
+        sol = solve_pdas(ws)
+        ph_u = projection_ph(ws, "state")
+        ph_phi = projection_ph(ws, "adjoint")
 
         geom = element_geometry(mesh)
         rule = quadrature("triangle", 8)
-        pts = _quad_points(mesh, geom, rule)
+        pts = _quad_points(geom, rule)
         x, y = pts[..., 0], pts[..., 1]
 
         def integral(values):
             return float(np.einsum("q,tq->", rule.weights,
                                    values * geom.det[:, None]))
 
-        v = eval_on_elements(geom, ws.dofmap,
+        v = eval_on_elements(ws.dofmap,
                              ph_phi.coeffs - sol.phi.coeffs, rule)
         q_exact = np.broadcast_to(case.q(x, y), x.shape)
         lhs = integral((q_exact - sol.q.values[:, None]) * v)
 
-        w = eval_on_elements(geom, ws.dofmap,
+        w = eval_on_elements(ws.dofmap,
                              ph_u.coeffs - sol.u.coeffs, rule)
         u_exact = np.broadcast_to(case.u(x, y), x.shape)
-        u_h = eval_on_elements(geom, ws.dofmap, sol.u.coeffs, rule)
+        u_h = eval_on_elements(ws.dofmap, sol.u.coeffs, rule)
         rhs = integral((u_exact - u_h) * w)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
 
@@ -374,7 +384,7 @@ class TestEvaluateP2:
         spec = example1_spec()
         mesh = make_unit_square(2)
         ws = discretize(spec, mesh)
-        sol = solve_pdas(spec, mesh, ws=ws)
+        sol = solve_pdas(ws)
         vals = evaluate_p2(sol.u, mesh.vertices[:, 0], mesh.vertices[:, 1])
         assert np.allclose(vals, sol.u.coeffs[:mesh.num_vertices],
                            atol=1e-12)
@@ -383,7 +393,7 @@ class TestEvaluateP2:
         mesh = make_unit_square(2)
         spec = example1_spec()
         ws = discretize(spec, mesh)
-        sol = solve_pdas(spec, mesh, ws=ws)
+        sol = solve_pdas(ws)
         with pytest.raises(ValueError):
             evaluate_p2(sol.u, 2.0, 2.0)
 
