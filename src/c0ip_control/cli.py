@@ -15,11 +15,9 @@ from .assembly import error_norms
 from .cases import boundary_demo_spec, example1_spec, example2_spec
 from .controls import bh_apply, vi_residual
 from .estimator import estimate
-from .fem import quadrature
 from .io import write_csv, write_mesh_txt, write_vtk
 from .mesh import bisect, make_lshape, make_unit_square
-from .solver import (discretize, solve_pdas, solve_variational,
-                     variational_control)
+from .solver import discretize, solve_pdas, solve_variational
 
 __all__ = ["RunConfig", "run_example1", "run_example2", "run_boundary_demo",
            "run_vd_compare", "main"]
@@ -158,29 +156,27 @@ def run_vd_compare(config):
     """Full discretization vs variational discretization on Example 1 meshes.
 
     Tabulates energy errors of both solutions and the L2 distance between
-    the piecewise-constant control and the clamped continuous one, taken
-    with a degree-8 rule on every element.
+    the piecewise-constant control and the variational one, taken at the
+    variational control's points (a degree-8 rule on every element).
     """
     spec = example1_spec(config.alpha, config.qmin, config.qmax, config.eta)
     case = spec.exact
     rows = []
-    rule = quadrature("triangle", 8)
     for h, mesh in _uniform_square_meshes(config):
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
-        u_vd, phi_vd, _ = solve_variational(ws)
+        vd = solve_variational(ws, sol)
         eu, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom, ws.cache,
                             spec.eta)
-        eu_vd, _ = error_norms(u_vd, case.u, case.u_hess, ws.geom, ws.cache,
+        eu_vd, _ = error_norms(vd.u, case.u, case.u_hess, ws.geom, ws.cache,
                                spec.eta)
         ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, ws.geom,
                               ws.cache, spec.eta)
-        ephi_vd, _ = error_norms(phi_vd, case.phi, case.phi_hess, ws.geom,
+        ephi_vd, _ = error_norms(vd.phi, case.phi, case.phi_hess, ws.geom,
                                  ws.cache, spec.eta)
-        diff = (variational_control(ws, phi_vd.coeffs, rule)
-                - sol.q.values[:, None])
-        qdist = float(np.sqrt(np.einsum("q,tq->", rule.weights,
-                                        diff ** 2 * ws.geom.det[:, None])))
+        per_triangle = len(vd.q.values) // len(sol.q.values)
+        diff = vd.q.values - np.repeat(sol.q.values, per_triangle)
+        qdist = float(np.sqrt(np.sum(vd.q.measures * diff ** 2)))
         rows.append((h, eu, eu_vd, ephi, ephi_vd, qdist))
     write_csv(config.outpath("vd_compare.csv"),
               ["h", "err_u_full", "err_u_vd", "err_phi_full", "err_phi_vd",
@@ -194,7 +190,8 @@ def _build_parser():
         description="Benchmarks for constrained optimal control of a "
                     "simply supported plate (C0 interior penalty method).")
     parser.add_argument("--problem", choices=["distributed", "boundary"],
-                        default="distributed")
+                        help="control problem (default: boundary with "
+                             "--mode boundary-demo, else distributed)")
     parser.add_argument("--domain", choices=["square", "lshape"],
                         default="square")
     parser.add_argument("--mode", choices=["uniform", "adaptive",
@@ -217,25 +214,28 @@ def _build_parser():
     return parser
 
 
-def _study_mode(problem, mode):
-    """The study that ``--problem`` and ``--mode`` name together.
+def _study(problem, mode):
+    """The (problem, mode) pair named by the flags, each None if not given.
 
-    Boundary control has one study, the boundary demo; ``mode`` is None
-    when the flag was not given.
+    Boundary control has one study, the boundary demo; each implies the
+    other.
     """
-    if problem == "boundary":
+    if problem == "boundary" or mode == "boundary-demo":
+        if problem == "distributed":
+            raise ValueError("--mode boundary-demo runs boundary control; "
+                             "it cannot take --problem distributed")
         if mode not in (None, "boundary-demo"):
             raise ValueError("--problem boundary runs the boundary demo; "
                              "--mode %s needs --problem distributed" % mode)
-        return "boundary-demo"
-    return mode or "uniform"
+        return "boundary", "boundary-demo"
+    return "distributed", mode or "uniform"
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(problem=args.problem, domain=args.domain,
-                           mode=_study_mode(args.problem, args.mode),
+        problem, mode = _study(args.problem, args.mode)
+        config = RunConfig(problem=problem, domain=args.domain, mode=mode,
                            levels=args.levels, alpha=args.alpha,
                            eta=args.eta, qmin=args.qmin, qmax=args.qmax,
                            theta=args.theta, max_dofs=args.max_dofs,

@@ -35,13 +35,14 @@ def clamp(values, lower, upper):
 
 @dataclass
 class ControlField:
-    """Piecewise-constant control on boundary edges or triangles."""
+    """Piecewise-constant control on boundary edges or triangles, or the
+    variational discretization's control at quadrature points."""
 
     kind: str                 # "boundary" | "distributed"
     values: np.ndarray        # one value per control entity
     lower: float
     upper: float
-    measures: np.ndarray      # edge lengths or triangle areas
+    measures: np.ndarray      # edge lengths, triangle areas or point weights
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

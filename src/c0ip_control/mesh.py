@@ -412,17 +412,26 @@ def bisect(mesh, marked):
 def dorfler_mark(indicators, theta):
     """Minimal greedy Doerfler marking on squared indicator contributions.
 
-    Sorts descending (ties by ascending index) and takes the smallest prefix
-    whose sum reaches ``theta`` times the total.
+    Rounds the indicators to 10 decimal places of the largest one, sorts
+    them descending and takes the smallest prefix whose sum reaches
+    ``theta`` times the total; ties, also between values closer than the
+    grid, go to the lower index. Mirror-image triangles get indicators that
+    agree only to round-off: unrounded, a last-bit change would mark the
+    other triangle of a pair and move the run onto the mirror-image mesh.
+    The grid is relative to the maximum, not to each value, because the
+    criterion weighs each value by its share of the total; values below
+    5e-11 of the maximum become 0 and are never marked.
     """
     indicators = np.asarray(indicators, dtype=float)
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     if np.any(indicators < 0.0):
         raise ValueError("indicators must be nonnegative")
-    total = indicators.sum()
-    if total <= 0.0:
+    top = indicators.max(initial=0.0)
+    if top <= 0.0:
         raise ValueError("all indicators are zero")
+    indicators = np.round(indicators / top, 10) * top
+    total = indicators.sum()
     order = np.lexsort((np.arange(len(indicators)), -indicators))
     target = theta * total
     cumulative = np.cumsum(indicators[order])

@@ -1,17 +1,20 @@
 """Primal-dual active set solver for the discrete optimality system.
 
 The discrete system couples the state equation A u = f + B q, the adjoint
-equation A phi = M u - u_d and a variational inequality for the
-piecewise-constant control. The active-set iteration (a semismooth Newton
-method) fixes the control at its bounds on the estimated active sets and
-solves for the inactive controls q_I in reduced space: with u_0 and phi_0
-the state and adjoint for q_I = 0,
+equation A phi = M u - u_d and a variational inequality for the control.
+The active-set iteration (a semismooth Newton method) fixes the control at
+its bounds on the estimated active sets and solves for the inactive
+controls q_I in reduced space: with u_0 and phi_0 the state and adjoint for
+q_I = 0,
 
     (alpha D_I + B_I^T A^-1 M A^-1 B_I) q_I = -B_I^T phi_0,
 
 an SPD system solved by conjugate gradients preconditioned with alpha D_I.
-Every solve with A uses one sparse LU factor of A per discretization, shared
-with the variational discretization and the auxiliary projections.
+It serves both discretizations: the piecewise-constant control (D holds
+triangle areas or edge lengths) and the variational one, whose control
+clamp(-phi_h/alpha) lives at the points x_k of a degree-8 rule, with
+B[i, (t, k)] = w_k det_t v_i(x_k) and D = w_k det_t. Every solve with A uses
+one sparse LU factor of A per discretization.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import scipy.sparse.linalg as spla
 from .assembly import (assemble_a_h, assemble_load, assemble_mass,
                        build_edge_cache, control_coupling, element_geometry,
                        eval_on_elements, _quad_points)
-from .controls import ControlField, clamp
+from .controls import ControlField
 from .fem import P2Function, build_dofmap, quadrature, shape_values
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "solve_linear_block",
     "solve_pdas",
     "solve_variational",
-    "variational_control",
     "projection_ph",
 ]
 
@@ -49,11 +51,7 @@ __all__ = [
 CG_RTOL = 1e-13
 CG_MAX_ITER = 200
 
-# the variational fixed point stops once no adjoint coefficient moves by
-# more than VD_TOL and fails after VD_MAX_ITER steps; it integrates the
-# clamped control with the degree-VD_QUAD_DEGREE triangle rule
-VD_TOL = 1e-10
-VD_MAX_ITER = 200
+# degree of the triangle rule whose points carry the variational control
 VD_QUAD_DEGREE = 8
 
 # degree of the triangle rule of the loads of ``projection_ph``
@@ -61,7 +59,7 @@ PROJECTION_DEGREE = 8
 
 
 class PdasError(RuntimeError):
-    """Active-set or variational fixed-point iteration failed to terminate."""
+    """A factorization, a reduced CG solve or the active-set loop failed."""
 
     def __init__(self, message, signatures=None):
         super().__init__(message)
@@ -234,12 +232,12 @@ class KktSolution:
     trace: list = field(default_factory=list)    # PdasStep per iteration
 
 
-def _residuals(ws, u_free, phi_free, qvals):
-    """Backward errors of the state and adjoint equations at the iterate."""
+def _residuals(ws, u_free, phi_free, control_load):
+    """Backward errors of the state and adjoint equations; ``control_load``
+    is B q on the free dofs."""
     free = ws.dofmap.free
     a_f, m_f = ws.stiffness.free, ws.mass.free
-    b_f = ws.coupling[free]
-    rhs_state = ws.load_f[free] + b_f @ qvals
+    rhs_state = ws.load_f[free] + control_load
     r_state = a_f @ u_free - rhs_state
     rhs_adj = m_f @ u_free - ws.load_ud[free]
     r_adj = a_f @ phi_free - rhs_adj
@@ -247,7 +245,7 @@ def _residuals(ws, u_free, phi_free, qvals):
             backward_error(ws.a_norm, phi_free, r_adj, rhs_adj))
 
 
-def _objective(ws, u_free, qvals):
+def _objective(ws, u_free, qvals, measures):
     """Discrete tracking functional 0.5||u - u_d||^2 + 0.5 alpha ||q||_Q^2.
 
     ||u - u_d||^2 = u^T M u - 2 u^T l_ud + int u_d^2, with l_ud = ``load_ud``
@@ -258,7 +256,7 @@ def _objective(ws, u_free, qvals):
     track = (u_free @ (ws.mass.free @ u_free)
              - 2.0 * (u_free @ ws.load_ud[free]) + ws.ud_norm2)
     return 0.5 * float(track) + 0.5 * ws.spec.alpha * float(
-        np.sum(ws.measures * qvals ** 2))
+        np.sum(measures * qvals ** 2))
 
 
 def _pcg(apply, rhs, x, inv_diag):
@@ -297,23 +295,28 @@ def solve_pdas(ws, max_iter=50):
     """Primal-dual active set iteration for the coupled optimality system.
 
     Active sets come from the raw (unclamped) control estimate
-    -(1/alpha) Pi_h(B_h phi); entities with estimate at or beyond a bound are
-    fixed there. The inactive controls solve the reduced system of the
-    module docstring by CG, warm-started from the raw estimate; the final
-    state and adjoint are back-solved from them and the inactive controls
-    are then set to the raw estimate of that adjoint, so the clamp relation
-    holds exactly. Terminates when the active sets repeat; raises
-    ``PdasError`` with the cycle's signatures when an earlier active set
-    other than the last one comes back.
+    -(1/alpha) Pi_h(B_h phi), from phi = 0 at the first iteration; entities
+    with estimate at or beyond a bound are fixed there. The inactive
+    controls solve the reduced system of the module docstring by CG,
+    warm-started from the raw estimate; the final state and adjoint are
+    back-solved from them and the inactive controls are then set to the raw
+    estimate of that adjoint, so the clamp relation holds exactly.
+    Terminates when the active sets repeat; raises ``PdasError`` with the
+    cycle's signatures when an earlier active set other than the last one
+    comes back.
     """
+    b_f = ws.coupling[ws.dofmap.free].tocsc()
+    return _pdas(ws, b_f, ws.measures, np.zeros(len(ws.measures)), max_iter)
+
+
+def _pdas(ws, b_f, d_meas, raw, max_iter):
+    """``solve_pdas`` for the coupling whose free rows are ``b_f`` (CSC),
+    with control measures ``d_meas``, from the raw control ``raw``."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     spec = ws.spec
-    free = ws.dofmap.free
     m_f = ws.mass.free
-    b_f = ws.coupling[free].tocsc()
-    load_f, load_ud = ws.load_f[free], ws.load_ud[free]
-    d_meas = ws.measures
+    load_f, load_ud = ws.load_f[ws.dofmap.free], ws.load_ud[ws.dofmap.free]
     alpha = spec.alpha
     nent = len(d_meas)
     lu = ws.lu
@@ -322,7 +325,6 @@ def solve_pdas(ws, max_iter=50):
         u = lu.solve(load_f + b_f @ q)
         return u, lu.solve(m_f @ u - load_ud)
 
-    raw = np.zeros(nent)        # from phi = 0, q0 = clamp(0)
     prev_status = np.zeros(nent, dtype=np.int8)
     seen = []
     solution = None
@@ -376,14 +378,14 @@ def solve_pdas(ws, max_iter=50):
             cg_steps, cg_res,
             int(np.count_nonzero((q_in < spec.lower) | (q_in > spec.upper)))))
         prev_status = status
-        objective_history.append(_objective(ws, u_free, qvals))
+        objective_history.append(_objective(ws, u_free, qvals, d_meas))
     else:
         raise PdasError(
             "active sets did not stabilize within %d iterations" % max_iter,
             signatures=seen[-2:])
 
     q = ControlField(spec.kind, qvals, spec.lower, spec.upper, d_meas)
-    r_state, r_adj = _residuals(ws, u_free, phi_free, qvals)
+    r_state, r_adj = _residuals(ws, u_free, phi_free, b_f @ qvals)
     return KktSolution(
         u=P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(u_free)),
         phi=P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(phi_free)),
@@ -399,77 +401,45 @@ def solve_pdas(ws, max_iter=50):
     )
 
 
-def variational_control(ws, phi_coeffs, rule):
-    """Clamped control clamp(-phi_h/alpha) at ``rule``'s points, (nt, nq).
+def _point_coupling(ws, rule):
+    """Free rows of N[i, (t, k)] = w_k det_t v_i(x_k) in CSC, column
+    t * nq + k, and the point measures w_k det_t, for ``rule``'s points."""
+    dofmap = ws.dofmap
+    nt, nq = len(dofmap.tri_dofs), len(rule.weights)
+    measures = (ws.geom.det[:, None] * rule.weights).ravel()
+    free_index = np.full(dofmap.ndof, -1, dtype=np.int32)
+    free_index[dofmap.free] = np.arange(dofmap.nfree, dtype=np.int32)
+    rows = free_index[dofmap.tri_dofs]                       # (nt, 6)
+    is_free = rows >= 0
+    keep = np.repeat(is_free[:, None, :], nq, axis=1)        # (nt, nq, 6)
+    values = measures.reshape(nt, nq, 1) * shape_values(rule.points)
+    indptr = np.zeros(nt * nq + 1, dtype=np.int32)
+    np.cumsum(np.repeat(np.count_nonzero(is_free, axis=1), nq),
+              out=indptr[1:])
+    indices = np.broadcast_to(rows[:, None, :], keep.shape)[keep]
+    n_f = sp.csc_matrix((values[keep], indices, indptr),
+                        shape=(dofmap.nfree, nt * nq))
+    return n_f, measures
 
-    ``phi_coeffs`` are the adjoint's coefficients on all dofs.
-    """
-    phivals = eval_on_elements(ws.dofmap, phi_coeffs, rule)
-    return clamp(-phivals / ws.spec.alpha, ws.spec.lower, ws.spec.upper)
 
+def solve_variational(ws, full):
+    """Variational discretization: PDAS with one control per point.
 
-def _clamped_control_load(ws, phi_coeffs, rule, vals):
-    """Load vector of int clamp(-phi_h/alpha) v_i dx (distributed only).
-
-    ``vals`` holds the P2 shape values at ``rule``'s points.
-    """
-    qvals = variational_control(ws, phi_coeffs, rule)
-    local = np.einsum("q,tq,qi->ti", rule.weights, qvals, vals)
-    local *= ws.geom.det[:, None]
-    vec = np.zeros(ws.dofmap.ndof)
-    np.add.at(vec, ws.dofmap.tri_dofs, local)
-    return vec
-
-
-def solve_variational(ws):
-    """Variational discretization: the control stays continuous.
-
-    The control is the pointwise clamp of -B_h phi / alpha; a damped fixed
-    point iterates on phi with the clamped coupling integrated elementwise.
-    Only distributed control is supported. Returns (u, phi, q_callable)
-    where the callable evaluates the clamped control at arbitrary points by
-    locating them in the mesh; at quadrature points of known elements use
-    ``variational_control`` instead. Raises ``PdasError`` when the fixed
-    point does not converge in VD_MAX_ITER steps.
+    The control is clamp(-phi_h/alpha) at the points of the degree-8 rule
+    (module docstring). The iteration starts from -phi_full(x_k)/alpha,
+    with ``full`` the ``solve_pdas`` solution of ``ws``, and returns a
+    ``KktSolution`` whose ``q`` holds the point values, triangle by
+    triangle. Distributed control only; raises ``PdasError`` as
+    ``solve_pdas`` does.
     """
     spec = ws.spec
     if spec.kind != "distributed":
         raise ValueError("variational discretization: distributed kind only")
-    free = ws.dofmap.free
-    lu = ws.lu
-    m_f = ws.mass.free
     rule = quadrature("triangle", VD_QUAD_DEGREE)
-    vals = shape_values(rule.points)
-
-    phi = np.zeros(len(free))
-    omega = 1.0
-    prev_res = np.inf
-    u = np.zeros(len(free))
-    for _ in range(VD_MAX_ITER):
-        load_q = _clamped_control_load(ws, ws.full_coeffs(phi), rule, vals)
-        u = lu.solve(ws.load_f[free] + load_q[free])
-        phi_new = lu.solve(m_f @ u - ws.load_ud[free])
-        res = float(np.max(np.abs(phi_new - phi))) if len(phi) else 0.0
-        if res <= VD_TOL:
-            phi = phi_new
-            break
-        if res > prev_res:
-            omega = max(0.25, 0.5 * omega)
-        prev_res = res
-        phi = phi + omega * (phi_new - phi)
-    else:
-        raise PdasError(
-            "variational fixed point did not converge in %d iterations"
-            % VD_MAX_ITER)
-
-    u_fn = P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(u))
-    phi_fn = P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(phi))
-
-    def q_tilde(x, y):
-        vals = evaluate_p2(phi_fn, x, y)
-        return clamp(-vals / spec.alpha, spec.lower, spec.upper)
-
-    return u_fn, phi_fn, q_tilde
+    n_f, measures = _point_coupling(ws, rule)
+    phi_at_points = eval_on_elements(ws.dofmap, full.phi.coeffs, rule)
+    return _pdas(ws, n_f, measures, -phi_at_points.ravel() / spec.alpha,
+                 max_iter=50)
 
 
 def evaluate_p2(v, x, y):

@@ -412,10 +412,10 @@ class TestCriterion6VariationalDiscretization:
         level = next(lv for lv in uniform_study["levels"]
                      if lv["h"] == 1 / 16)
         ws = level["ws"]
-        u_vd, phi_vd, _ = solve_variational(ws)
-        e_u, _ = error_norms(u_vd, case.u, case.u_hess, ws.geom, ws.cache,
+        vd = solve_variational(ws, level["sol"])
+        e_u, _ = error_norms(vd.u, case.u, case.u_hess, ws.geom, ws.cache,
                              spec.eta)
-        e_phi, _ = error_norms(phi_vd, case.phi, case.phi_hess, ws.geom,
+        e_phi, _ = error_norms(vd.phi, case.phi, case.phi_hess, ws.geom,
                                ws.cache, spec.eta)
         assert e_u <= 2.0 * level["err_u"]
         assert e_phi <= 2.0 * level["err_phi"]
@@ -425,12 +425,15 @@ class TestCriterion6VariationalDiscretization:
     def test_pointwise_clamp_identity(self, uniform_study):
         spec = uniform_study["spec"]
         level = uniform_study["levels"][1]
-        u_vd, phi_vd, q_vd = solve_variational(level["ws"])
-        rng = np.random.default_rng(37)
-        pts = rng.uniform(0.01, 0.99, size=(1000, 2))
-        phiv = evaluate_p2(phi_vd, pts[:, 0], pts[:, 1])
+        ws = level["ws"]
+        vd = solve_variational(ws, level["sol"])
+        # the control at each point of the degree-8 rule against the clamp
+        # of phi_h evaluated there by point location
+        pts = _quad_points(ws.geom, quadrature("triangle", 8)).reshape(-1, 2)
+        phiv = evaluate_p2(vd.phi, pts[:, 0], pts[:, 1])
         expected = clamp(-phiv / spec.alpha, spec.lower, spec.upper)
-        assert np.array_equal(q_vd(pts[:, 0], pts[:, 1]), expected)
+        assert np.max(np.abs(vd.q.values - expected)) <= 1e-12 * np.max(
+            np.abs(expected))
 
     def test_unconstrained_matches_linear_solve(self):
         case = example1_case()
@@ -438,15 +441,15 @@ class TestCriterion6VariationalDiscretization:
                            alpha=1e-3, lower=-np.inf, upper=np.inf)
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)
-        u_vd, phi_vd, _ = solve_variational(ws)
+        vd = solve_variational(ws, solve_pdas(ws))
         free = ws.dofmap.free
         m_f = ws.mass.free
         u_dir, phi_dir, _ = solve_linear_block(
             ws.stiffness.free, m_f, (m_f / spec.alpha).tocsc(),
             ws.load_f[free], -ws.load_ud[free])
         scale = max(np.max(np.abs(u_dir)), 1.0)
-        assert np.max(np.abs(u_vd.coeffs[free] - u_dir)) < 1e-8 * scale
-        assert np.max(np.abs(phi_vd.coeffs[free] - phi_dir)) < 1e-8 * scale
+        assert np.max(np.abs(vd.u.coeffs[free] - u_dir)) < 1e-8 * scale
+        assert np.max(np.abs(vd.phi.coeffs[free] - phi_dir)) < 1e-8 * scale
 
 
 class TestCriterion7MeshProperties:

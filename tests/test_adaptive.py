@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import c0ip_control
-from c0ip_control import (dorfler_mark, estimate, example2_spec, make_lshape,
-                          make_unit_square, run_adaptive)
+from c0ip_control import (bisect, dorfler_mark, estimate, example2_spec,
+                          make_lshape, make_unit_square, run_adaptive)
 from c0ip_control import assembly
 from c0ip_control.adaptive import AdaptiveHistory
 from c0ip_control.solver import ProblemSpec, discretize, solve_pdas
@@ -60,6 +60,24 @@ class TestLoop:
         marked = dorfler_mark(report.marking, 1.0)
         positive = np.flatnonzero(report.marking > 0.0)
         assert np.array_equal(marked, positive)
+
+    def test_marking_ignores_round_off_in_the_indicators(self):
+        # mirror-image triangles of the L-shape get indicators that agree
+        # only to round-off; a relative change of 1e-14 in every indicator
+        # leaves the marked set of every level as it is
+        spec = example2_spec()
+        mesh = make_lshape(2)
+        for level in range(14):
+            ws = discretize(spec, mesh)
+            indicators = estimate(ws, solve_pdas(ws)).marking
+            marked = dorfler_mark(indicators, 0.3)
+            for seed in range(4):
+                noise = np.random.default_rng([level, seed]).standard_normal(
+                    len(indicators))
+                assert np.array_equal(
+                    dorfler_mark(indicators * (1.0 + 1e-14 * noise), 0.3),
+                    marked)
+            mesh = bisect(mesh, marked)
 
     def test_exact_solution_stops_after_recording_its_level(self):
         # zero data inside the bounds: u = phi = q = 0 is the discrete

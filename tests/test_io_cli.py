@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from c0ip_control import example1_spec, make_lshape, make_unit_square
+from c0ip_control import clamp, example1_spec, make_lshape, make_unit_square
 from c0ip_control import cli, solver
 from c0ip_control.assembly import element_geometry, _quad_points
 from c0ip_control.cli import (RunConfig, main, run_boundary_demo,
@@ -187,10 +187,14 @@ class TestCommandLine:
         for row, (h, mesh) in zip(rows, meshes):
             ws = solver.discretize(spec, mesh)
             sol = solver.solve_pdas(ws)
-            _, _, q_tilde = solver.solve_variational(ws)
+            vd = solver.solve_variational(ws, sol)
             geom = element_geometry(mesh)
             pts = _quad_points(geom, rule)
-            diff = q_tilde(pts[..., 0], pts[..., 1]) - sol.q.values[:, None]
+            phiv = solver.evaluate_p2(vd.phi, pts[..., 0], pts[..., 1])
+            q_vd = clamp(-phiv / spec.alpha, spec.lower, spec.upper)
+            assert np.max(np.abs(vd.q.values - q_vd.ravel())) <= 1e-12 * \
+                np.max(np.abs(q_vd))
+            diff = q_vd - sol.q.values[:, None]
             qdist = np.sqrt(np.einsum("q,tq->", rule.weights,
                                       diff ** 2 * geom.det[:, None]))
             assert row[0] == h
@@ -201,6 +205,20 @@ class TestCommandLine:
         assert rc == 0
         assert (tmp_path / "boundary_demo.csv").exists()
 
+
+    def test_boundary_demo_mode_implies_boundary_problem(self, tmp_path):
+        rc = main(["--mode", "boundary-demo", "--out", str(tmp_path)])
+        assert rc == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["boundary_demo.csv"]
+
+    def test_distributed_problem_rejects_boundary_demo(self, tmp_path,
+                                                       capsys):
+        rc = main(["--problem", "distributed", "--mode", "boundary-demo",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--problem distributed" in err
+        assert not list(tmp_path.iterdir())
 
     def test_boundary_problem_accepts_boundary_demo_mode(self, tmp_path):
         rc = main(["--problem", "boundary", "--mode", "boundary-demo",
@@ -227,7 +245,6 @@ ACCEPTED_STUDIES = {
     ("distributed", "adaptive", "square"): "adaptive_square.csv",
     ("distributed", "adaptive", "lshape"): "example2.csv",
     ("distributed", "vd-compare", "square"): "vd_compare.csv",
-    ("distributed", "boundary-demo", "square"): "boundary_demo.csv",
     ("boundary", None, "square"): "boundary_demo.csv",
     ("boundary", "boundary-demo", "square"): "boundary_demo.csv",
 }

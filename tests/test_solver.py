@@ -6,16 +6,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from c0ip_control import (boundary_demo_spec, clamp, error_norms,
-                          example1_case, example1_spec, make_unit_square,
-                          bh_apply, vi_residual)
+                          example1_case, example1_spec, make_lshape,
+                          make_unit_square, bh_apply, vi_residual)
 from c0ip_control.assembly import (element_geometry, eval_on_elements,
                                    _quad_points)
 from c0ip_control import solver
-from c0ip_control.fem import quadrature
+from c0ip_control.fem import quadrature, shape_values
 from c0ip_control.solver import (PdasError, ProblemSpec, _objective,
                                  discretize, evaluate_p2, projection_ph,
                                  solve_linear_block, solve_pdas,
-                                 solve_variational, variational_control)
+                                 solve_variational)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +107,7 @@ class TestPdas:
         spec = example1_spec()
         with pytest.raises(PdasError):
             solve_pdas(discretize(spec, make_unit_square(4)), max_iter=1)
+        assert issubclass(PdasError, RuntimeError)
 
     def test_iteration_count_small(self, solved_n8):
         _, _, _, sol = solved_n8
@@ -134,7 +135,8 @@ class TestPdas:
                           misfit ** 2 * geom.det[:, None])
         expected = 0.5 * track + 0.5 * spec.alpha * np.sum(
             sol.q.measures * sol.q.values ** 2)
-        got = _objective(ws, sol.u.coeffs[ws.dofmap.free], sol.q.values)
+        got = _objective(ws, sol.u.coeffs[ws.dofmap.free], sol.q.values,
+                         sol.q.measures)
         assert abs(got - expected) <= 1e-12 * expected
 
     def test_active_set_cycle_raises_at_once(self, monkeypatch):
@@ -241,43 +243,161 @@ class TestReducedSolveEquivalence:
         spec = example1_spec()
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)
-        solve_pdas(ws)
-        solve_variational(ws)
+        solve_variational(ws, solve_pdas(ws))
         projection_ph(ws, "state")
         projection_ph(ws, "adjoint")
         n = ws.dofmap.nfree
         assert shapes == [(n, n)]
 
 
-class TestVariational:
-    def test_clamp_identity_at_random_points(self):
-        spec = example1_spec()
-        mesh = make_unit_square(8)
-        ws = discretize(spec, mesh)
-        u, phi, q = solve_variational(ws)
-        rng = np.random.default_rng(13)
-        pts = rng.uniform(0.01, 0.99, size=(1000, 2))
-        qv = q(pts[:, 0], pts[:, 1])
-        phiv = evaluate_p2(phi, pts[:, 0], pts[:, 1])
-        expected = clamp(-phiv / spec.alpha, spec.lower, spec.upper)
-        assert np.array_equal(qv, expected)
+class TestDegenerateInputs:
+    """Inputs at the edges of the problem class: each converges with a
+    checked certificate (admissible control, backward errors <= 1e-10)."""
 
+    @staticmethod
+    def _certified(ws):
+        sol = solve_pdas(ws)
+        assert sol.q.admissible
+        assert sol.state_residual <= 1e-10
+        assert sol.adjoint_residual <= 1e-10
+        assert len(sol.trace) == sol.iterations
+        return sol
+
+    def test_all_active(self):
+        sol = self._certified(discretize(example1_spec(1e-3, -51.0, -50.0),
+                                         make_unit_square(8)))
+        assert sol.iterations == 2
+        assert len(sol.active_lower) == len(sol.active_upper) == 64
+        assert all(step.inactive == 0 for step in sol.trace)
+
+    def test_all_inactive(self):
+        sol = self._certified(discretize(example1_spec(1e-3, -1e9, 1e9),
+                                         make_unit_square(8)))
+        assert sol.iterations == 1
+        assert len(sol.active_lower) == len(sol.active_upper) == 0
+
+    def test_tiny_alpha_unbounded(self):
+        # the state backward error is 6.3e-12 here, the largest of these
+        sol = self._certified(discretize(
+            example1_spec(1e-9, -np.inf, np.inf), make_unit_square(8)))
+        assert sol.iterations == 1
+
+    def test_one_sided_bound(self):
+        sol = self._certified(discretize(
+            example1_spec(1e-7, -750.0, np.inf), make_unit_square(8)))
+        assert sol.iterations == 6
+        assert len(sol.active_upper) == 0 and len(sol.active_lower) > 0
+
+    def test_boundary_control_on_lshape(self):
+        ws = discretize(boundary_demo_spec(), make_lshape(4))
+        sol = self._certified(ws)
+        trace = bh_apply("boundary", sol.phi, ws.cache)
+        assert vi_residual(sol.q, trace, ws.spec.alpha).satisfied
+
+
+# The damped fixed point on phi that solved the variational discretization
+# before it became point-control PDAS, kept as an independent oracle. It
+# stops once no adjoint coefficient moves by more than FIXED_POINT_TOL.
+FIXED_POINT_TOL = 1e-10
+
+
+def _variational_control(ws, phi_coeffs, rule):
+    """clamp(-phi_h/alpha) at ``rule``'s points on every element, (nt, nq)."""
+    phivals = eval_on_elements(ws.dofmap, phi_coeffs, rule)
+    return clamp(-phivals / ws.spec.alpha, ws.spec.lower, ws.spec.upper)
+
+
+def _fixed_point(ws, max_iter=200):
+    """(u, phi) on the free dofs, or None if the iteration does not settle."""
+    free = ws.dofmap.free
+    rule = quadrature("triangle", solver.VD_QUAD_DEGREE)
+    vals = shape_values(rule.points)
+    phi = np.zeros(len(free))
+    omega, prev_res = 1.0, np.inf
+    for _ in range(max_iter):
+        qvals = _variational_control(ws, ws.full_coeffs(phi), rule)
+        local = np.einsum("q,tq,qi->ti", rule.weights, qvals, vals)
+        local *= ws.geom.det[:, None]
+        load_q = np.zeros(ws.dofmap.ndof)
+        np.add.at(load_q, ws.dofmap.tri_dofs, local)
+        u = ws.lu.solve(ws.load_f[free] + load_q[free])
+        phi_new = ws.lu.solve(ws.mass.free @ u - ws.load_ud[free])
+        res = float(np.max(np.abs(phi_new - phi)))
+        if res <= FIXED_POINT_TOL:
+            return u, phi_new
+        if res > prev_res:
+            omega = max(0.25, 0.5 * omega)
+        prev_res = res
+        phi = phi + omega * (phi_new - phi)
+    return None
+
+
+def _assert_point_clamp_identity(ws, sol, rtol=1e-12):
+    """sol.q at the rule points equals clamp(-phi_h(x_k)/alpha), with phi_h
+    evaluated by point location."""
+    rule = quadrature("triangle", solver.VD_QUAD_DEGREE)
+    pts = _quad_points(ws.geom, rule).reshape(-1, 2)
+    phiv = evaluate_p2(sol.phi, pts[:, 0], pts[:, 1])
+    expected = clamp(-phiv / ws.spec.alpha, ws.spec.lower, ws.spec.upper)
+    assert sol.q.values.shape == expected.shape
+    assert np.max(np.abs(sol.q.values - expected)) <= rtol * np.max(
+        np.abs(expected))
+
+
+class TestVariational:
     def test_variational_control_matches_point_evaluation(self):
         spec = example1_spec()
-        mesh = make_unit_square(8)
-        ws = discretize(spec, mesh)
-        _, phi, q = solve_variational(ws)
-        geom = element_geometry(mesh)
-        rule = quadrature("triangle", 8)
-        pts = _quad_points(geom, rule)
-        got = variational_control(ws, phi.coeffs, rule)
-        expected = q(pts[..., 0], pts[..., 1])
-        assert got.shape == (mesh.num_triangles, len(rule.weights))
+        ws = discretize(spec, make_unit_square(8))
+        sol = solve_variational(ws, solve_pdas(ws))
+        _assert_point_clamp_identity(ws, sol)
         # the clamp is active somewhere and inactive somewhere
+        got = sol.q.values
         assert np.any(got == spec.upper) and np.any(
             (got > spec.lower) & (got < spec.upper))
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(
-            np.abs(expected))
+        # point controls, triangle by triangle, with measures w_k det_t
+        rule = quadrature("triangle", solver.VD_QUAD_DEGREE)
+        assert np.allclose(sol.q.measures.reshape(-1, len(rule.weights)),
+                           ws.geom.det[:, None] * rule.weights, rtol=1e-15)
+        assert np.isclose(sol.q.measures.sum(), 1.0, rtol=1e-14)
+
+    # The oracle stops at a phi step of FIXED_POINT_TOL. A phi error d
+    # moves the inactive point controls by d/alpha and the state by at most
+    # ||A^-1 M|| d/alpha, where ||A^-1 M|| is about 1/(4 pi^4) < 3e-3 (the
+    # first eigenvalue of the simply supported unit-square plate). With a
+    # factor 30 for the error left after the oracle's last step, u agrees
+    # with it to 0.1 FIXED_POINT_TOL / alpha in the max norm, plus round-off.
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("bounds", [(-750.0, -50.0), (-np.inf, np.inf)])
+    def test_point_pdas_converges_from_full_and_from_zero(self, alpha,
+                                                          bounds):
+        ws = discretize(example1_spec(alpha, *bounds), make_unit_square(8))
+        full = solve_pdas(ws)
+        warm = solve_variational(ws, full)
+        n_f, measures = solver._point_coupling(
+            ws, quadrature("triangle", solver.VD_QUAD_DEGREE))
+        cold = solver._pdas(ws, n_f, measures, np.zeros(len(measures)), 50)
+        free = ws.dofmap.free
+        for sol in (warm, cold):
+            assert sol.q.admissible
+            assert sol.state_residual <= 1e-10
+            assert sol.adjoint_residual <= 1e-10
+            assert sol.cg_residual <= solver.CG_RTOL
+            _assert_point_clamp_identity(ws, sol)
+        # from the full solution's raw control the sets need at most one
+        # correction; from raw = 0 >= upper every control starts there
+        assert warm.iterations <= 2
+        if np.isfinite(bounds[1]):
+            assert cold.trace[0].inactive == 0 < cold.trace[-1].inactive
+        scale = np.max(np.abs(warm.u.coeffs))
+        assert np.max(np.abs(cold.u.coeffs - warm.u.coeffs)) <= 1e-10 * scale
+        oracle = _fixed_point(ws)
+        if oracle is None:
+            # the fixed point does not settle at alpha = 1e-7 unbounded
+            assert (alpha, bounds) == (1e-7, (-np.inf, np.inf))
+            return
+        u_fp, _ = oracle
+        assert np.max(np.abs(warm.u.coeffs[free] - u_fp)) <= (
+            0.1 * FIXED_POINT_TOL / alpha + 1e-12 * scale)
 
     def test_unconstrained_matches_direct_solve(self):
         case = example1_case()
@@ -285,30 +405,33 @@ class TestVariational:
                            alpha=1e-3, lower=-np.inf, upper=np.inf, eta=10.0)
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)
-        u_vd, phi_vd, _ = solve_variational(ws)
+        sol = solve_variational(ws, solve_pdas(ws))
         free = ws.dofmap.free
         m_f = ws.mass.free
         u_dir, phi_dir, _ = solve_linear_block(
             ws.stiffness.free, m_f, (m_f / spec.alpha).tocsc(),
             ws.load_f[free], -ws.load_ud[free])
         scale = max(np.max(np.abs(u_dir)), 1.0)
-        assert np.max(np.abs(u_vd.coeffs[free] - u_dir)) < 1e-8 * scale
-        assert np.max(np.abs(phi_vd.coeffs[free] - phi_dir)) < 1e-8 * scale
+        assert np.max(np.abs(sol.u.coeffs[free] - u_dir)) < 1e-8 * scale
+        assert np.max(np.abs(sol.phi.coeffs[free] - phi_dir)) < 1e-8 * scale
 
     def test_boundary_kind_rejected(self):
         case = example1_case()
         spec = ProblemSpec(kind="boundary", f=case.f, u_d=case.u_d)
+        ws = discretize(spec, make_unit_square(2))
         with pytest.raises(ValueError):
-            solve_variational(discretize(spec, make_unit_square(2)))
+            solve_variational(ws, solve_pdas(ws))
 
-    def test_nonconvergence_raises_pdas_error(self):
-        # the damped fixed point does not settle for alpha = 1e-7 without
-        # bounds; the failure is typed, and PdasError is a RuntimeError
+    def test_small_alpha_unbounded_converges(self):
+        # alpha = 1e-7 without bounds, where the damped fixed point that
+        # solved this discretization before does not settle in 200 steps
         spec = example1_spec(alpha=1e-7, lower=-np.inf, upper=np.inf)
         ws = discretize(spec, make_unit_square(8))
-        with pytest.raises(PdasError, match="variational fixed point"):
-            solve_variational(ws)
-        assert issubclass(PdasError, RuntimeError)
+        assert _fixed_point(ws) is None
+        sol = solve_variational(ws, solve_pdas(ws))
+        assert sol.iterations == 1
+        assert sol.state_residual <= 1e-10 and sol.adjoint_residual <= 1e-10
+        _assert_point_clamp_identity(ws, sol)
 
 
 class TestProjections:
