@@ -11,6 +11,12 @@ with the edge sums over interior edges only (simply supported plate: the
 boundary carries no form terms). For P2 the element Hessians and second
 normal derivatives are constant and the normal-derivative jumps are linear
 along each edge, so two-point Gauss integrates every edge term exactly.
+
+The edge traces are sparse operators over all dofs, built once per mesh in
+``EdgeTraceCache``: the edge terms of a_h are T^T G T with T stacking the
+mean second normal derivatives and the Gauss-point normal-derivative jumps,
+and the norms, the estimator and the boundary control read the same
+operators.
 """
 
 from __future__ import annotations
@@ -107,13 +113,15 @@ def _physical_gradients(geom, tri, ref_pts):
 
 @dataclass(frozen=True)
 class EdgeTraceCache:
-    """Per-edge trace data for the interior-penalty terms and estimators.
+    """Edge traces of P2 functions as sparse operators over all dofs.
 
     Interior arrays are indexed by interior edge; ``normal`` points from
     ``tri1`` to ``tri2``. Boundary arrays use the outward normal of the
-    unique adjacent triangle. ``gn*`` hold normal derivatives of the local
-    basis functions at the two edge Gauss points; ``d2n*`` the (constant)
-    second normal derivatives.
+    unique adjacent triangle. Row 2e+g of ``jump`` gives [grad v . n] at
+    Gauss point g of interior edge e; row e of ``mean_d2n`` and ``jump_d2n``
+    the mean and the jump of the (constant) second normal derivative. On
+    boundary edges ``bgrad`` gives dv/dn at the Gauss points and ``bhess``
+    d^2 v/dn^2.
     """
 
     interior: np.ndarray     # interior edge indices
@@ -121,35 +129,53 @@ class EdgeTraceCache:
     tri2: np.ndarray
     normal: np.ndarray       # (nE, 2)
     length: np.ndarray       # (nE,)
-    gn1: np.ndarray          # (nE, 2, 6)
-    gn2: np.ndarray
-    d2n1: np.ndarray         # (nE, 6)
-    d2n2: np.ndarray
-    dofs: np.ndarray         # (nE, 12) dofs of tri1 then tri2
+    jump: sp.csr_matrix      # (2 nE, ndof)
+    mean_d2n: sp.csr_matrix  # (nE, ndof)
+    jump_d2n: sp.csr_matrix  # (nE, ndof)
 
     boundary: np.ndarray     # boundary edge indices
     btri: np.ndarray
     bnormal: np.ndarray
     blength: np.ndarray
-    bgn: np.ndarray          # (nEb, 2, 6)
-    bd2n: np.ndarray         # (nEb, 6)
-    bdofs: np.ndarray        # (nEb, 6)
+    bgrad: sp.csr_matrix     # (2 nEb, ndof)
+    bhess: sp.csr_matrix     # (nEb, ndof)
 
     def jump_values(self, coeffs):
         """[grad v . n] at the two Gauss points of every interior edge."""
-        c1 = coeffs[self.dofs[:, :6]]
-        c2 = coeffs[self.dofs[:, 6:]]
-        return (np.einsum("egi,ei->eg", self.gn1, c1)
-                - np.einsum("egi,ei->eg", self.gn2, c2))
+        return (self.jump @ coeffs).reshape(-1, 2)
+
+    def jump_energy(self, coeffs):
+        """sum_g w_g [grad v . n]^2 at the Gauss points, per interior edge."""
+        return self.jump_values(coeffs) ** 2 @ _EDGE_RULE.weights
 
     def boundary_normal_derivative(self, coeffs):
         """d v / dn at the two Gauss points of every boundary edge."""
-        return np.einsum("egi,ei->eg", self.bgn, coeffs[self.bdofs])
+        return (self.bgrad @ coeffs).reshape(-1, 2)
+
+
+def _trace_operator(ndof, dofs, local):
+    """CSR operator whose row r is sum_k local[r, k] v[dofs[r, k]]."""
+    n, k = dofs.shape
+    op = sp.csr_matrix((local.ravel(), dofs.astype(np.int32).ravel(),
+                        np.arange(0, n * k + 1, k, dtype=np.int32)),
+                       shape=(n, ndof))
+    # summing the entries of a row on a shared dof leaves the arrays as
+    # views of the k-per-row buffers; the copy keeps only the entries
+    op.sum_duplicates()
+    return op.copy()
+
+
+def _gauss_sum(length):
+    """(n, 2n) map from Gauss-point values to edge integrals."""
+    n = len(length)
+    weights = (length[:, None] * _EDGE_RULE.weights).ravel()
+    indptr = np.arange(0, 2 * n + 1, 2)
+    return sp.csr_matrix((weights, np.arange(2 * n), indptr),
+                         shape=(n, 2 * n))
 
 
 def build_edge_cache(mesh, dofmap, geom):
     tg = np.asarray(_EDGE_RULE.points)
-    wg = np.asarray(_EDGE_RULE.weights)
 
     def edge_data(edge_idx, tris):
         pe = mesh.vertices[mesh.edges[edge_idx]]
@@ -165,6 +191,8 @@ def build_edge_cache(mesh, dofmap, geom):
         return length, normal, phys
 
     def side_traces(tris, normal, phys):
+        """Normal derivatives (n, 2, 6) at the Gauss points and second
+        normal derivatives (n, 6) of the local basis of ``tris``."""
         ref = _reference_coords(geom, tris, phys)
         gphys = _physical_gradients(geom, tris, ref)
         gn = np.einsum("egia,ea->egi", gphys, normal)
@@ -176,6 +204,7 @@ def build_edge_cache(mesh, dofmap, geom):
         d2n += n1 * hess[..., 1, 1] * n1
         return gn, d2n
 
+    ndof = dofmap.ndof
     interior = mesh.interior_edges
     t1 = mesh.edge_tris[interior, 0]
     t2 = mesh.edge_tris[interior, 1]
@@ -183,15 +212,22 @@ def build_edge_cache(mesh, dofmap, geom):
     gn1, d2n1 = side_traces(t1, normal, phys)
     gn2, d2n2 = side_traces(t2, normal, phys)
     dofs = np.hstack([dofmap.tri_dofs[t1], dofmap.tri_dofs[t2]])
+    jump = _trace_operator(ndof, np.repeat(dofs, 2, axis=0),
+                           np.concatenate([gn1, -gn2], axis=2))
+    mean_d2n = _trace_operator(ndof, dofs, 0.5 * np.hstack([d2n1, d2n2]))
+    jump_d2n = _trace_operator(ndof, dofs, np.hstack([d2n1, -d2n2]))
 
     boundary = mesh.boundary_edges
     bt = mesh.edge_tris[boundary, 0]
+    bdofs = dofmap.tri_dofs[bt]
     blength, bnormal, bphys = edge_data(boundary, bt)
     bgn, bd2n = side_traces(bt, bnormal, bphys)
+    bgrad = _trace_operator(ndof, np.repeat(bdofs, 2, axis=0), bgn)
+    bhess = _trace_operator(ndof, bdofs, bd2n)
 
-    return EdgeTraceCache(interior, t1, t2, normal, length, gn1, gn2,
-                          d2n1, d2n2, dofs, boundary, bt, bnormal, blength,
-                          bgn, bd2n, dofmap.tri_dofs[bt])
+    return EdgeTraceCache(interior, t1, t2, normal, length, jump, mean_d2n,
+                          jump_d2n, boundary, bt, bnormal, blength, bgrad,
+                          bhess)
 
 
 @dataclass
@@ -221,23 +257,18 @@ def _accumulate(ndof, dofs, local):
     return mat.tocsr()
 
 
-def _edge_block(eta, wg, side_a, side_b):
-    """(nE, 6, 6) block of the interior-edge form between two sides.
+def _edge_form(cache, eta):
+    """Interior-edge terms T^T G T of a_h as a CSC matrix.
 
-    Each side is (jump, mean, jump_int): its part of the normal-derivative
-    jump at the Gauss points, of the mean second normal derivative, and of
-    the integrated jump. The block is
-    eta * sum_g w_g j_a j_b^T - (mean_a int_b^T + int_a mean_b^T).
+    T = [S; J] stacks the mean second normal derivatives S and the
+    normal-derivative jumps J; with P the map from Gauss-point values to
+    edge integrals and W the Gauss weights, G = [[0, -P], [-P^T, eta W]].
     """
-    (ja, ma, ia), (jb, mb, ib) = side_a, side_b
-    block = (wg[0] * ja[:, 0])[:, :, None] * jb[:, 0, None, :]
-    work = np.multiply((wg[1] * ja[:, 1])[:, :, None], jb[:, 1, None, :])
-    block += work
-    block *= eta
-    np.multiply(ma[:, :, None], ib[:, None, :], out=work)
-    work += ia[:, :, None] * mb[:, None, :]
-    block -= work
-    return block
+    p = _gauss_sum(cache.length)
+    w = sp.diags(np.tile(eta * _EDGE_RULE.weights, len(cache.length)))
+    g = sp.bmat([[None, -p], [-p.T, w]], format="csr")
+    t = sp.vstack([cache.mean_d2n, cache.jump], format="csr")
+    return t.T @ (g @ t)
 
 
 def assemble_a_h(dofmap, geom, cache, eta):
@@ -247,33 +278,11 @@ def assemble_a_h(dofmap, geom, cache, eta):
 
     k_el = np.einsum("tikl,tjkl->tij", geom.hessians, geom.hessians)
     k_el *= geom.area[:, None, None]
-
-    # The 12x12 block of an interior edge couples tri1 (side 1) and tri2
-    # (side 2). Its two diagonal 6x6 blocks are added into the element
-    # matrices of tri1 and tri2; the (1, 2) block is scattered once and the
-    # (2, 1) block is its transpose, so no (nE, 12, 12) array is formed.
-    wg = np.asarray(_EDGE_RULE.weights)
-    sides = []
-    for gn, d2n, sign in ((cache.gn1, cache.d2n1, 1.0),
-                          (cache.gn2, cache.d2n2, -1.0)):
-        jump = sign * gn                                   # (nE, 2, 6)
-        jump_int = np.einsum("g,egi->ei", wg, jump) * cache.length[:, None]
-        sides.append((jump, 0.5 * d2n, jump_int))
-    for side, tri in zip(sides, (cache.tri1, cache.tri2)):
-        np.add.at(k_el, tri, _edge_block(eta, wg, side, side))
-    rows = np.repeat(cache.dofs[:, :6].astype(np.int32), 6, axis=1).ravel()
-    cols = np.tile(cache.dofs[:, 6:].astype(np.int32), (1, 6)).ravel()
-    off = sp.coo_matrix((_edge_block(eta, wg, *sides).ravel(), (rows, cols)),
-                        shape=(dofmap.ndof, dofmap.ndof)).tocsr()
-    # the peak is reached in the CSR sums below, so every array they do not
-    # read is released first; each sum stores only its nonzero results
-    del sides, rows, cols
     mat = _accumulate(dofmap.ndof, dofmap.tri_dofs, k_el)
     del k_el
-    mat = mat + off
-    off = off.T.tocsr()
-    mat = mat + off
-    return SparseOperator(mat, dofmap)
+    # a sparse sum leaves its output in buffers sized for both operands;
+    # converting the CSC sum to CSR stores exactly its nonzero entries
+    return SparseOperator((_edge_form(cache, eta) + mat).tocsr(), dofmap)
 
 
 def assemble_mass(dofmap, geom):
@@ -327,12 +336,7 @@ def control_coupling(dofmap, geom, cache, kind):
                             shape=(dofmap.ndof, nt))
         return mat.tocsr(), geom.area.copy()
     if kind == "boundary":
-        wg = np.asarray(_EDGE_RULE.weights)
-        local = np.einsum("g,egi->ei", wg, cache.bgn) * cache.blength[:, None]
-        rows = cache.bdofs.astype(np.int32).ravel()
-        cols = np.repeat(np.arange(len(cache.boundary), dtype=np.int32), 6)
-        mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                            shape=(dofmap.ndof, len(cache.boundary)))
+        mat = (_gauss_sum(cache.blength) @ cache.bgrad).T
         return mat.tocsr(), cache.blength.copy()
     raise ValueError("kind must be 'distributed' or 'boundary'")
 
@@ -356,9 +360,7 @@ def energy_norm(v, geom, cache, eta, parts=False):
     """
     hess = broken_hessians(geom, v.dofmap, v.coeffs)
     elem = float(np.sum(geom.area * np.einsum("tkl,tkl->t", hess, hess)))
-    wg = np.asarray(_EDGE_RULE.weights)
-    jumps = cache.jump_values(v.coeffs)
-    pen = float(eta * np.einsum("g,eg->", wg, jumps ** 2))
+    pen = float(eta * cache.jump_energy(v.coeffs).sum())
     if parts:
         return np.sqrt(elem + pen), elem, pen
     return np.sqrt(elem + pen)
@@ -384,9 +386,7 @@ def error_norms(v, exact_value, exact_hessian, geom, cache, eta):
     dyy = hyy - vh[:, None, 1, 1]
     misfit = np.einsum("q,tq->t", rule.weights,
                        dxx ** 2 + 2.0 * dxy ** 2 + dyy ** 2) * geom.det
-    wg = np.asarray(_EDGE_RULE.weights)
-    jumps = cache.jump_values(v.coeffs)
-    pen = float(eta * np.einsum("g,eg->", wg, jumps ** 2))
+    pen = float(eta * cache.jump_energy(v.coeffs).sum())
     energy_err = np.sqrt(float(misfit.sum()) + pen)
 
     uvals = np.broadcast_to(np.asarray(exact_value(x, y), dtype=float), x.shape)

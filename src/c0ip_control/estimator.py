@@ -81,19 +81,13 @@ def _volume_residual(mesh, geom, rule, values):
 
 def _edge_terms(cache, coeffs):
     """(hessian jump term, gradient jump term) per interior edge."""
-    c1 = coeffs[cache.dofs[:, :6]]
-    c2 = coeffs[cache.dofs[:, 6:]]
-    d2_jump = (np.einsum("ei,ei->e", cache.d2n1, c1)
-               - np.einsum("ei,ei->e", cache.d2n2, c2))
-    hess_term = cache.length ** 2 * d2_jump ** 2
-    jumps = cache.jump_values(coeffs)
-    grad_term = np.einsum("g,eg->e", _EDGE_W, jumps ** 2)
-    return hess_term, grad_term
+    hess_term = cache.length ** 2 * (cache.jump_d2n @ coeffs) ** 2
+    return hess_term, cache.jump_energy(coeffs)
 
 
 def _boundary_term(cache, coeffs, offset=None):
     """h_e * int_e (d^2 v/dn^2 - offset)^2 per boundary edge."""
-    d2 = np.einsum("ei,ei->e", cache.bd2n, coeffs[cache.bdofs])
+    d2 = cache.bhess @ coeffs
     if offset is not None:
         d2 = d2 - offset
     return cache.blength ** 2 * d2 ** 2

@@ -53,6 +53,33 @@ def discrete_setup(name):
     return (mesh,) + discrete_parts(mesh)
 
 
+def side_traces(mesh, dm, geom, cache):
+    """Per-side edge traces of the local P2 basis, the einsum oracle of the
+    cache's trace operators.
+
+    Returns (gn, d2n, dofs) for side 1 and side 2 of every interior edge
+    and for the one side of every boundary edge: normal derivatives
+    (n, 2, 6) at the edge Gauss points, second normal derivatives (n, 6)
+    and the side's dofs (n, 6).
+    """
+    tg = np.asarray(_EDGE_RULE.points)
+
+    def side(edges, tris, normal):
+        pe = mesh.vertices[mesh.edges[edges]]
+        d = pe[:, 1] - pe[:, 0]
+        phys = pe[:, None, 0] + tg[None, :, None] * d[:, None]
+        ref = np.einsum("nab,nmb->nma", geom.inv_jac[tris],
+                        phys - geom.v0[tris][:, None])
+        gn = np.einsum("egia,ea->egi",
+                       _physical_gradients(geom, tris, ref), normal)
+        d2n = np.einsum("ea,eiab,eb->ei", normal, geom.hessians[tris], normal)
+        return gn, d2n, dm.tri_dofs[tris]
+
+    return (side(cache.interior, cache.tri1, cache.normal),
+            side(cache.interior, cache.tri2, cache.normal),
+            side(cache.boundary, cache.btri, cache.bnormal))
+
+
 def stiffness(mesh, eta):
     """A_h of ``mesh`` on its own dofmap, geometry and edge cache."""
     return assemble_a_h(*discrete_parts(mesh), eta)
@@ -110,14 +137,16 @@ class TestStiffness:
         k_el = np.einsum("tikl,tjkl->tij", geom.hessians, geom.hessians)
         k_el *= geom.area[:, None, None]
         wg = np.asarray(_EDGE_RULE.weights)
-        mean = 0.5 * np.concatenate([cache.d2n1, cache.d2n2], axis=1)
-        jump = np.concatenate([cache.gn1, -cache.gn2], axis=2)
+        sides = side_traces(mesh, dm, geom, cache)
+        (gn1, d2n1, dofs1), (gn2, d2n2, dofs2), _ = sides
+        mean = 0.5 * np.concatenate([d2n1, d2n2], axis=1)
+        jump = np.concatenate([gn1, -gn2], axis=2)
         jump_int = np.einsum("g,egi->ei", wg, jump) * cache.length[:, None]
         consistency = np.einsum("ei,ej->eij", mean, jump_int)
         penalty = eta * np.einsum("g,egi,egj->eij", wg, jump, jump)
         local = -consistency - consistency.transpose(0, 2, 1) + penalty
         expected = (_accumulate(dm.ndof, dm.tri_dofs, k_el)
-                    + _accumulate(dm.ndof, cache.dofs, local))
+                    + _accumulate(dm.ndof, np.hstack([dofs1, dofs2]), local))
         got = assemble_a_h(dm, geom, cache, eta).full
         scale = np.abs(expected.data).max()
         assert abs(got - expected).max() <= 1e-14 * scale
@@ -135,15 +164,16 @@ class TestStiffness:
         np.testing.assert_array_equal(got.toarray(), expected)
 
     def test_transient_memory_bounded_by_the_result(self):
-        # At h = 1/64 (8 192 triangles, 12 160 interior edges, 376 577
+        # At h = 1/64 (8 192 triangles, 12 160 interior edges, 376 385
         # stored entries) the returned CSR takes 12 bytes per entry, 4.6 MB.
-        # The largest transient is the last CSR sum: the partial sum, the
-        # transposed (1, 2) blocks (36 entries per edge) and SciPy's output
-        # buffer, sized for both operands; the peak is 4.6 times the result.
-        # One (nE, 12, 12) float array is 3.1 times the result, and the
-        # 12x12 edge blocks need two of them plus their 144-per-edge COO
-        # triples (14 times the result in all), so the 8x bound fails
-        # whenever those blocks are formed and leaves headroom over 4.6x.
+        # The largest transient is the last sparse sum: the element part,
+        # the edge part T^T G T and SciPy's output buffer, sized for both
+        # operands, then its conversion to an exact-size CSR; the peak is
+        # 4.7 times the result. One (nE, 12, 12) float array is 3.1 times
+        # the result, and 12x12 edge blocks need two of them plus their
+        # 144-per-edge COO triples (14 times the result in all), so the 8x
+        # bound fails whenever those blocks are formed and leaves headroom
+        # over 4.7x.
         config = RunConfig(levels=5)
         mesh = list(_uniform_square_meshes(config))[-1][1]
         dm, geom, cache = discrete_parts(mesh)
@@ -155,6 +185,16 @@ class TestStiffness:
             tracemalloc.stop()
         result = full.data.nbytes + full.indices.nbytes + full.indptr.nbytes
         assert peak <= 8.0 * result
+
+    @pytest.mark.parametrize("name", ["nvb_lshape", "square16"])
+    def test_buffers_sized_to_the_entries(self, name):
+        # a sparse sum sizes its output for both operands; A_h must not
+        # keep the unused tail of such a buffer alive behind its arrays
+        _, dm, geom, cache = discrete_setup(name)
+        full = assemble_a_h(dm, geom, cache, 10.0).full
+        for arr in (full.data, full.indices):
+            owner = arr if arr.base is None else arr.base
+            assert owner.size == full.nnz
 
 
 class TestMass:
@@ -383,10 +423,64 @@ class TestArrayKernels:
         assert np.array_equal(_physical_gradients(geom, tri, ref), expected)
 
     def test_second_normal_derivatives(self, discrete):
-        _, _, geom, cache = discrete
-        for normal, tris, d2n in ((cache.normal, cache.tri1, cache.d2n1),
-                                  (cache.normal, cache.tri2, cache.d2n2),
-                                  (cache.bnormal, cache.btri, cache.bd2n)):
-            expected = np.einsum("ea,eiab,eb->ei", normal,
-                                 geom.hessians[tris], normal)
-            assert np.array_equal(d2n, expected)
+        # every row of the second-normal-derivative operators holds the
+        # einsum n^T H n of its side(s), summed on the shared dofs
+        mesh, dm, geom, cache = discrete
+        (_, d2n1, dofs1), (_, d2n2, dofs2), (_, bd2n, bdofs) = side_traces(
+            mesh, dm, geom, cache)
+
+        def rows(sides):
+            dofs = np.hstack([d for d, _ in sides])
+            vals = np.hstack([v for _, v in sides])
+            out = np.zeros((len(dofs), dm.ndof))
+            np.add.at(out, (np.arange(len(dofs))[:, None], dofs), vals)
+            return out
+
+        expected = {
+            "mean_d2n": rows([(dofs1, 0.5 * d2n1), (dofs2, 0.5 * d2n2)]),
+            "jump_d2n": rows([(dofs1, d2n1), (dofs2, -d2n2)]),
+            "bhess": rows([(bdofs, bd2n)]),
+        }
+        for name, dense in expected.items():
+            assert np.array_equal(getattr(cache, name).toarray(), dense), name
+
+
+class TestTraceOperators:
+    """The sparse trace operators of the edge cache applied to random
+    coefficients equal the per-side einsum oracle."""
+
+    @pytest.fixture(scope="class", params=["nvb_lshape", "square16"])
+    def traces(self, request):
+        mesh, dm, geom, cache = discrete_setup(request.param)
+        coeffs = np.random.default_rng(11).standard_normal(dm.ndof)
+        (gn1, d2n1, dofs1), (gn2, d2n2, dofs2), (bgn, bd2n, bdofs) = (
+            side_traces(mesh, dm, geom, cache))
+        c1, c2, cb = coeffs[dofs1], coeffs[dofs2], coeffs[bdofs]
+        d2n_1 = np.einsum("ei,ei->e", d2n1, c1)
+        d2n_2 = np.einsum("ei,ei->e", d2n2, c2)
+        expected = {
+            "jump": (np.einsum("egi,ei->eg", gn1, c1)
+                     - np.einsum("egi,ei->eg", gn2, c2)).ravel(),
+            "mean_d2n": 0.5 * (d2n_1 + d2n_2),
+            "jump_d2n": d2n_1 - d2n_2,
+            "bgrad": np.einsum("egi,ei->eg", bgn, cb).ravel(),
+            "bhess": np.einsum("ei,ei->e", bd2n, cb),
+        }
+        return cache, coeffs, expected
+
+    @pytest.mark.parametrize("name", ["jump", "mean_d2n", "jump_d2n",
+                                      "bgrad", "bhess"])
+    def test_operator_matches_oracle(self, traces, name):
+        cache, coeffs, expected = traces
+        got = getattr(cache, name) @ coeffs
+        assert got.shape == expected[name].shape
+        scale = np.abs(expected[name]).max()
+        assert np.abs(got - expected[name]).max() <= 1e-14 * scale
+
+    def test_methods_are_the_operators(self, traces):
+        cache, coeffs, expected = traces
+        np.testing.assert_array_equal(cache.jump_values(coeffs).ravel(),
+                                      cache.jump @ coeffs)
+        np.testing.assert_array_equal(
+            cache.boundary_normal_derivative(coeffs).ravel(),
+            cache.bgrad @ coeffs)
