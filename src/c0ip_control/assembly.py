@@ -21,7 +21,7 @@ operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -65,11 +65,32 @@ class ElementGeometry:
     det: np.ndarray       # (nt,)
     area: np.ndarray      # (nt,)
     hessians: np.ndarray  # (nt, 6, 2, 2) physical basis Hessians
+    # id(rule) -> (rule, x, y), filled by ``quad_points``
+    _points: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         for arr in (self.v0, self.jac, self.inv_jac, self.det, self.area,
                     self.hessians):
             arr.setflags(write=False)
+
+    def quad_points(self, rule):
+        """Physical points (x, y) of a triangle rule, each (nt, nq).
+
+        Computed once per rule; both are read-only views of one (2, nt, nq)
+        array, so the manufactured data can memoize on them (``cases``).
+        """
+        hit = self._points.get(id(rule))
+        if hit is not None and hit[0] is rule:
+            return hit[1:]
+        jac = self.jac.transpose(1, 0, 2)[:, :, None]    # (2, nt, 1, 2)
+        xy = jac[..., 0] * rule.points[:, 0]
+        xy += jac[..., 1] * rule.points[:, 1]
+        xy += self.v0.T[:, :, None]
+        xy.setflags(write=False)
+        x, y = xy
+        self._points[id(rule)] = (rule, x, y)
+        return x, y
 
 
 def element_geometry(mesh):
@@ -205,13 +226,15 @@ def build_edge_cache(mesh, dofmap, geom):
         return gn, d2n
 
     ndof = dofmap.ndof
+    # the operators index by int32; cast once, before the dofs are copied
+    tri_dofs = dofmap.tri_dofs.astype(np.int32)
     interior = mesh.interior_edges
     t1 = mesh.edge_tris[interior, 0]
     t2 = mesh.edge_tris[interior, 1]
     length, normal, phys = edge_data(interior, t1)
     gn1, d2n1 = side_traces(t1, normal, phys)
     gn2, d2n2 = side_traces(t2, normal, phys)
-    dofs = np.hstack([dofmap.tri_dofs[t1], dofmap.tri_dofs[t2]])
+    dofs = np.hstack([tri_dofs[t1], tri_dofs[t2]])
     jump = _trace_operator(ndof, np.repeat(dofs, 2, axis=0),
                            np.concatenate([gn1, -gn2], axis=2))
     mean_d2n = _trace_operator(ndof, dofs, 0.5 * np.hstack([d2n1, d2n2]))
@@ -219,7 +242,7 @@ def build_edge_cache(mesh, dofmap, geom):
 
     boundary = mesh.boundary_edges
     bt = mesh.edge_tris[boundary, 0]
-    bdofs = dofmap.tri_dofs[bt]
+    bdofs = tri_dofs[bt]
     blength, bnormal, bphys = edge_data(boundary, bt)
     bgn, bd2n = side_traces(bt, bnormal, bphys)
     bgrad = _trace_operator(ndof, np.repeat(bdofs, 2, axis=0), bgn)
@@ -295,21 +318,11 @@ def assemble_mass(dofmap, geom):
                           dofmap)
 
 
-def _quad_points(geom, rule):
-    """Physical quadrature points (nt, nq, 2) for a triangle rule."""
-    jac = geom.jac[:, None]                          # (nt, 1, 2, 2)
-    pts = jac[..., 0] * rule.points[:, 0, None]
-    pts += jac[..., 1] * rule.points[:, 1, None]
-    pts += geom.v0[:, None, :]
-    return pts
-
-
 def assemble_load(dofmap, geom, f, degree):
     """Load vector F_i = int f v_i with a degree-``degree`` triangle rule."""
     rule = quadrature("triangle", degree)
-    pts = _quad_points(geom, rule)
-    fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    fvals = np.broadcast_to(fvals, pts.shape[:2])
+    x, y = geom.quad_points(rule)
+    fvals = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
     vals = shape_values(rule.points)
     local = np.einsum("q,tq,qi->ti", rule.weights, fvals, vals)
     local *= geom.det[:, None]
@@ -375,8 +388,7 @@ def error_norms(v, exact_value, exact_hessian, geom, cache, eta):
     """
     dofmap = v.dofmap
     rule = quadrature("triangle", ERROR_DEGREE)
-    pts = _quad_points(geom, rule)
-    x, y = pts[..., 0], pts[..., 1]
+    x, y = geom.quad_points(rule)
 
     hxx, hxy, hyy = (np.broadcast_to(np.asarray(h, dtype=float), x.shape)
                      for h in exact_hessian(x, y))

@@ -5,6 +5,15 @@ the unit square with the control recovered by clamping -phi/alpha into the
 box; the source and observation follow from f = lap^2 u - q and
 u_d = u - lap^2 phi, so the triple solves the distributed control problem
 exactly.
+
+The data, the exact control and the error norms of one uniform level read
+sin^3 and its derivatives at the same quadrature points many times. The
+points come from ``ElementGeometry.quad_points`` as read-only arrays, and
+sin(pi t) and cos(pi t) of such an array are memoized by its identity:
+the memo holds a reference to the array, so its id cannot be reused, and
+it keeps only the arrays of the latest point set (the latest read-only
+base array). An array that is writable, or a view of a writable one, is
+never memoized, so changing coordinates in place gives the new values.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _quad_points
 from .controls import clamp
 from .fem import quadrature
 from .solver import ProblemSpec
@@ -32,14 +40,44 @@ __all__ = [
 CONTROL_ERROR_DEGREE = 8
 
 
+# the latest read-only point set and sin(pi t), cos(pi t) of its arrays:
+# {"base": array, "trig": {id(t): (t, s, c)}}
+_TRIG_MEMO = {"base": None, "trig": {}}
+
+
+def _read_only_base(t):
+    """The array at the bottom of ``t``'s views if ``t`` and every array
+    it views are read-only, else None."""
+    while isinstance(t, np.ndarray) and not t.flags.writeable:
+        if t.base is None:
+            return t
+        t = t.base
+    return None
+
+
+def _sin_cos(t):
+    """sin(pi t) and cos(pi t), memoized for read-only arrays (module
+    docstring); a new read-only base replaces the memo's point set."""
+    base = _read_only_base(t)
+    if base is None:
+        arg = np.pi * t
+        return np.sin(arg), np.cos(arg)
+    if _TRIG_MEMO["base"] is not base:
+        _TRIG_MEMO["base"], _TRIG_MEMO["trig"] = base, {}
+    hit = _TRIG_MEMO["trig"].get(id(t))
+    if hit is None:
+        arg = np.pi * t
+        hit = _TRIG_MEMO["trig"][id(t)] = (t, np.sin(arg), np.cos(arg))
+    return hit[1:]
+
+
 def _sin3_derivatives(t, orders):
     """Derivatives of g(t) = sin^3(pi t) of the given orders (0..4).
 
-    One sine and at most one cosine of ``t`` serve every order; the result
-    is a tuple in the order of ``orders``.
+    One sine and one cosine of ``t`` serve every order; the result is a
+    tuple in the order of ``orders``.
     """
-    s = np.sin(np.pi * t)
-    c = np.cos(np.pi * t) if any(orders) else None
+    s, c = _sin_cos(t)
     out = []
     for order in orders:
         if order == 0:
@@ -97,10 +135,8 @@ class ManufacturedCase:
         ``geom`` is the element geometry of the mesh that carries ``q_h``.
         """
         rule = quadrature("triangle", CONTROL_ERROR_DEGREE)
-        pts = _quad_points(geom, rule)
-        qex = np.broadcast_to(
-            np.asarray(self.q(pts[..., 0], pts[..., 1]), dtype=float),
-            pts.shape[:2])
+        x, y = geom.quad_points(rule)
+        qex = np.broadcast_to(np.asarray(self.q(x, y), dtype=float), x.shape)
         diff = qex - q_h.values[:, None]
         val = np.einsum("q,tq->", rule.weights, diff ** 2 * geom.det[:, None])
         return float(np.sqrt(val))

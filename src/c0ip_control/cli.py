@@ -81,6 +81,7 @@ def run_example1(config):
     for h, mesh in _uniform_square_meshes(config):
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
+        del ws.lu   # the error norms need no factor; free it first
         eu, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom, ws.cache,
                             spec.eta)
         ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, ws.geom,
@@ -166,6 +167,7 @@ def run_vd_compare(config):
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
         vd = solve_variational(ws, sol)
+        del ws.lu   # the error norms need no factor; free it first
         eu, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom, ws.cache,
                             spec.eta)
         eu_vd, _ = error_norms(vd.u, case.u, case.u_hess, ws.geom, ws.cache,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import eval_on_elements, _quad_points
+from .assembly import eval_on_elements
 from .fem import quadrature
 
 __all__ = ["EstimatorReport", "estimate", "efficiency_index"]
@@ -122,8 +122,7 @@ def estimate(ws, sol):
     spec, mesh, dofmap, cache, geom = (ws.spec, ws.mesh, ws.dofmap, ws.cache,
                                        ws.geom)
     rule = quadrature("triangle", VOLUME_DEGREE)
-    pts = _quad_points(geom, rule)
-    x, y = pts[..., 0], pts[..., 1]
+    x, y = geom.quad_points(rule)
 
     fvals = np.broadcast_to(np.asarray(spec.f(x, y), dtype=float), x.shape)
     if spec.kind == "distributed":

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 __all__ = [
     "DofMap",
@@ -135,6 +134,27 @@ class QuadratureRule:
     degree: int
 
 
+# Gauss-Jacobi nodes and weights on [-1, 1] for the weight 1 - x
+# (alpha = 1, beta = 0) with n = 1..5 points, bitwise equal to
+# scipy.special.roots_jacobi(n, 1, 0); stored so that importing the package
+# does not load scipy.special
+_GAUSS_JACOBI = {
+    1: ((-0.3333333333333333,),
+        (2.0,)),
+    2: ((-0.6898979485566357, 0.2898979485566358),
+        (1.2721655269759087, 0.7278344730240913)),
+    3: ((-0.8228240809745921, -0.1810662711185305, 0.5753189235216941),
+        (0.8037276549558384, 0.9169644254383448, 0.2793079196058167)),
+    4: ((-0.8857916077709646, -0.44631397272375245, 0.16718086473783364,
+         0.7204802713124389),
+        (0.5420276537259541, 0.8138582720410844, 0.5193901904329293,
+         0.12472388380003234)),
+    5: ((-0.9203802858970626, -0.6039731642527836, -0.1240503795052277,
+         0.39092854670727223, 0.8029298284023472),
+        (0.3871263609066059, 0.6686985523774788, 0.5855479483386794,
+         0.2956354802904667, 0.0629916580867692)),
+}
+
 _TRIANGLE_DEGREES = (1, 2, 4, 6, 8)
 
 
@@ -154,7 +174,7 @@ def _rule(kind, degree):
         if degree not in _TRIANGLE_DEGREES:
             raise ValueError("unsupported triangle degree %r" % (degree,))
         n = (degree + 2) // 2
-        xj, wj = roots_jacobi(n, 1.0, 0.0)
+        xj, wj = (np.array(v) for v in _GAUSS_JACOBI[n])
         r = 0.5 * (xj + 1.0)
         wr = 0.25 * wj          # integrates (1 - r) f(r) on [0, 1]
         xl, wl = np.polynomial.legendre.leggauss(n)

@@ -15,6 +15,17 @@ triangle areas or edge lengths) and the variational one, whose control
 clamp(-phi_h/alpha) lives at the points x_k of a degree-8 rule, with
 B[i, (t, k)] = w_k det_t v_i(x_k) and D = w_k det_t. Every solve with A uses
 one sparse LU factor of A per discretization.
+
+Each CG step applies the reduced Hessian to its direction p through
+A^-1 B_I p and A^-1 M A^-1 B_I p, the changes of the state and adjoint
+along p, so CG carries u and phi along with q_I and no iteration
+back-solves them. An iteration with inactive controls makes two solves for
+(u_0, phi_0), two for the CG start and two per CG step. CG stops once its
+recursive residual is at most CG_RTOL ||B_I^T phi_0||; that relative
+residual is what ``PdasStep.cg_residual`` and ``KktSolution.cg_residual``
+report. The carried state is u_0 + A^-1 B_I q_I; where the two terms nearly
+cancel (small alpha without bounds) its backward error, which
+``KktSolution.state_residual`` reports, exceeds that of a fresh solve.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (assemble_a_h, assemble_load, assemble_mass,
                        build_edge_cache, control_coupling, element_geometry,
-                       eval_on_elements, _quad_points)
+                       eval_on_elements)
 from .controls import ControlField
 from .fem import P2Function, build_dofmap, quadrature, shape_values
 
@@ -145,10 +156,9 @@ class Discretization:
     def ud_norm2(self):
         """int u_d^2 dx with the quadrature rule of ``load_ud``."""
         rule = quadrature("triangle", self.spec.load_degree)
-        pts = _quad_points(self.geom, rule)
-        ud = np.broadcast_to(
-            np.asarray(self.spec.u_d(pts[..., 0], pts[..., 1]), dtype=float),
-            pts.shape[:2])
+        x, y = self.geom.quad_points(rule)
+        ud = np.broadcast_to(np.asarray(self.spec.u_d(x, y), dtype=float),
+                             x.shape)
         return float(np.einsum("q,tq->", rule.weights,
                                ud ** 2 * self.geom.det[:, None]))
 
@@ -200,9 +210,10 @@ class PdasStep:
     ``inactive`` is the size of the inactive set, ``flipped`` the number of
     entities whose set (lower, upper, inactive) changed from the previous
     iteration (from all-inactive at the first), ``cg_steps`` and
-    ``cg_residual`` the steps and final relative residual of the reduced
-    solve (0 and 0.0 when every control is active), and ``infeasible`` the
-    number of inactive controls of the iterate outside [lower, upper].
+    ``cg_residual`` the steps and final residual of the reduced solve,
+    relative to ||B_I^T phi_0|| (0 and 0.0 when every control is active,
+    see the module docstring), and ``infeasible`` the number of inactive
+    controls of the iterate outside [lower, upper].
 
     The objective of an iterate with ``infeasible > 0`` may lie below that
     of the feasible iterate that follows it, so PDAS is not monotone there.
@@ -259,30 +270,41 @@ def _objective(ws, u_free, qvals, measures):
         np.sum(measures * qvals ** 2))
 
 
-def _pcg(apply, rhs, x, inv_diag):
-    """Diagonally preconditioned CG for an SPD operator from start ``x``.
+def _pcg(apply, rhs, x, inv_diag, carried):
+    """Diagonally preconditioned CG for an SPD operator H from start ``x``.
 
-    Stops once ||rhs - apply(x)|| <= CG_RTOL ||rhs|| (recursive residual)
-    and returns (x, steps, relative residual), which the iteration trace
-    records; raises PdasError after CG_MAX_ITER steps without convergence.
+    ``apply(v)`` returns (H v, images), where ``images`` are arrays linear
+    in v, L_k v; ``carried`` holds one offset c_k per image. CG updates
+    c_k + L_k x along with x from the images of its directions, so no
+    further ``apply`` is needed to read them at the final x.
+
+    Stops once ||rhs - H x|| <= CG_RTOL ||rhs|| (recursive residual) and
+    returns (x, [c_k + L_k x], steps, relative residual), which the
+    iteration trace records; returns x = 0 and ``carried`` unchanged when
+    ``rhs`` is zero, and raises PdasError after CG_MAX_ITER steps without
+    convergence.
     """
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs), 0, 0.0
+        return np.zeros_like(rhs), carried, 0, 0.0
     x = x.copy()
-    r = rhs - apply(x)
+    hx, images = apply(x)
+    carried = [c + image for c, image in zip(carried, images)]
+    r = rhs - hx
     z = inv_diag * r
     p = z.copy()
     rz = r @ z
     for steps in range(CG_MAX_ITER + 1):
         rel = float(np.linalg.norm(r) / rhs_norm)
         if rel <= CG_RTOL:
-            return x, steps, rel
+            return x, carried, steps, rel
         if steps == CG_MAX_ITER:
             break
-        hp = apply(p)
+        hp, images = apply(p)
         step = rz / (p @ hp)
         x += step * p
+        for c, image in zip(carried, images):
+            c += step * image
         r -= step * hp
         z = inv_diag * r
         rz, rz_old = r @ z, rz
@@ -298,8 +320,8 @@ def solve_pdas(ws, max_iter=50):
     -(1/alpha) Pi_h(B_h phi), from phi = 0 at the first iteration; entities
     with estimate at or beyond a bound are fixed there. The inactive
     controls solve the reduced system of the module docstring by CG,
-    warm-started from the raw estimate; the final state and adjoint are
-    back-solved from them and the inactive controls are then set to the raw
+    warm-started from the raw estimate; CG carries the state and adjoint
+    along with them, and the inactive controls are then set to the raw
     estimate of that adjoint, so the clamp relation holds exactly.
     Terminates when the active sets repeat; raises ``PdasError`` with the
     cycle's signatures when an earlier active set other than the last one
@@ -320,10 +342,6 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
     alpha = spec.alpha
     nent = len(d_meas)
     lu = ws.lu
-
-    def state_adjoint(q):
-        u = lu.solve(load_f + b_f @ q)
-        return u, lu.solve(m_f @ u - load_ud)
 
     prev_status = np.zeros(nent, dtype=np.int8)
     seen = []
@@ -352,21 +370,21 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
         qvals = np.zeros(nent)
         qvals[act_up] = spec.upper
         qvals[act_lo] = spec.lower
-        u_free, phi_free = state_adjoint(qvals)
+        u_free = lu.solve(load_f + b_f @ qvals)
+        phi_free = lu.solve(m_f @ u_free - load_ud)
         cg_steps, cg_res = 0, 0.0
         if inactive.any():
             b_in = b_f[:, inactive]
             alpha_d = alpha * d_meas[inactive]
 
             def reduced_hessian(x):
-                w = lu.solve(m_f @ lu.solve(b_in @ x))
-                return alpha_d * x + b_in.T @ w
+                du = lu.solve(b_in @ x)
+                dphi = lu.solve(m_f @ du)
+                return alpha_d * x + b_in.T @ dphi, (du, dphi)
 
-            q_in, cg_steps, cg_res = _pcg(
+            _, (u_free, phi_free), cg_steps, cg_res = _pcg(
                 reduced_hessian, -(b_in.T @ phi_free), raw[inactive],
-                1.0 / alpha_d)
-            qvals[inactive] = q_in
-            u_free, phi_free = state_adjoint(qvals)
+                1.0 / alpha_d, (u_free, phi_free))
 
         raw = -(b_f.T @ phi_free) / (alpha * d_meas)
         q_in = raw[inactive]

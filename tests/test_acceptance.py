@@ -16,8 +16,7 @@ from c0ip_control import (assemble_a_h, bh_apply, bisect, build_dofmap,
                           estimate, example1_case, example1_spec,
                           example2_spec, interpolate, make_lshape,
                           make_unit_square, vi_residual)
-from c0ip_control.assembly import (element_geometry, eval_on_elements,
-                                   _quad_points)
+from c0ip_control.assembly import element_geometry, eval_on_elements
 from c0ip_control.cases import biharmonic_sin3
 from c0ip_control.cli import RunConfig, _uniform_square_meshes
 from c0ip_control.fem import QuadratureRule, quadrature
@@ -105,8 +104,8 @@ def _cell_moments(q, mesh):
     m1 = np.zeros(mesh.num_triangles)
     m2 = np.zeros(mesh.num_triangles)
     for rule in _subtriangle_rules(3):
-        pts = _quad_points(geom, rule)
-        vals = np.broadcast_to(q(pts[..., 0], pts[..., 1]), pts.shape[:2])
+        x, y = geom.quad_points(rule)
+        vals = np.broadcast_to(q(x, y), x.shape)
         m1 += vals @ rule.weights * geom.det
         m2 += vals ** 2 @ rule.weights * geom.det
     return geom.area, m1, m2
@@ -387,8 +386,7 @@ class TestCriterion5Oracles:
         ph_phi = projection_ph(ws, "adjoint")
         geom = element_geometry(mesh)
         rule = quadrature("triangle", 8)
-        pts = _quad_points(geom, rule)
-        x, y = pts[..., 0], pts[..., 1]
+        x, y = geom.quad_points(rule)
 
         def integral(values):
             return float(np.einsum("q,tq->", rule.weights,
@@ -429,8 +427,8 @@ class TestCriterion6VariationalDiscretization:
         vd = solve_variational(ws, level["sol"])
         # the control at each point of the degree-8 rule against the clamp
         # of phi_h evaluated there by point location
-        pts = _quad_points(ws.geom, quadrature("triangle", 8)).reshape(-1, 2)
-        phiv = evaluate_p2(vd.phi, pts[:, 0], pts[:, 1])
+        x, y = ws.geom.quad_points(quadrature("triangle", 8))
+        phiv = evaluate_p2(vd.phi, x.ravel(), y.ravel())
         expected = clamp(-phiv / spec.alpha, spec.lower, spec.upper)
         assert np.max(np.abs(vd.q.values - expected)) <= 1e-12 * np.max(
             np.abs(expected))

@@ -11,7 +11,7 @@ from c0ip_control import (Mesh, assemble_a_h, assemble_load, assemble_mass,
                           example1_spec, interpolate, make_lshape,
                           make_unit_square)
 from c0ip_control.assembly import (_accumulate, _EDGE_RULE,
-                                   _physical_gradients, _quad_points,
+                                   _physical_gradients,
                                    _reference_coords, element_geometry)
 from c0ip_control.cases import example1_case
 from c0ip_control.cli import RunConfig, _uniform_square_meshes
@@ -408,7 +408,15 @@ class TestArrayKernels:
         rule = quadrature("triangle", degree)
         expected = (geom.v0[:, None, :]
                     + np.einsum("tab,qb->tqa", geom.jac, rule.points))
-        assert np.array_equal(_quad_points(geom, rule), expected)
+        x, y = geom.quad_points(rule)
+        assert np.array_equal(x, expected[..., 0])
+        assert np.array_equal(y, expected[..., 1])
+        # computed once per rule, and shared read-only
+        again = geom.quad_points(rule)
+        assert again[0] is x and again[1] is y
+        for arr in (x, y):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.5
 
     def test_reference_coords_and_gradients(self, discrete):
         mesh, _, geom, _ = discrete

@@ -1,14 +1,23 @@
 """Manufactured problem data and its self-consistency."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from c0ip_control import (biharmonic_sin3, boundary_demo_spec, example1_case,
-                          example1_spec, example2_spec, g_sin3,
-                          make_unit_square)
+from c0ip_control import (assemble_load, biharmonic_sin3, bisect,
+                          boundary_demo_spec, error_norms, estimate,
+                          example1_case, example1_spec, example2_spec,
+                          g_sin3, make_lshape, make_unit_square)
+from c0ip_control import cases
 from c0ip_control.assembly import element_geometry
 from c0ip_control.cases import _sin3_derivatives
+from c0ip_control.cli import RunConfig, run_example1, run_vd_compare
 from c0ip_control.controls import ControlField, clamp
+from c0ip_control.fem import quadrature
+from c0ip_control.solver import discretize, solve_pdas
 
 
 def biharmonic_fd(f, x, y, h=0.04):
@@ -82,6 +91,136 @@ class TestSharedSineCosine:
         expected = (g(x, 2) * g(y, 0), g(x, 1) * g(y, 1), g(x, 0) * g(y, 2))
         for got, want in zip(hess, expected):
             assert np.array_equal(got, want)
+
+
+def _writable(func):
+    """``func`` evaluated at writable copies of its coordinates, which the
+    sin/cos memo never serves."""
+    def wrapped(x, y):
+        return func(np.array(x), np.array(y))
+    return wrapped
+
+
+def _random_nvb_lshape(seed=3, steps=5):
+    """L-shape refined by newest-vertex bisection of random markings."""
+    rng = np.random.default_rng(seed)
+    mesh = make_lshape(2)
+    for _ in range(steps):
+        k = rng.integers(1, max(2, mesh.num_triangles // 3))
+        mesh = bisect(mesh, rng.choice(mesh.num_triangles, size=k,
+                                       replace=False))
+    return mesh
+
+
+class TestTrigMemo:
+    """Values read through the sin/cos memo equal those computed at
+    writable copies of the same points, bit for bit."""
+
+    @pytest.fixture(scope="class", params=["square16", "nvb_lshape"])
+    def solved(self, request):
+        mesh = (make_unit_square(16) if request.param == "square16"
+                else _random_nvb_lshape())
+        spec = example1_spec()
+        ws = discretize(spec, mesh)
+        sol = solve_pdas(ws)
+        plain = dataclasses.replace(spec, f=_writable(spec.f),
+                                    u_d=_writable(spec.u_d))
+        return ws, sol, plain
+
+    def test_loads_and_ud_norm2(self, solved):
+        ws, _, plain = solved
+        spec, dm, geom = ws.spec, ws.dofmap, ws.geom
+        x, _ = geom.quad_points(quadrature("triangle", spec.load_degree))
+        for data, load in ((spec.f, ws.load_f), (spec.u_d, ws.load_ud)):
+            want = assemble_load(dm, geom, _writable(data), spec.load_degree)
+            # the discretization's loads and a second pass through the memo
+            assert np.array_equal(load, want)
+            assert np.array_equal(
+                assemble_load(dm, geom, data, spec.load_degree), want)
+            assert cases._TRIG_MEMO["base"] is x.base
+        assert ws.ud_norm2 == dataclasses.replace(ws, spec=plain).ud_norm2
+
+    def test_error_norms(self, solved):
+        ws, sol, _ = solved
+        case = ws.spec.exact
+        for v, value, hess in ((sol.u, case.u, case.u_hess),
+                               (sol.phi, case.phi, case.phi_hess)):
+            want = error_norms(v, _writable(value), _writable(hess), ws.geom,
+                               ws.cache, ws.spec.eta)
+            for _ in range(2):
+                assert error_norms(v, value, hess, ws.geom, ws.cache,
+                                   ws.spec.eta) == want
+
+    def test_control_error(self, solved):
+        ws, sol, _ = solved
+        case = ws.spec.exact
+        plain = dataclasses.replace(case, q=_writable(case.q))
+        want = plain.control_error(ws.geom, sol.q)
+        for _ in range(2):
+            assert case.control_error(ws.geom, sol.q) == want
+
+    def test_estimator_volume_terms(self, solved):
+        ws, sol, plain = solved
+        want = estimate(dataclasses.replace(ws, spec=plain), sol)
+        for _ in range(2):
+            got = estimate(ws, sol)
+            assert np.array_equal(got.volume_u, want.volume_u)
+            assert np.array_equal(got.volume_phi, want.volume_phi)
+
+    def test_point_arrays_reject_writes(self, solved):
+        ws, _, _ = solved
+        for arr in ws.geom.quad_points(quadrature("triangle", 8)):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.5
+            with pytest.raises(ValueError):
+                arr.base[0, 0, 0] = 0.5
+
+    def test_writable_arrays_changed_in_place(self):
+        t = np.random.default_rng(5).random((40, 6))
+        before = g_sin3(t, 2)
+        t += 0.25
+        assert np.array_equal(g_sin3(t, 2), g_sin3_per_order(t, 2))
+        assert not np.array_equal(g_sin3(t, 2), before)
+        # a read-only view of a writable array is not memoized either
+        view = t.view()
+        view.setflags(write=False)
+        g_sin3(view, 1)
+        t -= 0.5
+        assert np.array_equal(g_sin3(view, 1), g_sin3_per_order(t, 1))
+
+    def test_only_the_latest_point_set_is_kept(self):
+        geom = element_geometry(make_unit_square(4))
+        x6, y6 = geom.quad_points(quadrature("triangle", 6))
+        biharmonic_sin3(x6, y6)
+        old = weakref.ref(x6.base)
+        x8, y8 = element_geometry(make_unit_square(4)).quad_points(
+            quadrature("triangle", 8))
+        biharmonic_sin3(x8, y8)
+        assert cases._TRIG_MEMO["base"] is x8.base
+        assert set(cases._TRIG_MEMO["trig"]) == {id(x8), id(y8)}
+        del geom, x6, y6
+        gc.collect()
+        assert old() is None
+
+    @pytest.mark.parametrize("study", [run_example1, run_vd_compare])
+    def test_four_sines_and_cosines_per_level(self, tmp_path, monkeypatch,
+                                              study):
+        calls = {"sin": 0, "cos": 0}
+
+        def counted(name, func):
+            def wrapper(x, *args, **kwargs):
+                if np.ndim(x):
+                    calls[name] += 1
+                return func(x, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "sin", counted("sin", np.sin))
+        monkeypatch.setattr(np, "cos", counted("cos", np.cos))
+        study(RunConfig(levels=3, out=str(tmp_path)))
+        # x and y of the degree-6 points of the loads and of the degree-8
+        # points of the error norms and the control error, on each of the
+        # 3 levels
+        assert calls == {"sin": 12, "cos": 12}
 
 
 class TestBiharmonic:

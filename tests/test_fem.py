@@ -1,13 +1,19 @@
 """Quadratic Lagrange basis, dof maps, quadrature, interpolation."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import c0ip_control
 from c0ip_control import (build_dofmap, eval_basis, interpolate,
                           make_lshape, make_unit_square, quadrature)
-from c0ip_control.fem import REFERENCE_HESSIANS, shape_gradients, shape_values
+from c0ip_control.fem import (REFERENCE_HESSIANS, _GAUSS_JACOBI,
+                              _TRIANGLE_DEGREES, shape_gradients,
+                              shape_values)
 from c0ip_control.solver import evaluate_p2
 
 
@@ -147,6 +153,25 @@ class TestQuadrature:
             quadrature("edge", 0)
         with pytest.raises(ValueError):
             quadrature("tetrahedron", 2)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_stored_gauss_jacobi_equals_roots_jacobi(self, n):
+        from scipy.special import roots_jacobi
+        nodes, weights = roots_jacobi(n, 1.0, 0.0)
+        assert np.array_equal(np.array(_GAUSS_JACOBI[n][0]), nodes)
+        assert np.array_equal(np.array(_GAUSS_JACOBI[n][1]), weights)
+
+    def test_triangle_degrees_cover_the_stored_rules(self):
+        assert {(d + 2) // 2 for d in _TRIANGLE_DEGREES} == set(_GAUSS_JACOBI)
+
+    def test_package_import_does_not_load_scipy_special(self):
+        src = os.path.dirname(os.path.dirname(c0ip_control.__file__))
+        code = ("import sys, c0ip_control.cli; "
+                "print('scipy.special' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("kind, degree", [("triangle", 8), ("edge", 3)])
     def test_rules_are_shared_and_read_only(self, kind, degree):

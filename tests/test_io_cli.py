@@ -1,11 +1,16 @@
 """File export and the benchmark command line."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import c0ip_control
 from c0ip_control import clamp, example1_spec, make_lshape, make_unit_square
 from c0ip_control import cli, solver
-from c0ip_control.assembly import element_geometry, _quad_points
+from c0ip_control.assembly import element_geometry
 from c0ip_control.cli import (RunConfig, main, run_boundary_demo,
                               run_example1, run_example2, run_vd_compare,
                               _uniform_square_meshes)
@@ -189,8 +194,8 @@ class TestCommandLine:
             sol = solver.solve_pdas(ws)
             vd = solver.solve_variational(ws, sol)
             geom = element_geometry(mesh)
-            pts = _quad_points(geom, rule)
-            phiv = solver.evaluate_p2(vd.phi, pts[..., 0], pts[..., 1])
+            x, y = geom.quad_points(rule)
+            phiv = solver.evaluate_p2(vd.phi, x, y)
             q_vd = clamp(-phiv / spec.alpha, spec.lower, spec.upper)
             assert np.max(np.abs(vd.q.values - q_vd.ravel())) <= 1e-12 * \
                 np.max(np.abs(q_vd))
@@ -282,3 +287,23 @@ class TestDeterminism:
         run_example1(RunConfig(levels=2, out=str(out2)))
         assert (out1 / "example1.csv").read_bytes() == \
             (out2 / "example1.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode, name, other", [
+        ("uniform", "example1.csv", "vd-compare"),
+        ("vd-compare", "vd_compare.csv", "uniform")])
+    def test_study_after_another_matches_a_fresh_process(self, tmp_path,
+                                                         mode, name, other):
+        # the sin/cos memo of ``cases`` is module state: a study run after
+        # another one in the same process must carry nothing over
+        args = ["--mode", mode, "--levels", "3"]
+        src = os.path.dirname(os.path.dirname(c0ip_control.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "c0ip_control.cli", *args,
+                        "--out", str(tmp_path / "fresh")], check=True,
+                       env=env)
+        assert main(["--mode", other, "--levels", "3",
+                     "--out", str(tmp_path / "other")]) == 0
+        assert main([*args, "--out", str(tmp_path / "after")]) == 0
+        assert (tmp_path / "after" / name).read_bytes() == \
+            (tmp_path / "fresh" / name).read_bytes()

@@ -8,8 +8,7 @@ import scipy.sparse.linalg as spla
 from c0ip_control import (boundary_demo_spec, clamp, error_norms,
                           example1_case, example1_spec, make_lshape,
                           make_unit_square, bh_apply, vi_residual)
-from c0ip_control.assembly import (element_geometry, eval_on_elements,
-                                   _quad_points)
+from c0ip_control.assembly import element_geometry, eval_on_elements
 from c0ip_control import solver
 from c0ip_control.fem import quadrature, shape_values
 from c0ip_control.solver import (PdasError, ProblemSpec, _objective,
@@ -128,9 +127,9 @@ class TestPdas:
         spec, mesh, ws, sol = solved_n8
         geom = element_geometry(mesh)
         rule = quadrature("triangle", spec.load_degree)
-        pts = _quad_points(geom, rule)
+        x, y = geom.quad_points(rule)
         misfit = (eval_on_elements(ws.dofmap, sol.u.coeffs, rule)
-                  - spec.u_d(pts[..., 0], pts[..., 1]))
+                  - spec.u_d(x, y))
         track = np.einsum("q,tq->", rule.weights,
                           misfit ** 2 * geom.det[:, None])
         expected = 0.5 * track + 0.5 * spec.alpha * np.sum(
@@ -145,9 +144,11 @@ class TestPdas:
         # all-upper active set of the first iteration: A, B, A, B, ...
         calls = []
 
-        def fake_pcg(apply, rhs, x, inv_diag):
+        def fake_pcg(apply, rhs, x, inv_diag, carried):
             calls.append(len(x))
-            return np.full_like(x, -1e8), 1, 0.0
+            fake = np.full_like(x, -1e8)
+            _, images = apply(fake)
+            return fake, [c + i for c, i in zip(carried, images)], 1, 0.0
 
         monkeypatch.setattr(solver, "_pcg", fake_pcg)
         with pytest.raises(PdasError, match="cycle") as info:
@@ -163,6 +164,73 @@ class TestPdas:
         spec = example1_spec(alpha=1e-7, lower=-np.inf, upper=np.inf)
         with pytest.raises(PdasError, match="CG"):
             solve_pdas(discretize(spec, make_unit_square(8)))
+
+
+class TestCarriedStateAdjoint:
+    """The reduced CG carries the state and adjoint of its iterate, so no
+    PDAS iteration back-solves them."""
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-7])
+    @pytest.mark.parametrize("bounds", [(-750.0, -50.0), (-np.inf, np.inf)])
+    def test_equal_fresh_back_solves(self, monkeypatch, alpha, bounds):
+        # the state and adjoint belong to the CG's final iterate q_I; the
+        # returned inactive controls are then reset to the raw estimate.
+        # The carried state is u_0 + A^-1 B_I q_I, and for small alpha
+        # without bounds u_0 = A^-1 f is much larger than u: 500 times at
+        # alpha = 1e-7 on the 16 x 16 square, where carried and fresh
+        # differ by 1.4e-12 relative. On this 8 x 8 square the largest
+        # difference is 1.7e-13 (alpha = 1e-7 without bounds)
+        iterates = []
+        original = solver._pcg
+
+        def recording_pcg(*args):
+            result = original(*args)
+            iterates.append(result[0])
+            return result
+
+        monkeypatch.setattr(solver, "_pcg", recording_pcg)
+        ws = discretize(example1_spec(alpha, *bounds), make_unit_square(8))
+        sol = solve_pdas(ws)
+        q = sol.q.values.copy()
+        if sol.trace[-1].inactive:
+            assert sol.trace[-1].cg_steps > 0
+            inactive = np.ones(len(q), dtype=bool)
+            inactive[sol.active_lower] = inactive[sol.active_upper] = False
+            q[inactive] = iterates[-1]
+        free = ws.dofmap.free
+        u = ws.lu.solve(ws.load_f[free] + ws.coupling[free] @ q)
+        phi = ws.lu.solve(ws.mass.free @ u - ws.load_ud[free])
+        for got, ref in ((sol.u.coeffs[free], u), (sol.phi.coeffs[free], phi)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", ["bounded", "unbounded", "variational"])
+    def test_back_solves_per_iteration(self, monkeypatch, case):
+        solves = []
+        original = spla.splu
+
+        class CountingFactor:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def solve(self, rhs):
+                solves.append(len(rhs))
+                return self._lu.solve(rhs)
+
+        monkeypatch.setattr(spla, "splu", lambda *args, **kwargs:
+                            CountingFactor(original(*args, **kwargs)))
+        bounds = (-np.inf, np.inf) if case == "unbounded" else ()
+        ws = discretize(example1_spec(1e-3, *bounds), make_unit_square(8))
+        sol = solve_pdas(ws)
+        if case == "variational":
+            del solves[:]
+            sol = solve_variational(ws, sol)
+        # two solves for the state and adjoint of the active controls; with
+        # inactive controls two for the CG start and two per CG step, and
+        # none for the final state and adjoint
+        inactive = [step for step in sol.trace if step.inactive]
+        assert inactive and all(step.cg_steps for step in inactive)
+        assert len(solves) == 2 * len(sol.trace) + sum(
+            2 + 2 * step.cg_steps for step in inactive)
 
 
 def _block_pdas(spec, ws, max_iter=50):
@@ -336,8 +404,8 @@ def _assert_point_clamp_identity(ws, sol, rtol=1e-12):
     """sol.q at the rule points equals clamp(-phi_h(x_k)/alpha), with phi_h
     evaluated by point location."""
     rule = quadrature("triangle", solver.VD_QUAD_DEGREE)
-    pts = _quad_points(ws.geom, rule).reshape(-1, 2)
-    phiv = evaluate_p2(sol.phi, pts[:, 0], pts[:, 1])
+    x, y = ws.geom.quad_points(rule)
+    phiv = evaluate_p2(sol.phi, x.ravel(), y.ravel())
     expected = clamp(-phiv / ws.spec.alpha, ws.spec.lower, ws.spec.upper)
     assert sol.q.values.shape == expected.shape
     assert np.max(np.abs(sol.q.values - expected)) <= rtol * np.max(
@@ -482,8 +550,7 @@ class TestDualityIdentity:
 
         geom = element_geometry(mesh)
         rule = quadrature("triangle", 8)
-        pts = _quad_points(geom, rule)
-        x, y = pts[..., 0], pts[..., 1]
+        x, y = geom.quad_points(rule)
 
         def integral(values):
             return float(np.einsum("q,tq->", rule.weights,
