@@ -9,15 +9,15 @@ estimators and newest-vertex-bisection adaptivity.
 from .mesh import (Mesh, MeshTopologyError, bisect, dorfler_mark,
                    make_lshape, make_unit_square, mesh_metrics)
 from .fem import (DofMap, P2Function, QuadratureRule, build_dofmap,
-                  eval_basis, interpolate, quadrature)
+                  interpolate, quadrature)
 from .assembly import (SparseOperator, assemble_a_h, assemble_load,
                        assemble_mass, build_edge_cache, control_coupling,
-                       energy_norm, error_norms)
-from .controls import ControlField, TraceField, bh_apply, clamp, vi_residual
+                       error_norms)
+from .controls import ControlField, clamp, vi_residual
 from .solver import (Discretization, KktSolution, PdasError, ProblemSpec,
                      discretize, evaluate_p2, projection_ph,
                      solve_linear_block, solve_pdas, solve_variational)
-from .estimator import EstimatorReport, efficiency_index, estimate
+from .estimator import EstimatorReport, estimate
 from .adaptive import AdaptiveHistory, LevelRecord, run_adaptive
 from .cases import (ManufacturedCase, biharmonic_sin3, boundary_demo_spec,
                     example1_case, example1_spec, example2_spec, g_sin3)

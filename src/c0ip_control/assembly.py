@@ -39,7 +39,6 @@ __all__ = [
     "assemble_mass",
     "assemble_load",
     "control_coupling",
-    "energy_norm",
     "error_norms",
     "broken_hessians",
     "eval_on_elements",
@@ -363,20 +362,6 @@ def eval_on_elements(dofmap, coeffs, rule):
     """Values of a P2 function at the rule's points on every element."""
     vals = shape_values(rule.points)
     return coeffs[dofmap.tri_dofs] @ vals.T     # (nt, nq)
-
-
-def energy_norm(v, geom, cache, eta, parts=False):
-    """Mesh-dependent energy norm of a P2 function.
-
-    ||v||_h^2 = sum_T ||D^2 v||_{0,T}^2 + sum_e (eta/h_e) int_e [grad v.n]^2.
-    With ``parts`` returns (norm, element part, penalty part) of the square.
-    """
-    hess = broken_hessians(geom, v.dofmap, v.coeffs)
-    elem = float(np.sum(geom.area * np.einsum("tkl,tkl->t", hess, hess)))
-    pen = float(eta * cache.jump_energy(v.coeffs).sum())
-    if parts:
-        return np.sqrt(elem + pen), elem, pen
-    return np.sqrt(elem + pen)
 
 
 def error_norms(v, exact_value, exact_hessian, geom, cache, eta):

@@ -13,7 +13,7 @@ import numpy as np
 from .adaptive import run_adaptive
 from .assembly import error_norms
 from .cases import boundary_demo_spec, example1_spec, example2_spec
-from .controls import bh_apply, vi_residual
+from .controls import vi_residual
 from .estimator import estimate
 from .io import write_csv, write_mesh_txt, write_vtk
 from .mesh import bisect, make_lshape, make_unit_square
@@ -25,7 +25,6 @@ __all__ = ["RunConfig", "run_example1", "run_example2", "run_boundary_demo",
 
 @dataclass
 class RunConfig:
-    problem: str = "distributed"
     domain: str = "square"
     mode: str = "uniform"
     levels: int = 5
@@ -37,7 +36,6 @@ class RunConfig:
     max_dofs: int = 50000
     diagonal: str = "ne"
     out: str = "out"
-    export_vtk: bool = True
 
     def outpath(self, name):
         os.makedirs(self.out, exist_ok=True)
@@ -108,21 +106,20 @@ def run_example2(config, initial_subdivision=2, max_levels=60):
     mesh = make_lshape(initial_subdivision, diagonal=config.diagonal)
     history = run_adaptive(spec, mesh, theta=config.theta,
                            max_dofs=config.max_dofs, max_levels=max_levels,
-                           keep_solutions=config.export_vtk)
+                           keep_solutions=True)
     history.to_csv(config.outpath("example2.csv"))
-    if config.export_vtk:
-        picks = sorted({0, len(history.meshes) // 2, len(history.meshes) - 1})
-        for idx in picks:
-            m = history.meshes[idx]
-            sol = history.solutions[idx]
-            nv = m.num_vertices
-            write_vtk(m, config.outpath("example2_level%02d.vtk" % idx),
-                      point_data={"u_h": sol.u.coeffs[:nv],
-                                  "phi_h": sol.phi.coeffs[:nv]},
-                      cell_data={"q_h": sol.q.values})
-        write_mesh_txt(history.meshes[-1],
-                       config.outpath("example2_final.node"),
-                       config.outpath("example2_final.ele"))
+    picks = sorted({0, len(history.meshes) // 2, len(history.meshes) - 1})
+    for idx in picks:
+        m = history.meshes[idx]
+        sol = history.solutions[idx]
+        nv = m.num_vertices
+        write_vtk(m, config.outpath("example2_level%02d.vtk" % idx),
+                  point_data={"u_h": sol.u.coeffs[:nv],
+                              "phi_h": sol.phi.coeffs[:nv]},
+                  cell_data={"q_h": sol.q.values})
+    write_mesh_txt(history.meshes[-1],
+                   config.outpath("example2_final.node"),
+                   config.outpath("example2_final.ele"))
     return history
 
 
@@ -133,8 +130,8 @@ def run_boundary_demo(config, subdivision=8):
     mesh = make_unit_square(subdivision, diagonal=config.diagonal)
     ws = discretize(spec, mesh)
     sol = solve_pdas(ws)
-    trace = bh_apply("boundary", sol.phi, ws.cache)
-    kkt = vi_residual(sol.q, trace, spec.alpha)
+    means = ws.coupling.T @ sol.phi.coeffs / ws.measures
+    kkt = vi_residual(sol.q, means, spec.alpha)
     report = estimate(ws, sol)
     rows = [
         ("state_residual", sol.state_residual),
@@ -217,7 +214,7 @@ def _build_parser():
 
 
 def _study(problem, mode):
-    """The (problem, mode) pair named by the flags, each None if not given.
+    """The study mode that --problem and --mode name (each None if unset).
 
     Boundary control has one study, the boundary demo; each implies the
     other.
@@ -229,15 +226,15 @@ def _study(problem, mode):
         if mode not in (None, "boundary-demo"):
             raise ValueError("--problem boundary runs the boundary demo; "
                              "--mode %s needs --problem distributed" % mode)
-        return "boundary", "boundary-demo"
-    return "distributed", mode or "uniform"
+        return "boundary-demo"
+    return mode or "uniform"
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        problem, mode = _study(args.problem, args.mode)
-        config = RunConfig(problem=problem, domain=args.domain, mode=mode,
+        config = RunConfig(domain=args.domain,
+                           mode=_study(args.problem, args.mode),
                            levels=args.levels, alpha=args.alpha,
                            eta=args.eta, qmin=args.qmin, qmax=args.qmax,
                            theta=args.theta, max_dofs=args.max_dofs,

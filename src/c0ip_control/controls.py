@@ -1,9 +1,9 @@
-"""Control-space operators: traces, piecewise-constant projection, box clamp.
+"""Control fields, the box clamp and the discrete optimality check.
 
 Controls live on boundary edges (boundary flux control) or on triangles
-(distributed control). The trace operator maps a P2 function to its
-edge-wise normal derivative (linear per boundary edge) or to itself
-(quadratic per triangle); the projection takes entity-wise means.
+(distributed control). The entity means Pi_h(B_h v) of a P2 function v are
+B^T v / measures, with the coupling B and the measures that
+``assembly.control_coupling`` builds.
 """
 
 from __future__ import annotations
@@ -12,12 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import quadrature, shape_values
-
 __all__ = [
     "ControlField",
-    "TraceField",
-    "bh_apply",
     "clamp",
     "vi_residual",
 ]
@@ -62,45 +58,6 @@ class ControlField:
 
 
 @dataclass
-class TraceField:
-    """Entity-local polynomial data of B_h v.
-
-    Boundary kind: values of dv/dn at the two edge Gauss points per boundary
-    edge, shape (ne, 2). Distributed kind: the six local P2 coefficients per
-    triangle, shape (nt, 6).
-    """
-
-    kind: str
-    mesh: object
-    data: np.ndarray
-
-    def means(self):
-        """Entity-wise mean value (the piecewise-constant projection)."""
-        if self.kind == "boundary":
-            wg = np.asarray(quadrature("edge", 3).weights)
-            return self.data @ wg
-        rule = quadrature("triangle", 2)
-        vals = shape_values(rule.points)
-        integral = np.einsum("q,qi,ti->t", rule.weights, vals, self.data)
-        # reference integral / reference area
-        return integral / 0.5
-
-
-def bh_apply(kind, v, cache):
-    """Apply the control trace operator B_h to a P2 function.
-
-    ``cache`` is the edge trace cache of ``v``'s mesh and dofmap; the
-    boundary kind reads its normal derivatives.
-    """
-    if kind == "distributed":
-        return TraceField(kind, v.mesh, v.coeffs[v.dofmap.tri_dofs].copy())
-    if kind == "boundary":
-        return TraceField(kind, v.mesh,
-                          cache.boundary_normal_derivative(v.coeffs))
-    raise ValueError("kind must be 'distributed' or 'boundary'")
-
-
-@dataclass
 class ViReport:
     """Entity-wise KKT sign check and sampled variational-inequality values."""
 
@@ -116,17 +73,18 @@ class ViReport:
         return not bool(self.violations.any())
 
 
-def vi_residual(q, trace, alpha, tol=1e-10):
+def vi_residual(q, means, alpha, tol=1e-10):
     """Check the discrete first-order conditions for a control field.
 
-    With m = Pi_h(B_h phi) + alpha q the conditions are m >= 0 where q sits
+    ``means`` holds Pi_h(B_h phi), one value per control entity. With
+    m = Pi_h(B_h phi) + alpha q the conditions are m >= 0 where q sits
     at the lower bound, m <= 0 at the upper bound and |m| <= tol in between.
     The global inequality <m, p - q> >= 0 is sampled at the two constant
     admissible controls p = lower and p = upper (skipped if infinite).
     """
     if not q.admissible:
         raise ValueError("control field is not admissible")
-    m = trace.means() + alpha * q.values
+    m = means + alpha * q.values
     bound_tol = 1e-12 * max(1.0, np.abs(q.values).max(initial=0.0))
     at_lower = (np.isfinite(q.lower)
                 & (np.abs(q.values - q.lower) <= bound_tol))

@@ -20,7 +20,7 @@ import numpy as np
 from .assembly import eval_on_elements
 from .fem import quadrature
 
-__all__ = ["EstimatorReport", "estimate", "efficiency_index"]
+__all__ = ["EstimatorReport", "estimate"]
 
 _EDGE_W = np.asarray(quadrature("edge", 3).weights)
 
@@ -152,11 +152,3 @@ def estimate(ws, sol):
     return EstimatorReport(volume_u, volume_phi, hess_u, grad_u,
                            hess_phi, grad_phi, boundary_u, boundary_phi,
                            control, marking)
-
-
-def efficiency_index(report, errors):
-    """Ratio eta_total / (sum of the true errors)."""
-    total = float(np.sum(errors))
-    if total <= 0.0:
-        raise ValueError("zero total error: efficiency index undefined")
-    return report.eta_total / total

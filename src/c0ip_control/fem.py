@@ -22,7 +22,6 @@ __all__ = [
     "shape_values",
     "shape_gradients",
     "REFERENCE_HESSIANS",
-    "eval_basis",
     "quadrature",
     "interpolate",
 ]
@@ -64,14 +63,6 @@ def shape_gradients(points):
         grads[:, 3 + k] = 4.0 * (lam[:, l, None] * _DL[j]
                                  + lam[:, j, None] * _DL[l])
     return grads
-
-
-def eval_basis(local_index, point):
-    """Value, gradient and (constant) Hessian of one reference basis function."""
-    pt = np.asarray(point, dtype=float).reshape(1, 2)
-    return (shape_values(pt)[0, local_index],
-            shape_gradients(pt)[0, local_index],
-            REFERENCE_HESSIANS[local_index].copy())
 
 
 @dataclass(frozen=True)

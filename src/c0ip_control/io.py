@@ -7,9 +7,7 @@ import os
 
 import numpy as np
 
-from .mesh import Mesh
-
-__all__ = ["write_mesh_txt", "read_mesh_txt", "write_vtk", "write_csv"]
+__all__ = ["write_mesh_txt", "write_vtk", "write_csv"]
 
 
 def write_mesh_txt(mesh, node_path, element_path):
@@ -20,12 +18,6 @@ def write_mesh_txt(mesh, node_path, element_path):
     with open(element_path, "w") as fh:
         for i, j, k in mesh.triangles:
             fh.write("%d %d %d\n" % (i, j, k))
-
-
-def read_mesh_txt(node_path, element_path, domain="custom"):
-    vertices = np.loadtxt(node_path, ndmin=2)
-    triangles = np.loadtxt(element_path, dtype=int, ndmin=2)
-    return Mesh(vertices, triangles, domain=domain)
 
 
 def write_vtk(mesh, path, point_data=None, cell_data=None):

@@ -28,36 +28,6 @@ class MeshTopologyError(RuntimeError):
     """Raised when refinement closure cannot terminate (broken topology)."""
 
 
-def _classify_boundary(domain, midpoints):
-    """Assign a boundary-segment id to each boundary edge midpoint."""
-    x, y = midpoints[:, 0], midpoints[:, 1]
-    seg = np.full(len(midpoints), -1, dtype=int)
-    if domain == "square":
-        lines = [
-            (np.abs(y) < _GEOM_TOL),            # y = 0
-            (np.abs(x - 1.0) < _GEOM_TOL),      # x = 1
-            (np.abs(y - 1.0) < _GEOM_TOL),      # y = 1
-            (np.abs(x) < _GEOM_TOL),            # x = 0
-        ]
-    elif domain == "lshape":
-        lines = [
-            (np.abs(y + 1.0) < _GEOM_TOL) & (x <= _GEOM_TOL),   # y = -1
-            (np.abs(x) < _GEOM_TOL) & (y <= _GEOM_TOL),         # x = 0, y < 0
-            (np.abs(y) < _GEOM_TOL) & (x >= -_GEOM_TOL),        # y = 0, x > 0
-            (np.abs(x - 1.0) < _GEOM_TOL) & (y >= -_GEOM_TOL),  # x = 1
-            (np.abs(y - 1.0) < _GEOM_TOL),                      # y = 1
-            (np.abs(x + 1.0) < _GEOM_TOL),                      # x = -1
-        ]
-    else:
-        seg[:] = 0
-        return seg
-    for sid, mask in enumerate(lines):
-        seg[mask & (seg < 0)] = sid
-    if np.any(seg < 0):
-        raise MeshTopologyError("boundary edge not on any boundary segment")
-    return seg
-
-
 class Mesh:
     """Immutable conforming triangulation with edge topology.
 
@@ -72,12 +42,11 @@ class Mesh:
     edges : (ne, 2) int array of sorted vertex pairs.
     edge_tris : (ne, 2) int array of adjacent triangles (-1 if boundary).
     tri_edges : (nt, 3) int array; entry k is the edge opposite local vertex k.
-    boundary_segment : (ne,) int array; segment id for boundary edges,
-        -1 for interior edges.
+
+    An edge lies on the boundary when it has one adjacent triangle.
     """
 
-    def __init__(self, vertices, triangles, level=None, parent=None,
-                 domain="custom"):
+    def __init__(self, vertices, triangles, level=None, parent=None):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=int)
         nt = len(triangles)
@@ -87,12 +56,10 @@ class Mesh:
                       else np.asarray(level, dtype=int))
         self.parent = (np.full(nt, -1, dtype=int) if parent is None
                        else np.asarray(parent, dtype=int))
-        self.domain = domain
         self._check_orientation()
         self._build_topology()
         for arr in (self.vertices, self.triangles, self.level, self.parent,
-                    self.edges, self.edge_tris, self.tri_edges,
-                    self.boundary_segment):
+                    self.edges, self.edge_tris, self.tri_edges):
             arr.setflags(write=False)
 
     # -- construction helpers -------------------------------------------
@@ -130,12 +97,6 @@ class Mesh:
         self.edges = edges
         self.edge_tris = edge_tris
         self.tri_edges = tri_edges
-        boundary = counts == 1
-        mids = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
-        seg = np.full(ne, -1, dtype=int)
-        if boundary.any():
-            seg[boundary] = _classify_boundary(self.domain, mids[boundary])
-        self.boundary_segment = seg
 
     # -- queries ----------------------------------------------------------
 
@@ -153,11 +114,11 @@ class Mesh:
 
     @property
     def interior_edges(self):
-        return np.flatnonzero(self.boundary_segment < 0)
+        return np.flatnonzero(self.edge_tris[:, 1] >= 0)
 
     @property
     def boundary_edges(self):
-        return np.flatnonzero(self.boundary_segment >= 0)
+        return np.flatnonzero(self.edge_tris[:, 1] < 0)
 
     @property
     def boundary_vertices(self):
@@ -209,6 +170,22 @@ def _orient_refinement_edges(vertices, triangles):
                      (k[:, None] + np.arange(3)) % 3]
 
 
+def _split_cells(p00, p10, p01, p11, diagonal):
+    """Two counterclockwise triangles per cell, cell by cell, from the
+    vertex ids of the cells' corners (p10 is the corner right of p00)."""
+    if diagonal == "ne":
+        pair = [(p10, p11, p00), (p01, p00, p11)]
+    else:
+        pair = [(p00, p10, p01), (p11, p01, p10)]
+    return np.stack([np.column_stack(t) for t in pair], axis=1).reshape(-1, 3)
+
+
+def _cell_grid(n):
+    """Cell indices (i, j) of an n x n grid, j running fastest."""
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return i.ravel(), j.ravel()
+
+
 def make_unit_square(n, diagonal="ne"):
     """Uniform mesh of (0,1)^2: n x n cells, two triangles each.
 
@@ -223,62 +200,36 @@ def make_unit_square(n, diagonal="ne"):
     xs = np.linspace(0.0, 1.0, n + 1)
     xv, yv = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            p00, p10 = vid(i, j), vid(i + 1, j)
-            p01, p11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if diagonal == "ne":
-                tris.append((p10, p11, p00))
-                tris.append((p01, p00, p11))
-            else:
-                tris.append((p00, p10, p01))
-                tris.append((p11, p01, p10))
-    triangles = _orient_refinement_edges(vertices, np.array(tris))
-    return Mesh(vertices, triangles, domain="square")
+    i, j = _cell_grid(n)
+    p00 = i * (n + 1) + j
+    triangles = _split_cells(p00, p00 + n + 1, p00 + 1, p00 + n + 2, diagonal)
+    return Mesh(vertices, _orient_refinement_edges(vertices, triangles))
 
 
 def make_lshape(n, diagonal="ne"):
     """L-shaped domain (-1,1)^2 minus [0,1]x[-1,0], re-entrant corner at 0.
 
-    Built from three unit squares, each meshed like ``make_unit_square(n)``.
+    Built from three unit squares, each meshed like ``make_unit_square(n)``;
+    vertices are numbered by first appearance as cell corners.
     """
     if n < 1:
         raise ValueError("subdivision count must be >= 1")
-    squares = [(-1.0, -1.0), (-1.0, 0.0), (0.0, 0.0)]
-    vert_index = {}
-    vertices = []
-    tris = []
-
-    def vid(x, y):
-        key = (round(x, 12), round(y, 12))
-        if key not in vert_index:
-            vert_index[key] = len(vertices)
-            vertices.append((x, y))
-        return vert_index[key]
-
     h = 1.0 / n
-    for x0, y0 in squares:
-        for i in range(n):
-            for j in range(n):
-                xa, ya = x0 + i * h, y0 + j * h
-                p00 = vid(xa, ya)
-                p10 = vid(xa + h, ya)
-                p01 = vid(xa, ya + h)
-                p11 = vid(xa + h, ya + h)
-                if diagonal == "ne":
-                    tris.append((p10, p11, p00))
-                    tris.append((p01, p00, p11))
-                else:
-                    tris.append((p00, p10, p01))
-                    tris.append((p11, p01, p10))
-    vertices = np.array(vertices)
-    triangles = _orient_refinement_edges(vertices, np.array(tris))
-    return Mesh(vertices, triangles, domain="lshape")
+    i, j = _cell_grid(n)
+    corners = []
+    for x0, y0 in [(-1.0, -1.0), (-1.0, 0.0), (0.0, 0.0)]:
+        xa, ya = x0 + i * h, y0 + j * h
+        corners.append(np.stack([(xa, ya), (xa + h, ya), (xa, ya + h),
+                                 (xa + h, ya + h)], axis=1).T)
+    corners = np.concatenate(corners).reshape(-1, 2)    # p00, p10, p01, p11
+    # corners that agree to 12 decimals are one vertex
+    _, first, inverse = np.unique(np.round(corners, 12), axis=0,
+                                  return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    vertices = corners[np.sort(first)]
+    triangles = _split_cells(*rank[inverse.ravel()].reshape(-1, 4).T, diagonal)
+    return Mesh(vertices, _orient_refinement_edges(vertices, triangles))
 
 
 def bisect(mesh, marked):
@@ -405,8 +356,7 @@ def bisect(mesh, marked):
         np.concatenate([tris[keep_old], created.reshape(-1, 3)[keep_new]]),
         np.concatenate([mesh.level[keep_old],
                         np.repeat(ev_level + 1, 2)[keep_new]]),
-        np.concatenate([idx[keep_old], np.repeat(ev_root, 2)[keep_new]]),
-        domain=mesh.domain)
+        np.concatenate([idx[keep_old], np.repeat(ev_root, 2)[keep_new]]))
 
 
 def dorfler_mark(indicators, theta):

@@ -213,7 +213,8 @@ class PdasStep:
     ``cg_residual`` the steps and final residual of the reduced solve,
     relative to ||B_I^T phi_0|| (0 and 0.0 when every control is active,
     see the module docstring), and ``infeasible`` the number of inactive
-    controls of the iterate outside [lower, upper].
+    controls of the iterate outside [lower, upper]. ``objective`` is the
+    discrete tracking functional of the iterate.
 
     The objective of an iterate with ``infeasible > 0`` may lie below that
     of the feasible iterate that follows it, so PDAS is not monotone there.
@@ -224,6 +225,7 @@ class PdasStep:
     cg_steps: int
     cg_residual: float
     infeasible: int
+    objective: float
 
 
 @dataclass
@@ -239,7 +241,6 @@ class KktSolution:
     state_residual: float
     adjoint_residual: float
     cg_residual: float
-    objective_history: list = field(default_factory=list)
     trace: list = field(default_factory=list)    # PdasStep per iteration
 
 
@@ -346,7 +347,6 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
     prev_status = np.zeros(nent, dtype=np.int8)
     seen = []
     solution = None
-    objective_history = []
     trace = []
 
     for it in range(1, max_iter + 1):
@@ -394,9 +394,9 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
         trace.append(PdasStep(
             int(inactive.sum()), int(np.count_nonzero(status != prev_status)),
             cg_steps, cg_res,
-            int(np.count_nonzero((q_in < spec.lower) | (q_in > spec.upper)))))
+            int(np.count_nonzero((q_in < spec.lower) | (q_in > spec.upper))),
+            _objective(ws, u_free, qvals, d_meas)))
         prev_status = status
-        objective_history.append(_objective(ws, u_free, qvals, d_meas))
     else:
         raise PdasError(
             "active sets did not stabilize within %d iterations" % max_iter,
@@ -414,7 +414,6 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
         state_residual=r_state,
         adjoint_residual=r_adj,
         cg_residual=cg_res,
-        objective_history=objective_history,
         trace=trace,
     )
 

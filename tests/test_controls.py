@@ -1,9 +1,9 @@
-"""Control traces, piecewise-constant projection, clamping, KKT checks."""
+"""Control means, control measures, clamping, KKT checks."""
 
 import numpy as np
 import pytest
 
-from c0ip_control import (bh_apply, build_dofmap, build_edge_cache, clamp,
+from c0ip_control import (build_dofmap, build_edge_cache, clamp,
                           control_coupling, interpolate, make_unit_square,
                           vi_residual)
 from c0ip_control.assembly import element_geometry, eval_on_elements
@@ -17,6 +17,12 @@ def discrete_parts(mesh):
     dm = build_dofmap(mesh)
     geom = element_geometry(mesh)
     return dm, geom, build_edge_cache(mesh, dm, geom)
+
+
+def entity_means(mesh, v, kind):
+    """Pi_h(B_h v) as B^T v / measures, from ``control_coupling``."""
+    coupling, measures = control_coupling(*discrete_parts(mesh), kind)
+    return coupling.T @ v.coeffs / measures
 
 
 class TestClamp:
@@ -37,27 +43,27 @@ class TestClamp:
 class TestProjection:
     def test_constant_reproduced(self):
         mesh = make_unit_square(2)
-        dm, _, cache = discrete_parts(mesh)
+        dm = build_dofmap(mesh)
         v = interpolate(mesh, dm, lambda x, y: 3.5 + 0.0 * x)
-        means = bh_apply("distributed", v, cache).means()
+        means = entity_means(mesh, v, "distributed")
         assert np.allclose(means, 3.5, atol=1e-13)
 
     def test_linear_mean_on_reference_triangle(self):
         mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     np.array([[0, 1, 2]]))
-        dm, _, cache = discrete_parts(mesh)
+        dm = build_dofmap(mesh)
         v = interpolate(mesh, dm, lambda x, y: x)
-        means = bh_apply("distributed", v, cache).means()
+        means = entity_means(mesh, v, "distributed")
         assert np.allclose(means, 1.0 / 3.0)
 
     def test_orthogonality(self):
         # <v - Pi_h v, p> = 0 for every piecewise-constant p
         mesh = make_unit_square(3)
-        dm, geom, cache = discrete_parts(mesh)
+        dm, geom, _ = discrete_parts(mesh)
         rng = np.random.default_rng(11)
         v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
         v.coeffs[:] = rng.standard_normal(dm.ndof)
-        means = bh_apply("distributed", v, cache).means()
+        means = entity_means(mesh, v, "distributed")
         rule = quadrature("triangle", 2)
         vals = eval_on_elements(dm, v.coeffs, rule)
         defect = np.einsum("q,tq->t", rule.weights,
@@ -67,39 +73,14 @@ class TestProjection:
     def test_boundary_trace_projection(self):
         # v = x^2 has dv/dn = 2 on x = 1 and 0 elsewhere
         mesh = make_unit_square(2)
-        dm, _, cache = discrete_parts(mesh)
+        dm = build_dofmap(mesh)
         v = interpolate(mesh, dm, lambda x, y: x * x)
-        means = bh_apply("boundary", v, cache).means()
+        means = entity_means(mesh, v, "boundary")
         mids = 0.5 * (mesh.vertices[mesh.edges[mesh.boundary_edges, 0]]
                       + mesh.vertices[mesh.edges[mesh.boundary_edges, 1]])
         on_right = np.isclose(mids[:, 0], 1.0)
         assert np.allclose(means[on_right], 2.0)
         assert np.allclose(means[~on_right], 0.0, atol=1e-13)
-
-
-class TestTraces:
-    def test_distributed_is_identity_on_coefficients(self):
-        mesh = make_unit_square(2)
-        dm, _, cache = discrete_parts(mesh)
-        rng = np.random.default_rng(2)
-        v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
-        v.coeffs[:] = rng.standard_normal(dm.ndof)
-        trace = bh_apply("distributed", v, cache)
-        assert np.array_equal(trace.data, v.coeffs[dm.tri_dofs])
-
-    def test_zero_function_zero_trace(self):
-        mesh = make_unit_square(2)
-        dm, _, cache = discrete_parts(mesh)
-        v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
-        trace = bh_apply("boundary", v, cache)
-        assert np.allclose(trace.data, 0.0)
-
-    def test_invalid_kind(self):
-        mesh = make_unit_square(1)
-        dm, _, cache = discrete_parts(mesh)
-        v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
-        with pytest.raises(ValueError):
-            bh_apply("volume", v, cache)
 
 
 class TestControlMeasures:
@@ -121,19 +102,19 @@ class TestViResidual:
     def _optimal_pair(self):
         """A control that exactly satisfies the clamp relation."""
         mesh = make_unit_square(2)
-        dm, geom, cache = discrete_parts(mesh)
+        dm, geom, _ = discrete_parts(mesh)
         rng = np.random.default_rng(9)
         phi = interpolate(mesh, dm, lambda x, y: 0.0 * x)
         phi.coeffs[:] = rng.standard_normal(dm.ndof)
-        trace = bh_apply("distributed", phi, cache)
+        means = entity_means(mesh, phi, "distributed")
         alpha, lo, hi = 1e-3, -1.0, 1.0
-        q = ControlField("distributed", clamp(-trace.means() / alpha, lo, hi),
+        q = ControlField("distributed", clamp(-means / alpha, lo, hi),
                          lo, hi, geom.area)
-        return q, trace, alpha
+        return q, means, alpha
 
     def test_clamped_control_satisfies_kkt(self):
-        q, trace, alpha = self._optimal_pair()
-        report = vi_residual(q, trace, alpha, tol=1e-12)
+        q, means, alpha = self._optimal_pair()
+        report = vi_residual(q, means, alpha, tol=1e-12)
         assert report.satisfied
         if report.vi_lower is not None:
             assert report.vi_lower >= -1e-10
@@ -141,16 +122,16 @@ class TestViResidual:
             assert report.vi_upper >= -1e-10
 
     def test_constructed_violation_flagged(self):
-        q, trace, alpha = self._optimal_pair()
+        q, means, alpha = self._optimal_pair()
         bad_values = np.full_like(q.values, q.upper)
         bad = ControlField(q.kind, bad_values, q.lower, q.upper, q.measures)
-        report = vi_residual(bad, trace, alpha)
+        report = vi_residual(bad, means, alpha)
         # at least one entity has a raw value that should sit elsewhere
         assert not report.satisfied
 
     def test_inadmissible_rejected(self):
-        q, trace, alpha = self._optimal_pair()
+        q, means, alpha = self._optimal_pair()
         worse = ControlField(q.kind, q.values + 10.0, q.lower, q.upper,
                              q.measures)
         with pytest.raises(ValueError):
-            vi_residual(worse, trace, alpha)
+            vi_residual(worse, means, alpha)

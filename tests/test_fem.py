@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import c0ip_control
-from c0ip_control import (build_dofmap, eval_basis, interpolate,
-                          make_lshape, make_unit_square, quadrature)
+from c0ip_control import (build_dofmap, interpolate, make_lshape,
+                          make_unit_square, quadrature)
 from c0ip_control.fem import (REFERENCE_HESSIANS, _GAUSS_JACOBI,
                               _TRIANGLE_DEGREES, shape_gradients,
                               shape_values)
@@ -50,13 +50,11 @@ class TestDofMap:
 class TestReferenceBasis:
     def test_vertex_hessian(self):
         # vertex function of lambda = 1 - x - y
-        _, _, hess = eval_basis(0, (0.3, 0.3))
-        assert np.allclose(hess, [[4.0, 4.0], [4.0, 4.0]])
+        assert np.allclose(REFERENCE_HESSIANS[0], [[4.0, 4.0], [4.0, 4.0]])
 
     def test_edge_bubble_hessian(self):
         # 4 * (1 - x - y) * x is the bubble on the edge opposite vertex 2
-        _, _, hess = eval_basis(5, (0.2, 0.1))
-        assert np.allclose(hess, [[-8.0, -4.0], [-4.0, 0.0]])
+        assert np.allclose(REFERENCE_HESSIANS[5], [[-8.0, -4.0], [-4.0, 0.0]])
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(0)

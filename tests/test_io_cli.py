@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 import c0ip_control
-from c0ip_control import clamp, example1_spec, make_lshape, make_unit_square
+from c0ip_control import (Mesh, clamp, example1_spec, make_lshape,
+                          make_unit_square)
 from c0ip_control import cli, solver
 from c0ip_control.assembly import element_geometry
 from c0ip_control.cli import (RunConfig, main, run_boundary_demo,
                               run_example1, run_example2, run_vd_compare,
                               _uniform_square_meshes)
 from c0ip_control.fem import quadrature
-from c0ip_control.io import read_mesh_txt, write_csv, write_mesh_txt, write_vtk
+from c0ip_control.io import write_csv, write_mesh_txt, write_vtk
 
 
 class TestMeshFiles:
@@ -23,7 +24,8 @@ class TestMeshFiles:
         mesh = make_lshape(2)
         node, ele = str(tmp_path / "m.node"), str(tmp_path / "m.ele")
         write_mesh_txt(mesh, node, ele)
-        back = read_mesh_txt(node, ele, domain="lshape")
+        back = Mesh(np.loadtxt(node, ndmin=2),
+                    np.loadtxt(ele, dtype=int, ndmin=2))
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.triangles, mesh.triangles)
         assert back.num_edges == mesh.num_edges
@@ -93,7 +95,7 @@ class TestDrivers:
                           "err_q,order_q")
 
     def test_example2_small_run(self, tmp_path):
-        config = RunConfig(max_dofs=300, out=str(tmp_path), export_vtk=True)
+        config = RunConfig(max_dofs=300, out=str(tmp_path))
         history = run_example2(config, initial_subdivision=1, max_levels=8)
         assert (tmp_path / "example2.csv").exists()
         assert (tmp_path / "example2_final.node").exists()

@@ -10,11 +10,89 @@ from c0ip_control import (Mesh, MeshTopologyError, bisect, dorfler_mark,
 from c0ip_control.mesh import _GEOM_TOL, _orient_refinement_edges
 
 MESH_ARRAYS = ("vertices", "triangles", "level", "parent", "edges",
-               "edge_tris", "tri_edges", "boundary_segment")
+               "edge_tris", "tri_edges")
+
+# the boundary lines of the domain each initial mesh covers, as (axis,
+# value, low, high): the points p with p[axis] = value and the other
+# coordinate in [low, high]
+BOUNDARY_LINES = {
+    make_unit_square: [(1, 0.0, 0.0, 1.0), (0, 1.0, 0.0, 1.0),
+                       (1, 1.0, 0.0, 1.0), (0, 0.0, 0.0, 1.0)],
+    make_lshape: [(1, -1.0, -1.0, 0.0), (0, 0.0, -1.0, 0.0),
+                  (1, 0.0, 0.0, 1.0), (0, 1.0, 0.0, 1.0),
+                  (1, 1.0, -1.0, 1.0), (0, -1.0, -1.0, 1.0)],
+}
 
 
 def euler_characteristic(mesh):
     return mesh.num_vertices - mesh.num_edges + mesh.num_triangles
+
+
+def boundary_edges_on_lines(mesh, maker):
+    """Whether each boundary edge of ``mesh`` has both ends on one boundary
+    line of the domain that ``maker`` meshes."""
+    ends = mesh.vertices[mesh.edges[mesh.boundary_edges]]   # (nb, 2, 2)
+    tol = 1e-12
+    hit = np.zeros(len(ends), dtype=bool)
+    for axis, value, low, high in BOUNDARY_LINES[maker]:
+        along = ends[:, :, 1 - axis]
+        hit |= np.all((np.abs(ends[:, :, axis] - value) < tol)
+                      & (along >= low - tol) & (along <= high + tol), axis=1)
+    return hit
+
+
+def split_cells_loop(cells, diagonal):
+    """Two triangles per cell (p00, p10, p01, p11), one cell at a time."""
+    tris = []
+    for p00, p10, p01, p11 in cells:
+        if diagonal == "ne":
+            tris.append((p10, p11, p00))
+            tris.append((p01, p00, p11))
+        else:
+            tris.append((p00, p10, p01))
+            tris.append((p11, p01, p10))
+    return np.array(tris)
+
+
+def make_unit_square_loop(n, diagonal="ne"):
+    """``make_unit_square`` cell by cell: the oracle of the array version."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xv, yv = np.meshgrid(xs, xs, indexing="ij")
+    vertices = np.column_stack([xv.ravel(), yv.ravel()])
+
+    def vid(i, j):
+        return i * (n + 1) + j
+
+    cells = [(vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1))
+             for i in range(n) for j in range(n)]
+    tris = split_cells_loop(cells, diagonal)
+    return Mesh(vertices, _orient_refinement_edges(vertices, tris))
+
+
+def make_lshape_loop(n, diagonal="ne"):
+    """``make_lshape`` with a dict of rounded coordinates that numbers the
+    vertices as they first appear: the oracle of the array version."""
+    vert_index = {}
+    vertices = []
+
+    def vid(x, y):
+        key = (round(x, 12), round(y, 12))
+        if key not in vert_index:
+            vert_index[key] = len(vertices)
+            vertices.append((x, y))
+        return vert_index[key]
+
+    h = 1.0 / n
+    cells = []
+    for x0, y0 in [(-1.0, -1.0), (-1.0, 0.0), (0.0, 0.0)]:
+        for i in range(n):
+            for j in range(n):
+                xa, ya = x0 + i * h, y0 + j * h
+                cells.append((vid(xa, ya), vid(xa + h, ya), vid(xa, ya + h),
+                              vid(xa + h, ya + h)))
+    tris = split_cells_loop(cells, diagonal)
+    vertices = np.array(vertices)
+    return Mesh(vertices, _orient_refinement_edges(vertices, tris))
 
 
 def edge_tris_loop(mesh):
@@ -155,8 +233,7 @@ def bisect_loop(mesh, marked):
     new_tris = np.array([tris[t] for t in order], dtype=int)
     new_level = np.array([level[t] for t in order], dtype=int)
     new_parent = np.array([root[t] for t in order], dtype=int)
-    return Mesh(np.array(verts), new_tris, new_level, new_parent,
-                domain=mesh.domain)
+    return Mesh(np.array(verts), new_tris, new_level, new_parent)
 
 
 def assert_same_mesh(mesh, reference):
@@ -253,6 +330,27 @@ class TestMakeLshape:
         mesh = make_lshape(2)
         cent = mesh.vertices[mesh.triangles].mean(axis=1)
         assert not np.any((cent[:, 0] > 0.0) & (cent[:, 1] < 0.0))
+
+
+class TestInitialMeshesMatchLoops:
+    """The array builders against their cell-by-cell oracles."""
+
+    @pytest.mark.parametrize("diagonal", ["ne", "nw"])
+    @pytest.mark.parametrize("maker,loop", [
+        (make_unit_square, make_unit_square_loop),
+        (make_lshape, make_lshape_loop)])
+    def test_same_arrays(self, maker, loop, diagonal):
+        for n in range(1, 17):
+            assert_same_mesh(maker(n, diagonal), loop(n, diagonal))
+
+    @pytest.mark.parametrize("maker", [make_unit_square, make_lshape])
+    def test_boundary_edges_on_boundary_lines(self, maker):
+        for n in (1, 3):
+            mesh = maker(n)
+            assert boundary_edges_on_lines(mesh, maker).all()
+            assert not boundary_edges_on_lines(
+                mesh, make_lshape if maker is make_unit_square
+                else make_unit_square).all()
 
 
 class TestBisect:
@@ -367,10 +465,9 @@ class TestRandomRefinementChains:
                 assert euler_characteristic(mesh) == 1
                 assert abs(mesh.signed_areas().sum() - area) < 1e-12
                 assert mesh.min_angle() >= angle0 - 1e-12
-                # conforming: every interior edge shared by exactly two cells
-                interior = mesh.boundary_segment < 0
-                assert np.all(mesh.edge_tris[interior] >= 0)
-                assert np.all(mesh.edge_tris[~interior, 1] == -1)
+                # conforming: an edge with a single cell lies on the
+                # domain's boundary
+                assert boundary_edges_on_lines(mesh, maker).all()
 
     @pytest.mark.parametrize("maker", [make_unit_square, make_lshape])
     def test_edge_tris_match_loop(self, maker):
