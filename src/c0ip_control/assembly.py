@@ -13,16 +13,25 @@ normal derivatives are constant and the normal-derivative jumps are linear
 along each edge, so two-point Gauss integrates every edge term exactly.
 
 The edge traces are sparse operators over all dofs, built once per mesh in
-``EdgeTraceCache``: the edge terms of a_h are T^T G T with T stacking the
-mean second normal derivatives and the Gauss-point normal-derivative jumps,
-and the norms, the estimator and the boundary control read the same
+``EdgeTraceCache`` from P2 gradients tabulated at the reference edge Gauss
+points; the norms, the estimator and the boundary control read the same
 operators.
+
+Every term of a_h is a sum of products of traces, so A_h = X^T Y with one
+row of X per trace and Y = G X for a block-diagonal weight G: per triangle
+the four Hessian components of its basis (G = |T|), per interior edge the
+mean second normal derivative S and the jumps J_1, J_2 at the two Gauss
+points (G couples S with J_g through -|e| w_g and J_g with itself through
+eta w_g). X and Y share one sparsity pattern, and their columns are the free
+dofs, so the product is the free block that the solver factors. The mass
+matrix sums its element matrices over the free dofs the same way, in
+element order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,27 +117,46 @@ def element_geometry(mesh):
     return ElementGeometry(v0, jac, inv_jac, det, 0.5 * det, hess)
 
 
+def _edge_gradient_table():
+    """Reference P2 gradients at the edge Gauss points, (3, 3, 2, 6, 2).
+
+    Entry [p, q, g] holds the six basis gradients at Gauss point g of the
+    reference edge that runs from local vertex p to local vertex q.
+    """
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    t = np.asarray(_EDGE_RULE.points)[:, None]
+    table = np.zeros((3, 3, 2, 6, 2))
+    for p in range(3):
+        for q in range(3):
+            if p != q:
+                points = corners[p] + t * (corners[q] - corners[p])
+                table[p, q] = shape_gradients(points)
+    table.setflags(write=False)
+    return table
+
+
+_EDGE_GRADIENTS = _edge_gradient_table()
+
+
 # The small contractions below (length 2 or 4) are written as broadcast
 # multiply-adds: they sum the same products in the same order as einsum, so
 # the results are bitwise equal, without einsum's per-call overhead.
 
-def _reference_coords(geom, tri, phys_pts):
-    """Pull physical points (n, m, 2) back to reference coords in ``tri``."""
-    rel = phys_pts - geom.v0[tri][:, None, :]
-    inv = geom.inv_jac[tri][:, None]                 # (n, 1, 2, 2)
-    out = inv[..., 0] * rel[..., 0, None]
-    out += inv[..., 1] * rel[..., 1, None]
-    return out
-
-
-def _physical_gradients(geom, tri, ref_pts):
-    """Physical basis gradients: (n, m, 6, 2) for ref points (n, m, 2)."""
-    n, m = ref_pts.shape[:2]
-    gref = shape_gradients(ref_pts.reshape(-1, 2)).reshape(n, m, 6, 2)
-    inv = geom.inv_jac[tri][:, None, None]           # (n, 1, 1, 2, 2)
-    out = inv[..., 0, :] * gref[..., 0, None]
-    out += inv[..., 1, :] * gref[..., 1, None]
-    return out
+def _side_normal_derivatives(mesh, geom, edge_idx, tris, normal):
+    """Normal derivatives (n, 2, 6) of the local basis of ``tris`` at the
+    Gauss points of the edges, which run from their first to their second
+    vertex: grad v . n is the reference gradient dotted with J^-1 n."""
+    corners = mesh.triangles[tris]
+    ends = mesh.edges[edge_idx]
+    p = np.argmax(corners == ends[:, :1], axis=1)
+    q = np.argmax(corners == ends[:, 1:], axis=1)
+    gref = _EDGE_GRADIENTS[p, q]                       # (n, 2, 6, 2)
+    inv = geom.inv_jac[tris]
+    m = inv[:, :, 0] * normal[:, None, 0]
+    m += inv[:, :, 1] * normal[:, None, 1]             # (n, 2) = J^-1 n
+    gn = gref[..., 0] * m[:, None, None, 0]
+    gn += gref[..., 1] * m[:, None, None, 1]
+    return gn
 
 
 @dataclass(frozen=True)
@@ -141,7 +169,8 @@ class EdgeTraceCache:
     Gauss point g of interior edge e; row e of ``mean_d2n`` and ``jump_d2n``
     the mean and the jump of the (constant) second normal derivative. On
     boundary edges ``bgrad`` gives dv/dn at the Gauss points and ``bhess``
-    d^2 v/dn^2.
+    d^2 v/dn^2. Each row of an interior operator holds the 9 dofs of the
+    edge's two triangles, sorted; ``assemble_a_h`` reads them as dense rows.
     """
 
     interior: np.ndarray     # interior edge indices
@@ -195,8 +224,6 @@ def _gauss_sum(length):
 
 
 def build_edge_cache(mesh, dofmap, geom):
-    tg = np.asarray(_EDGE_RULE.points)
-
     def edge_data(edge_idx, tris):
         pe = mesh.vertices[mesh.edges[edge_idx]]
         d = pe[:, 1] - pe[:, 0]
@@ -207,15 +234,12 @@ def build_edge_cache(mesh, dofmap, geom):
         mid = pe.mean(axis=1)
         flip = np.sum(normal * (mid - cent), axis=1) < 0.0
         normal[flip] *= -1.0
-        phys = pe[:, None, 0, :] + tg[None, :, None] * d[:, None, :]
-        return length, normal, phys
+        return length, normal
 
-    def side_traces(tris, normal, phys):
+    def side_traces(edge_idx, tris, normal):
         """Normal derivatives (n, 2, 6) at the Gauss points and second
         normal derivatives (n, 6) of the local basis of ``tris``."""
-        ref = _reference_coords(geom, tris, phys)
-        gphys = _physical_gradients(geom, tris, ref)
-        gn = np.einsum("egia,ea->egi", gphys, normal)
+        gn = _side_normal_derivatives(mesh, geom, edge_idx, tris, normal)
         hess = geom.hessians[tris]                       # (n, 6, 2, 2)
         n0, n1 = normal[:, None, 0], normal[:, None, 1]
         d2n = n0 * hess[..., 0, 0] * n0
@@ -230,9 +254,9 @@ def build_edge_cache(mesh, dofmap, geom):
     interior = mesh.interior_edges
     t1 = mesh.edge_tris[interior, 0]
     t2 = mesh.edge_tris[interior, 1]
-    length, normal, phys = edge_data(interior, t1)
-    gn1, d2n1 = side_traces(t1, normal, phys)
-    gn2, d2n2 = side_traces(t2, normal, phys)
+    length, normal = edge_data(interior, t1)
+    gn1, d2n1 = side_traces(interior, t1, normal)
+    gn2, d2n2 = side_traces(interior, t2, normal)
     dofs = np.hstack([tri_dofs[t1], tri_dofs[t2]])
     jump = _trace_operator(ndof, np.repeat(dofs, 2, axis=0),
                            np.concatenate([gn1, -gn2], axis=2))
@@ -242,8 +266,8 @@ def build_edge_cache(mesh, dofmap, geom):
     boundary = mesh.boundary_edges
     bt = mesh.edge_tris[boundary, 0]
     bdofs = tri_dofs[bt]
-    blength, bnormal, bphys = edge_data(boundary, bt)
-    bgn, bd2n = side_traces(bt, bnormal, bphys)
+    blength, bnormal = edge_data(boundary, bt)
+    bgn, bd2n = side_traces(boundary, bt, bnormal)
     bgrad = _trace_operator(ndof, np.repeat(bdofs, 2, axis=0), bgn)
     bhess = _trace_operator(ndof, bdofs, bd2n)
 
@@ -254,67 +278,151 @@ def build_edge_cache(mesh, dofmap, geom):
 
 @dataclass
 class SparseOperator:
-    """Symmetric operator over all dofs with a view on the free block."""
+    """Free block of a symmetric operator, in CSC.
 
-    full: sp.csr_matrix
-    dofmap: object
+    ``full`` is the same assembly over all dofs, built on first use; the
+    solver needs only ``free``.
+    """
+
+    free: sp.csc_matrix
+    ndof: int
+    assemble: object    # (cols, n) -> n x n CSC matrix, see ``_operator``
 
     @cached_property
-    def free(self):
-        idx = self.dofmap.free
-        return self.full[idx][:, idx].tocsc()
+    def full(self):
+        return self.assemble(np.arange(self.ndof, dtype=np.int32), self.ndof)
 
     @property
     def shape(self):
-        return self.full.shape
+        return (self.ndof, self.ndof)
 
 
-def _accumulate(ndof, dofs, local):
-    """Sum (n, k, k) local matrices with (n, k) dof maps into a CSR matrix."""
-    k = dofs.shape[1]
-    dofs = dofs.astype(np.int32)
-    rows = np.repeat(dofs, k, axis=1).ravel()
-    cols = np.tile(dofs, (1, k)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(ndof, ndof))
-    return mat.tocsr()
+def _operator(assemble, dofmap, *args):
+    """SparseOperator of ``assemble(*args, cols, n)``, which sums an
+    operator on the columns ``cols`` of the dofs and drops column n.
 
-
-def _edge_form(cache, eta):
-    """Interior-edge terms T^T G T of a_h as a CSC matrix.
-
-    T = [S; J] stacks the mean second normal derivatives S and the
-    normal-derivative jumps J; with P the map from Gauss-point values to
-    edge integrals and W the Gauss weights, G = [[0, -P], [-P^T, eta W]].
+    The free block puts the free dofs on 0..nfree-1 and every constrained
+    dof on the dropped column nfree.
     """
-    p = _gauss_sum(cache.length)
-    w = sp.diags(np.tile(eta * _EDGE_RULE.weights, len(cache.length)))
-    g = sp.bmat([[None, -p], [-p.T, w]], format="csr")
-    t = sp.vstack([cache.mean_d2n, cache.jump], format="csr")
-    return t.T @ (g @ t)
+    build = partial(assemble, *args)
+    cols = np.full(dofmap.ndof, dofmap.nfree, dtype=np.int32)
+    cols[dofmap.free] = np.arange(dofmap.nfree, dtype=np.int32)
+    return SparseOperator(build(cols, dofmap.nfree), dofmap.ndof, build)
+
+
+def _a_h_rows(geom, cache, eta, tri_dofs, cols, n):
+    """CSR arrays (indptr, indices, xdata, ydata) of X and Y = G X.
+
+    Per triangle, four rows of X hold the Hessian components xx, xy, yx, yy
+    of its 6 basis functions; per interior edge, three rows hold S, J_1 and
+    J_2 of ``mean_d2n`` and ``jump`` on the edge's 9 dofs. X is zero on
+    column n, so the product drops it.
+    """
+    nt, ne = len(geom.area), len(cache.length)
+    edge_dofs = cache.mean_d2n.indices.reshape(ne, 9)
+    assert np.array_equal(cache.jump.indices.reshape(ne, 2, 9),
+                          np.broadcast_to(edge_dofs[:, None], (ne, 2, 9)))
+    split = 24 * nt
+    indptr = np.concatenate([
+        np.arange(0, split, 6, dtype=np.int32),
+        np.arange(split, split + 27 * ne + 1, 9, dtype=np.int32)])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    xdata = np.empty(indptr[-1])
+    ydata = np.empty(indptr[-1])
+
+    indices[:split].reshape(nt, 4, 6)[...] = cols[tri_dofs][:, None]
+    xdata[:split].reshape(nt, 2, 2, 6)[...] = \
+        geom.hessians.transpose(0, 2, 3, 1)
+    np.multiply(geom.area[:, None], xdata[:split].reshape(nt, 24),
+                out=ydata[:split].reshape(nt, 24))
+
+    indices[split:].reshape(ne, 3, 9)[...] = cols[edge_dofs][:, None]
+    s = cache.mean_d2n.data.reshape(ne, 1, 9)
+    jumps = cache.jump.data.reshape(ne, 2, 9)
+    xdata[split:].reshape(ne, 3, 9)[:, :1] = s
+    xdata[split:].reshape(ne, 3, 9)[:, 1:] = jumps
+    w = _EDGE_RULE.weights[:, None]
+    lw = cache.length[:, None, None] * w                # (nE, 2, 1)
+    gy = ydata[split:].reshape(ne, 3, 9)
+    gy[:, 0] = -(lw[:, 0] * jumps[:, 0] + lw[:, 1] * jumps[:, 1])
+    gy[:, 1:] = -lw * s + (eta * w) * jumps
+
+    xdata[indices == n] = 0.0
+    return indptr, indices, xdata, ydata
+
+
+def _a_h_block(geom, cache, eta, tri_dofs, cols, n):
+    """A_h = X^T Y on the columns ``cols`` in CSC, dropping column n."""
+    indptr, indices, xdata, ydata = _a_h_rows(geom, cache, eta, tri_dofs,
+                                              cols, n)
+    shape = (len(indptr) - 1, n + 1)
+    yt = sp.csr_matrix((ydata, indices, indptr), shape=shape).tocsc()
+    del ydata
+    x = sp.csr_matrix((xdata, indices, indptr), shape=shape)
+    del xdata, indices, indptr
+    # row j < n of Y^T X sums y[r, j] x[r, :] over the rows r in order, so
+    # its CSR arrays are the CSC arrays of X^T Y; its entries on column n
+    # sum to 0.0, which the product does not store
+    yt = sp.csr_matrix((yt.data, yt.indices, yt.indptr[:n + 1]),
+                       shape=(n, shape[0]))
+    prod = yt @ x
+    del x, yt
+    data, indices = prod.data, prod.indices
+    if data.base is not None:
+        # the product sizes its arrays before it drops the entries that
+        # cancel to 0.0 and then views their heads; keep only the entries
+        data, indices = data.copy(), indices.copy()
+    mat = sp.csc_matrix((data, indices, prod.indptr), shape=(n, n))
+    mat.sort_indices()
+    return mat
 
 
 def assemble_a_h(dofmap, geom, cache, eta):
     """Assemble the interior penalty bilinear form as a SparseOperator."""
     if eta <= 0.0:
         raise ValueError("penalty parameter eta must be positive")
+    return _operator(_a_h_block, dofmap, geom, cache, eta, dofmap.tri_dofs)
 
-    k_el = np.einsum("tikl,tjkl->tij", geom.hessians, geom.hessians)
-    k_el *= geom.area[:, None, None]
-    mat = _accumulate(dofmap.ndof, dofmap.tri_dofs, k_el)
-    del k_el
-    # a sparse sum leaves its output in buffers sized for both operands;
-    # converting the CSC sum to CSR stores exactly its nonzero entries
-    return SparseOperator((_edge_form(cache, eta) + mat).tocsr(), dofmap)
+
+def _accumulate(tri_dofs, local, cols, n):
+    """Sum the (nt, k, k) local matrices of the (nt, k) dof maps into an
+    n x n CSC matrix on the columns ``cols``, dropping column n.
+
+    local[t, i, j] belongs at (a, b) = (cols[dof i], cols[dof j]). The
+    entries are bucketed stably by a, then by b, so each sum runs in
+    element order whatever is dropped.
+    """
+    nt, k = tri_dofs.shape
+    c = cols[tri_dofs]
+    # row (t, j) holds local[t, i, j] at column c[t, i]
+    by_a = sp.csr_matrix(
+        (local.transpose(0, 2, 1).reshape(-1),
+         np.broadcast_to(c[:, None], (nt, k, k)).reshape(-1),
+         np.arange(0, nt * k * k + 1, k, dtype=np.int32)),
+        shape=(nt * k, n + 1)).tocsc()
+    end = by_a.indptr[n]
+    by_b = sp.csr_matrix((by_a.data[:end], c.reshape(-1)[by_a.indices[:end]],
+                          by_a.indptr[:n + 1]), shape=(n, n + 1)).tocsc()
+    del by_a
+    end = by_b.indptr[n]
+    mat = sp.csc_matrix((by_b.data[:end], by_b.indices[:end],
+                         by_b.indptr[:n + 1]), shape=(n, n))
+    # duplicates are adjacent and in element order; sum them as they are
+    mat.has_sorted_indices = True
+    mat.sum_duplicates()
+    return mat
+
+
+def _mass_block(geom, tri_dofs, cols, n):
+    rule = quadrature("triangle", 4)
+    vals = shape_values(rule.points)                    # (nq, 6)
+    m_ref = np.einsum("g,gi,gj->ij", rule.weights, vals, vals)
+    return _accumulate(tri_dofs, geom.det[:, None, None] * m_ref, cols, n)
 
 
 def assemble_mass(dofmap, geom):
     """Standard P2 mass matrix (SPD), exact quadrature."""
-    rule = quadrature("triangle", 4)
-    vals = shape_values(rule.points)                    # (nq, 6)
-    m_ref = np.einsum("g,gi,gj->ij", rule.weights, vals, vals)
-    local = geom.det[:, None, None] * m_ref
-    return SparseOperator(_accumulate(dofmap.ndof, dofmap.tri_dofs, local),
-                          dofmap)
+    return _operator(_mass_block, dofmap, geom, dofmap.tri_dofs)
 
 
 def assemble_load(dofmap, geom, f, degree):

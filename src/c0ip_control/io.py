@@ -10,14 +10,18 @@ import numpy as np
 __all__ = ["write_mesh_txt", "write_vtk", "write_csv"]
 
 
+def _block(fmt, values):
+    """One line of ``fmt`` per row of ``values``, formatted in one step."""
+    values = np.asarray(values)
+    return (fmt * len(values)) % tuple(values.ravel().tolist())
+
+
 def write_mesh_txt(mesh, node_path, element_path):
     """One vertex "x y" per line; one triangle "i j k" (0-based) per line."""
     with open(node_path, "w") as fh:
-        for x, y in mesh.vertices:
-            fh.write("%.16g %.16g\n" % (x, y))
+        fh.write(_block("%.16g %.16g\n", mesh.vertices))
     with open(element_path, "w") as fh:
-        for i, j, k in mesh.triangles:
-            fh.write("%d %d %d\n" % (i, j, k))
+        fh.write(_block("%d %d %d\n", mesh.triangles))
 
 
 def write_vtk(mesh, path, point_data=None, cell_data=None):
@@ -33,11 +37,9 @@ def write_vtk(mesh, path, point_data=None, cell_data=None):
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % nv)
-        for x, y in mesh.vertices:
-            fh.write("%.12g %.12g 0\n" % (x, y))
+        fh.write(_block("%.12g %.12g 0\n", mesh.vertices))
         fh.write("CELLS %d %d\n" % (nt, 4 * nt))
-        for i, j, k in mesh.triangles:
-            fh.write("3 %d %d %d\n" % (i, j, k))
+        fh.write(_block("3 %d %d %d\n", mesh.triangles))
         fh.write("CELL_TYPES %d\n" % nt)
         fh.write("5\n" * nt)
         if point_data:
@@ -45,15 +47,13 @@ def write_vtk(mesh, path, point_data=None, cell_data=None):
             for name, values in point_data.items():
                 fh.write("SCALARS %s double 1\n" % name)
                 fh.write("LOOKUP_TABLE default\n")
-                for v in np.asarray(values)[:nv]:
-                    fh.write("%.12g\n" % v)
+                fh.write(_block("%.12g\n", np.asarray(values)[:nv]))
         if cell_data:
             fh.write("CELL_DATA %d\n" % nt)
             for name, values in cell_data.items():
                 fh.write("SCALARS %s double 1\n" % name)
                 fh.write("LOOKUP_TABLE default\n")
-                for v in np.asarray(values):
-                    fh.write("%.12g\n" % v)
+                fh.write(_block("%.12g\n", values))
 
 
 def write_csv(path, header, rows):

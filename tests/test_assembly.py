@@ -4,15 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from c0ip_control import (Mesh, assemble_a_h, assemble_load, assemble_mass,
                           bisect, build_dofmap, build_edge_cache,
                           control_coupling, error_norms,
                           example1_spec, interpolate, make_lshape,
                           make_unit_square)
-from c0ip_control.assembly import (_accumulate, _EDGE_RULE,
-                                   _physical_gradients,
-                                   _reference_coords, element_geometry)
+from c0ip_control.assembly import (_EDGE_RULE, _side_normal_derivatives,
+                                   element_geometry)
 from c0ip_control.cases import example1_case
 from c0ip_control.cli import RunConfig, _uniform_square_meshes
 from c0ip_control.fem import REFERENCE_HESSIANS, quadrature, shape_gradients
@@ -53,6 +53,43 @@ def discrete_setup(name):
     return (mesh,) + discrete_parts(mesh)
 
 
+def coo_sum(ndof, dofs, local):
+    """Sum (n, k, k) local matrices with (n, k) dof maps through COO."""
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(ndof, ndof)).tocsr()
+
+
+def reference_coords(geom, tri, phys_pts):
+    """Pull physical points (n, m, 2) back to reference coords in ``tri``."""
+    rel = phys_pts - geom.v0[tri][:, None, :]
+    inv = geom.inv_jac[tri][:, None]                 # (n, 1, 2, 2)
+    out = inv[..., 0] * rel[..., 0, None]
+    out += inv[..., 1] * rel[..., 1, None]
+    return out
+
+
+def physical_gradients(geom, tri, ref_pts):
+    """Physical basis gradients: (n, m, 6, 2) for ref points (n, m, 2)."""
+    n, m = ref_pts.shape[:2]
+    gref = shape_gradients(ref_pts.reshape(-1, 2)).reshape(n, m, 6, 2)
+    inv = geom.inv_jac[tri][:, None, None]           # (n, 1, 1, 2, 2)
+    out = inv[..., 0, :] * gref[..., 0, None]
+    out += inv[..., 1, :] * gref[..., 1, None]
+    return out
+
+
+def edge_gauss_points(mesh, edges):
+    """Physical Gauss points (n, 2, 2) of ``edges``, from their first to
+    their second vertex."""
+    pe = mesh.vertices[mesh.edges[edges]]
+    d = pe[:, 1] - pe[:, 0]
+    return pe[:, None, 0] + np.asarray(_EDGE_RULE.points)[None, :, None] \
+        * d[:, None]
+
+
 def side_traces(mesh, dm, geom, cache):
     """Per-side edge traces of the local P2 basis, the einsum oracle of the
     cache's trace operators.
@@ -62,16 +99,12 @@ def side_traces(mesh, dm, geom, cache):
     (n, 2, 6) at the edge Gauss points, second normal derivatives (n, 6)
     and the side's dofs (n, 6).
     """
-    tg = np.asarray(_EDGE_RULE.points)
-
     def side(edges, tris, normal):
-        pe = mesh.vertices[mesh.edges[edges]]
-        d = pe[:, 1] - pe[:, 0]
-        phys = pe[:, None, 0] + tg[None, :, None] * d[:, None]
+        phys = edge_gauss_points(mesh, edges)
         ref = np.einsum("nab,nmb->nma", geom.inv_jac[tris],
                         phys - geom.v0[tris][:, None])
         gn = np.einsum("egia,ea->egi",
-                       _physical_gradients(geom, tris, ref), normal)
+                       physical_gradients(geom, tris, ref), normal)
         d2n = np.einsum("ea,eiab,eb->ei", normal, geom.hessians[tris], normal)
         return gn, d2n, dm.tri_dofs[tris]
 
@@ -145,8 +178,8 @@ class TestStiffness:
         consistency = np.einsum("ei,ej->eij", mean, jump_int)
         penalty = eta * np.einsum("g,egi,egj->eij", wg, jump, jump)
         local = -consistency - consistency.transpose(0, 2, 1) + penalty
-        expected = (_accumulate(dm.ndof, dm.tri_dofs, k_el)
-                    + _accumulate(dm.ndof, np.hstack([dofs1, dofs2]), local))
+        expected = (coo_sum(dm.ndof, dm.tri_dofs, k_el)
+                    + coo_sum(dm.ndof, np.hstack([dofs1, dofs2]), local))
         got = assemble_a_h(dm, geom, cache, eta).full
         scale = np.abs(expected.data).max()
         assert abs(got - expected).max() <= 1e-14 * scale
@@ -195,6 +228,59 @@ class TestStiffness:
         for arr in (full.data, full.indices):
             owner = arr if arr.base is None else arr.base
             assert owner.size == full.nnz
+
+
+class TestFreeBlocks:
+    """The solver's free blocks are the operators' rows and columns of the
+    free dofs, bit for bit, and are assembled without the full operator."""
+
+    @staticmethod
+    def assemble(which, dm, geom, cache):
+        if which == "a_h":
+            return assemble_a_h(dm, geom, cache, 10.0)
+        return assemble_mass(dm, geom)
+
+    @pytest.fixture(scope="class", params=["nvb_lshape", "square16"])
+    def parts(self, request):
+        return discrete_setup(request.param)[1:]
+
+    @pytest.mark.parametrize("which", ["a_h", "mass"])
+    def test_free_is_the_free_part_of_full(self, parts, which):
+        dm = parts[0]
+        op = self.assemble(which, *parts)
+        free = op.free
+        assert isinstance(free, sp.csc_matrix)
+        assert free.shape == (dm.nfree, dm.nfree)
+        assert free.has_canonical_format
+        sliced = op.full[dm.free][:, dm.free]
+        assert (free != sliced).nnz == 0
+        assert np.array_equal(free.toarray(), sliced.toarray())
+
+    @pytest.mark.parametrize("which", ["a_h", "mass"])
+    def test_full_is_built_on_demand(self, parts, which):
+        dm = parts[0]
+        op = self.assemble(which, *parts)
+        assert "full" not in vars(op)
+        assert op.full is op.full
+        assert op.full.shape == op.shape == (dm.ndof, dm.ndof)
+
+    def test_free_block_transient_memory(self):
+        # At h = 1/64 (16 129 free dofs, 363 377 stored entries) the free
+        # block takes 4.4 MB. X and Y (about 525 000 entries sharing one
+        # index array), Y^T and the product peak at about 4 times that;
+        # assembling the operator over all dofs and slicing it peaked at
+        # 21.6 MB, 4.9 times the free block.
+        config = RunConfig(levels=5)
+        mesh = list(_uniform_square_meshes(config))[-1][1]
+        dm, geom, cache = discrete_parts(mesh)
+        tracemalloc.start()
+        try:
+            free = assemble_a_h(dm, geom, cache, 10.0).free
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = free.data.nbytes + free.indices.nbytes + free.indptr.nbytes
+        assert peak <= 4.5 * result
 
 
 class TestMass:
@@ -432,17 +518,35 @@ class TestArrayKernels:
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.5
 
-    def test_reference_coords_and_gradients(self, discrete):
+    def test_pull_back_oracle(self, discrete):
+        # the broadcast pull-back and gradient map of the oracle
         mesh, _, geom, _ = discrete
         rng = np.random.default_rng(5)
         tri = rng.integers(0, mesh.num_triangles, size=200)
         phys = rng.random((200, 3, 2))
         rel = phys - geom.v0[tri][:, None, :]
         ref = np.einsum("nab,nmb->nma", geom.inv_jac[tri], rel)
-        assert np.array_equal(_reference_coords(geom, tri, phys), ref)
+        assert np.array_equal(reference_coords(geom, tri, phys), ref)
         gref = shape_gradients(ref.reshape(-1, 2)).reshape(200, 3, 6, 2)
         expected = np.einsum("nba,nmib->nmia", geom.inv_jac[tri], gref)
-        assert np.array_equal(_physical_gradients(geom, tri, ref), expected)
+        assert np.array_equal(physical_gradients(geom, tri, ref), expected)
+
+    def test_tabulated_side_gradients(self, discrete):
+        # the normal derivatives read from the reference table equal the
+        # gradients at the pulled-back physical Gauss points, on both sides
+        # of the interior edges and on the boundary side
+        mesh, _, geom, cache = discrete
+        for edges, tris, normal in ((cache.interior, cache.tri1, cache.normal),
+                                    (cache.interior, cache.tri2, cache.normal),
+                                    (cache.boundary, cache.btri,
+                                     cache.bnormal)):
+            phys = edge_gauss_points(mesh, edges)
+            ref = reference_coords(geom, tris, phys)
+            expected = np.einsum("egia,ea->egi",
+                                 physical_gradients(geom, tris, ref), normal)
+            got = _side_normal_derivatives(mesh, geom, edges, tris, normal)
+            scale = np.abs(expected).max()
+            assert np.abs(got - expected).max() <= 1e-14 * scale
 
     def test_second_normal_derivatives(self, discrete):
         # every row of the second-normal-derivative operators holds the

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import c0ip_control
-from c0ip_control import (Mesh, clamp, example1_spec, make_lshape,
+from c0ip_control import (Mesh, bisect, clamp, example1_spec, make_lshape,
                           make_unit_square)
 from c0ip_control import cli, solver
 from c0ip_control.assembly import element_geometry
@@ -19,7 +19,75 @@ from c0ip_control.fem import quadrature
 from c0ip_control.io import write_csv, write_mesh_txt, write_vtk
 
 
+def write_mesh_txt_lines(mesh, node_path, element_path):
+    """The line-by-line mesh writer, the oracle of ``write_mesh_txt``."""
+    with open(node_path, "w") as fh:
+        for x, y in mesh.vertices:
+            fh.write("%.16g %.16g\n" % (x, y))
+    with open(element_path, "w") as fh:
+        for i, j, k in mesh.triangles:
+            fh.write("%d %d %d\n" % (i, j, k))
+
+
+def write_vtk_lines(mesh, path, point_data=None, cell_data=None):
+    """The line-by-line VTK writer, the oracle of ``write_vtk``."""
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 2.0\n")
+        fh.write("plate control output\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write("POINTS %d double\n" % nv)
+        for x, y in mesh.vertices:
+            fh.write("%.12g %.12g 0\n" % (x, y))
+        fh.write("CELLS %d %d\n" % (nt, 4 * nt))
+        for i, j, k in mesh.triangles:
+            fh.write("3 %d %d %d\n" % (i, j, k))
+        fh.write("CELL_TYPES %d\n" % nt)
+        fh.write("5\n" * nt)
+        if point_data:
+            fh.write("POINT_DATA %d\n" % nv)
+            for name, values in point_data.items():
+                fh.write("SCALARS %s double 1\n" % name)
+                fh.write("LOOKUP_TABLE default\n")
+                for v in np.asarray(values)[:nv]:
+                    fh.write("%.12g\n" % v)
+        if cell_data:
+            fh.write("CELL_DATA %d\n" % nt)
+            for name, values in cell_data.items():
+                fh.write("SCALARS %s double 1\n" % name)
+                fh.write("LOOKUP_TABLE default\n")
+                for v in np.asarray(values):
+                    fh.write("%.12g\n" % v)
+
+
 class TestMeshFiles:
+    @pytest.mark.parametrize("diagonal", ["ne", "nw"])
+    def test_files_match_line_writers(self, tmp_path, diagonal):
+        # one formatted block per section gives the bytes of one write per
+        # line, for the fields of an adaptive level: P2 vertex values
+        # (longer than the vertex count), cell values and level numbers
+        mesh = bisect(make_lshape(2, diagonal), [0, 3, 7])
+        mesh = bisect(mesh, np.arange(0, mesh.num_triangles, 5))
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal(mesh.num_vertices + mesh.num_edges)
+        u[:4] = [0.0, -0.0, 1e-300, -123456789.123456789]
+        point_data = {"u_h": u, "phi_h": 1e-7 * u}
+        cell_data = {"q_h": rng.uniform(-750.0, -50.0, mesh.num_triangles),
+                     "level": mesh.level}
+        for name, writer in (("block", write_vtk), ("lines", write_vtk_lines)):
+            writer(mesh, str(tmp_path / (name + ".vtk")), point_data,
+                   cell_data)
+        assert (tmp_path / "block.vtk").read_bytes() == \
+            (tmp_path / "lines.vtk").read_bytes()
+        for name, writer in (("block", write_mesh_txt),
+                             ("lines", write_mesh_txt_lines)):
+            writer(mesh, str(tmp_path / (name + ".node")),
+                   str(tmp_path / (name + ".ele")))
+        for ext in (".node", ".ele"):
+            assert (tmp_path / ("block" + ext)).read_bytes() == \
+                (tmp_path / ("lines" + ext)).read_bytes()
+
     def test_round_trip(self, tmp_path):
         mesh = make_lshape(2)
         node, ele = str(tmp_path / "m.node"), str(tmp_path / "m.ele")
