@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
 from .assembly import error_norms
 from .estimator import estimate
+from .io import write_csv
 from .mesh import bisect, dorfler_mark, mesh_metrics
 from .solver import discretize, solve_pdas
 
@@ -42,17 +42,10 @@ class AdaptiveHistory:
                    "eta_total", "err_u", "err_phi", "err_q", "pdas_iters"]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            for r in self.records:
-                def fmt(v):
-                    return "" if v is None else "%.6e" % v
-                writer.writerow([r.level, r.ndof, fmt(r.eta_u),
-                                 fmt(r.eta_phi), fmt(r.eta_control),
-                                 fmt(r.eta_total), fmt(r.err_u),
-                                 fmt(r.err_phi), fmt(r.err_q),
-                                 r.pdas_iterations])
+        write_csv(path, self.CSV_COLUMNS, [
+            [r.level, r.ndof, r.eta_u, r.eta_phi, r.eta_control, r.eta_total,
+             r.err_u, r.err_phi, r.err_q, r.pdas_iterations]
+            for r in self.records])
 
 
 def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=25,

@@ -23,15 +23,14 @@ the four Hessian components of its basis (G = |T|), per interior edge the
 mean second normal derivative S and the jumps J_1, J_2 at the two Gauss
 points (G couples S with J_g through -|e| w_g and J_g with itself through
 eta w_g). X and Y share one sparsity pattern, and their columns are the free
-dofs, so the product is the free block that the solver factors. The mass
-matrix sums its element matrices over the free dofs the same way, in
-element order.
+dofs (``DofMap.free_cols``), so the product is the free block that the solver
+factors. The mass matrix sums its element matrices over the free dofs the
+same way, in element order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,7 +40,6 @@ from .fem import REFERENCE_HESSIANS, quadrature, shape_gradients, shape_values
 __all__ = [
     "ElementGeometry",
     "EdgeTraceCache",
-    "SparseOperator",
     "element_geometry",
     "build_edge_cache",
     "assemble_a_h",
@@ -276,40 +274,6 @@ def build_edge_cache(mesh, dofmap, geom):
                           bhess)
 
 
-@dataclass
-class SparseOperator:
-    """Free block of a symmetric operator, in CSC.
-
-    ``full`` is the same assembly over all dofs, built on first use; the
-    solver needs only ``free``.
-    """
-
-    free: sp.csc_matrix
-    ndof: int
-    assemble: object    # (cols, n) -> n x n CSC matrix, see ``_operator``
-
-    @cached_property
-    def full(self):
-        return self.assemble(np.arange(self.ndof, dtype=np.int32), self.ndof)
-
-    @property
-    def shape(self):
-        return (self.ndof, self.ndof)
-
-
-def _operator(assemble, dofmap, *args):
-    """SparseOperator of ``assemble(*args, cols, n)``, which sums an
-    operator on the columns ``cols`` of the dofs and drops column n.
-
-    The free block puts the free dofs on 0..nfree-1 and every constrained
-    dof on the dropped column nfree.
-    """
-    build = partial(assemble, *args)
-    cols = np.full(dofmap.ndof, dofmap.nfree, dtype=np.int32)
-    cols[dofmap.free] = np.arange(dofmap.nfree, dtype=np.int32)
-    return SparseOperator(build(cols, dofmap.nfree), dofmap.ndof, build)
-
-
 def _a_h_rows(geom, cache, eta, tri_dofs, cols, n):
     """CSR arrays (indptr, indices, xdata, ydata) of X and Y = G X.
 
@@ -352,7 +316,9 @@ def _a_h_rows(geom, cache, eta, tri_dofs, cols, n):
 
 
 def _a_h_block(geom, cache, eta, tri_dofs, cols, n):
-    """A_h = X^T Y on the columns ``cols`` in CSC, dropping column n."""
+    """A_h = X^T Y in CSC on the columns ``cols`` of the dofs, dropping the
+    dofs on column n: ``DofMap.free_cols`` gives the free block, the
+    identity the operator over all dofs."""
     indptr, indices, xdata, ydata = _a_h_rows(geom, cache, eta, tri_dofs,
                                               cols, n)
     shape = (len(indptr) - 1, n + 1)
@@ -378,10 +344,11 @@ def _a_h_block(geom, cache, eta, tri_dofs, cols, n):
 
 
 def assemble_a_h(dofmap, geom, cache, eta):
-    """Assemble the interior penalty bilinear form as a SparseOperator."""
+    """Free block of the interior penalty bilinear form, in CSC."""
     if eta <= 0.0:
         raise ValueError("penalty parameter eta must be positive")
-    return _operator(_a_h_block, dofmap, geom, cache, eta, dofmap.tri_dofs)
+    return _a_h_block(geom, cache, eta, dofmap.tri_dofs, dofmap.free_cols,
+                      dofmap.nfree)
 
 
 def _accumulate(tri_dofs, local, cols, n):
@@ -410,6 +377,9 @@ def _accumulate(tri_dofs, local, cols, n):
     # duplicates are adjacent and in element order; sum them as they are
     mat.has_sorted_indices = True
     mat.sum_duplicates()
+    # the arrays view buffers that also held the summed and dropped
+    # entries; keep only the entries
+    mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
     return mat
 
 
@@ -421,8 +391,8 @@ def _mass_block(geom, tri_dofs, cols, n):
 
 
 def assemble_mass(dofmap, geom):
-    """Standard P2 mass matrix (SPD), exact quadrature."""
-    return _operator(_mass_block, dofmap, geom, dofmap.tri_dofs)
+    """Free block of the P2 mass matrix (SPD, exact quadrature), in CSC."""
+    return _mass_block(geom, dofmap.tri_dofs, dofmap.free_cols, dofmap.nfree)
 
 
 def assemble_load(dofmap, geom, f, degree):

@@ -52,10 +52,6 @@ class ControlField:
         hi = self.values <= self.upper + 1e-14 if np.isfinite(self.upper) else True
         return bool(np.all(lo & hi))
 
-    def norm(self):
-        """L2 norm over the control domain."""
-        return float(np.sqrt(np.sum(self.measures * self.values ** 2)))
-
 
 @dataclass
 class ViReport:

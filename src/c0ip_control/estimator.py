@@ -12,7 +12,6 @@ piecewise-constant projection.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,17 +58,6 @@ class EstimatorReport:
     def eta_total(self):
         return float(np.sqrt(self.eta_u ** 2 + self.eta_phi ** 2
                              + self.control_term ** 2))
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["triangle", "aggregate"])
-            for t, val in enumerate(self.marking):
-                writer.writerow([t, "%.8e" % val])
-            writer.writerow(["eta_u", "%.8e" % self.eta_u])
-            writer.writerow(["eta_phi", "%.8e" % self.eta_phi])
-            writer.writerow(["eta_control", "%.8e" % self.control_term])
-            writer.writerow(["eta_total", "%.8e" % self.eta_total])
 
 
 def _volume_residual(mesh, geom, rule, values):

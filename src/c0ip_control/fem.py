@@ -73,6 +73,8 @@ class DofMap:
     tri_dofs: np.ndarray      # (nt, 6) local-to-global
     dirichlet: np.ndarray     # (ndof,) bool mask of constrained dofs
     free: np.ndarray          # indices of unconstrained dofs
+    # (ndof,) int32: free[k] -> k, every constrained dof -> nfree
+    free_cols: np.ndarray
     dof_coords: np.ndarray    # (ndof, 2) nodal coordinates
 
     @property
@@ -90,10 +92,12 @@ def build_dofmap(mesh):
     dirichlet[mesh.boundary_vertices] = True
     dirichlet[nv + mesh.boundary_edges] = True
     free = np.flatnonzero(~dirichlet)
+    free_cols = np.full(ndof, len(free), dtype=np.int32)
+    free_cols[free] = np.arange(len(free), dtype=np.int32)
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
                   + mesh.vertices[mesh.edges[:, 1]])
     coords = np.vstack([mesh.vertices, mids])
-    return DofMap(ndof, tri_dofs, dirichlet, free, coords)
+    return DofMap(ndof, tri_dofs, dirichlet, free, free_cols, coords)
 
 
 @dataclass

@@ -112,8 +112,8 @@ class Discretization:
 
     ``geom`` is built once here and is the element geometry that every
     operator, estimator and error norm of this pair uses. ``stiffness`` and
-    ``mass`` are assembled on the free dofs only: their ``free`` blocks (CSC)
-    are what the factor and the PDAS products read.
+    ``mass`` are the free blocks of A_h and M, assembled on the free dofs
+    only; the factor and the PDAS products read them.
     """
 
     spec: ProblemSpec
@@ -121,8 +121,8 @@ class Discretization:
     dofmap: object
     geom: object               # ElementGeometry of ``mesh``
     cache: object
-    stiffness: object          # SparseOperator, free block in CSC
-    mass: object               # SparseOperator, free block in CSC
+    stiffness: sp.csc_matrix   # nfree x nfree
+    mass: sp.csc_matrix        # nfree x nfree
     coupling: sp.csr_matrix    # ndof x n_entities
     measures: np.ndarray
     load_f: np.ndarray         # int f v_i over all dofs
@@ -143,7 +143,7 @@ class Discretization:
         the fill of the default column ordering.
         """
         try:
-            return spla.splu(self.stiffness.free, permc_spec="MMD_AT_PLUS_A",
+            return spla.splu(self.stiffness, permc_spec="MMD_AT_PLUS_A",
                              diag_pivot_thresh=0.1,
                              options={"SymmetricMode": True})
         except RuntimeError as exc:
@@ -152,7 +152,7 @@ class Discretization:
     @cached_property
     def a_norm(self):
         """Infinity norm of the free block of A_h, for backward errors."""
-        return spla.norm(self.stiffness.free, np.inf)
+        return spla.norm(self.stiffness, np.inf)
 
     @cached_property
     def ud_norm2(self):
@@ -169,13 +169,13 @@ def discretize(spec, mesh):
     dofmap = build_dofmap(mesh)
     geom = element_geometry(mesh)
     cache = build_edge_cache(mesh, dofmap, geom)
-    a_op = assemble_a_h(dofmap, geom, cache, spec.eta)
-    m_op = assemble_mass(dofmap, geom)
+    a_free = assemble_a_h(dofmap, geom, cache, spec.eta)
+    m_free = assemble_mass(dofmap, geom)
     bmat, measures = control_coupling(dofmap, geom, cache, spec.kind)
     load_f = assemble_load(dofmap, geom, spec.f, spec.load_degree)
     load_ud = assemble_load(dofmap, geom, spec.u_d, spec.load_degree)
-    return Discretization(spec, mesh, dofmap, geom, cache, a_op, m_op, bmat,
-                          measures, load_f, load_ud)
+    return Discretization(spec, mesh, dofmap, geom, cache, a_free, m_free,
+                          bmat, measures, load_f, load_ud)
 
 
 def backward_error(op_norm, x, residual, rhs):
@@ -258,7 +258,7 @@ def _residuals(ws, u_free, phi_free, control_load):
     """Backward errors of the state and adjoint equations; ``control_load``
     is B q on the free dofs."""
     free = ws.dofmap.free
-    a_f, m_f = ws.stiffness.free, ws.mass.free
+    a_f, m_f = ws.stiffness, ws.mass
     rhs_state = ws.load_f[free] + control_load
     r_state = a_f @ u_free - rhs_state
     rhs_adj = m_f @ u_free - ws.load_ud[free]
@@ -275,7 +275,7 @@ def _objective(ws, u_free, qvals, measures):
     (u - u_d)^2 with that rule because M is exact for P2.
     """
     free = ws.dofmap.free
-    track = (u_free @ (ws.mass.free @ u_free)
+    track = (u_free @ (ws.mass @ u_free)
              - 2.0 * (u_free @ ws.load_ud[free]) + ws.ud_norm2)
     return 0.5 * float(track) + 0.5 * ws.spec.alpha * float(
         np.sum(measures * qvals ** 2))
@@ -348,7 +348,7 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     spec = ws.spec
-    m_f = ws.mass.free
+    m_f = ws.mass
     load_f, load_ud = ws.load_f[ws.dofmap.free], ws.load_ud[ws.dofmap.free]
     alpha = spec.alpha
     nent = len(d_meas)
@@ -434,10 +434,8 @@ def _point_coupling(ws, rule):
     dofmap = ws.dofmap
     nt, nq = len(dofmap.tri_dofs), len(rule.weights)
     measures = (ws.geom.det[:, None] * rule.weights).ravel()
-    free_index = np.full(dofmap.ndof, -1, dtype=np.int32)
-    free_index[dofmap.free] = np.arange(dofmap.nfree, dtype=np.int32)
-    rows = free_index[dofmap.tri_dofs]                       # (nt, 6)
-    is_free = rows >= 0
+    rows = dofmap.free_cols[dofmap.tri_dofs]                 # (nt, 6)
+    is_free = rows < dofmap.nfree
     keep = np.repeat(is_free[:, None, :], nq, axis=1)        # (nt, nq, 6)
     values = measures.reshape(nt, nq, 1) * shape_values(rule.points)
     indptr = np.zeros(nt * nq + 1, dtype=np.int32)

@@ -17,7 +17,8 @@ from c0ip_control import (assemble_a_h, bisect, build_dofmap,
                           estimate, example1_case, example1_spec,
                           example2_spec, interpolate, make_lshape,
                           make_unit_square, vi_residual)
-from c0ip_control.assembly import element_geometry, eval_on_elements
+from c0ip_control.assembly import (_a_h_block, element_geometry,
+                                   eval_on_elements)
 from c0ip_control.cases import biharmonic_sin3
 from c0ip_control.cli import RunConfig, _uniform_square_meshes
 from c0ip_control.fem import QuadratureRule, quadrature
@@ -76,6 +77,12 @@ def _discrete_parts(mesh):
     dm = build_dofmap(mesh)
     geom = element_geometry(mesh)
     return dm, geom, build_edge_cache(mesh, dm, geom)
+
+
+def _full_a_h(dm, geom, cache, eta):
+    """A_h over all dofs: the free block's builder on identity columns."""
+    cols = np.arange(dm.ndof, dtype=np.int32)
+    return _a_h_block(geom, cache, eta, dm.tri_dofs, cols, dm.ndof)
 
 
 def _subtriangle_rules(k):
@@ -345,10 +352,10 @@ class TestCriterion5Oracles:
         assert np.max(np.abs(defect)) < 1e-12
 
     def test_bilinear_form_symmetric_and_positive(self):
-        op = assemble_a_h(*_discrete_parts(make_unit_square(4)), 10.0)
-        a = op.full.toarray()
+        parts = _discrete_parts(make_unit_square(4))
+        a = _full_a_h(*parts, 10.0).toarray()
         assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
-        eigs = np.linalg.eigvalsh(op.free.toarray())
+        eigs = np.linalg.eigvalsh(assemble_a_h(*parts, 10.0).toarray())
         assert eigs.min() > 0.0
 
     def test_penalty_vanishes_on_quadratics(self):
@@ -363,8 +370,8 @@ class TestCriterion5Oracles:
     def test_single_free_dof_brute_force(self):
         # hand-computed entry for the two-triangle square (see
         # test_assembly.py for the derivation): 32*eta - 32
-        op = assemble_a_h(*_discrete_parts(make_unit_square(1)), 10.0)
-        assert abs(op.free[0, 0] - 288.0) < 1e-10
+        a_free = assemble_a_h(*_discrete_parts(make_unit_square(1)), 10.0)
+        assert abs(a_free[0, 0] - 288.0) < 1e-10
 
     def test_biharmonic_finite_difference_oracle(self):
         from test_cases import biharmonic_fd
@@ -442,9 +449,9 @@ class TestCriterion6VariationalDiscretization:
         ws = discretize(spec, mesh)
         vd = solve_variational(ws, solve_pdas(ws))
         free = ws.dofmap.free
-        m_f = ws.mass.free
+        m_f = ws.mass
         u_dir, phi_dir, _ = solve_linear_block(
-            ws.stiffness.free, m_f, (m_f / spec.alpha).tocsc(),
+            ws.stiffness, m_f, (m_f / spec.alpha).tocsc(),
             ws.load_f[free], -ws.load_ud[free])
         scale = max(np.max(np.abs(u_dir)), 1.0)
         assert np.max(np.abs(vd.u.coeffs[free] - u_dir)) < 1e-8 * scale

@@ -11,7 +11,8 @@ from c0ip_control import (Mesh, assemble_a_h, assemble_load, assemble_mass,
                           control_coupling, error_norms,
                           example1_spec, interpolate, make_lshape,
                           make_unit_square)
-from c0ip_control.assembly import (_EDGE_RULE, _side_normal_derivatives,
+from c0ip_control.assembly import (_EDGE_RULE, _a_h_block, _mass_block,
+                                   _side_normal_derivatives,
                                    element_geometry)
 from c0ip_control.cases import example1_case
 from c0ip_control.cli import RunConfig, _uniform_square_meshes
@@ -114,19 +115,31 @@ def side_traces(mesh, dm, geom, cache):
 
 
 def stiffness(mesh, eta):
-    """A_h of ``mesh`` on its own dofmap, geometry and edge cache."""
+    """Free block of A_h of ``mesh`` on its own dofmap, geometry and edge
+    cache."""
     return assemble_a_h(*discrete_parts(mesh), eta)
+
+
+def full_a_h(dm, geom, cache, eta):
+    """A_h over all dofs: the free block's builder on identity columns."""
+    cols = np.arange(dm.ndof, dtype=np.int32)
+    return _a_h_block(geom, cache, eta, dm.tri_dofs, cols, dm.ndof)
+
+
+def full_mass(dm, geom):
+    """M over all dofs: the free block's builder on identity columns."""
+    cols = np.arange(dm.ndof, dtype=np.int32)
+    return _mass_block(geom, dm.tri_dofs, cols, dm.ndof)
 
 
 class TestStiffness:
     def test_symmetry(self):
-        op = stiffness(make_unit_square(4), 10.0)
-        a = op.full.toarray()
+        a = full_a_h(*discrete_parts(make_unit_square(4)), 10.0).toarray()
         assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
 
     def test_spd_on_free_dofs(self):
-        op = stiffness(make_unit_square(4), 10.0)
-        eigs = np.linalg.eigvalsh(op.free.toarray())
+        a_free = stiffness(make_unit_square(4), 10.0)
+        eigs = np.linalg.eigvalsh(a_free.toarray())
         assert eigs.min() > 0.0
 
     @pytest.mark.parametrize("eta", [5.0, 10.0, 20.0])
@@ -142,9 +155,9 @@ class TestStiffness:
         #   consistency: -2 * mean * int jump = -2 * 4 * (4 sqrt2 * sqrt2)
         #              = -64,
         #   penalty: (eta/h_e) * int jump^2 = (eta/sqrt2) * 32 sqrt2 = 32 eta.
-        op = stiffness(make_unit_square(1), eta)
-        assert op.free.shape == (1, 1)
-        assert abs(op.free[0, 0] - (32.0 * eta - 32.0)) < 1e-10
+        a_free = stiffness(make_unit_square(1), eta)
+        assert a_free.shape == (1, 1)
+        assert abs(a_free[0, 0] - (32.0 * eta - 32.0)) < 1e-10
 
     def test_penalty_requires_positive_eta(self):
         with pytest.raises(ValueError):
@@ -155,8 +168,7 @@ class TestStiffness:
         mesh = make_unit_square(2)
         dm, geom, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: x * x - 0.5 * x * y + y * y)
-        op = assemble_a_h(dm, geom, cache, 10.0)
-        val = v.coeffs @ (op.full @ v.coeffs)
+        val = v.coeffs @ (full_a_h(dm, geom, cache, 10.0) @ v.coeffs)
         # int |D^2 v|^2 = 4 + 2*0.25 + 4 = 8.5 over the unit square
         assert abs(val - 8.5) < 1e-12
 
@@ -180,7 +192,7 @@ class TestStiffness:
         local = -consistency - consistency.transpose(0, 2, 1) + penalty
         expected = (coo_sum(dm.ndof, dm.tri_dofs, k_el)
                     + coo_sum(dm.ndof, np.hstack([dofs1, dofs2]), local))
-        got = assemble_a_h(dm, geom, cache, eta).full
+        got = full_a_h(dm, geom, cache, eta)
         scale = np.abs(expected.data).max()
         assert abs(got - expected).max() <= 1e-14 * scale
         # an entry whose contributions cancel to exactly 0.0 is not stored
@@ -193,7 +205,7 @@ class TestStiffness:
         k_el = np.einsum("ikl,jkl->ij", geom.hessians[0], geom.hessians[0])
         expected = np.zeros((dm.ndof, dm.ndof))
         expected[np.ix_(dm.tri_dofs[0], dm.tri_dofs[0])] = geom.area[0] * k_el
-        got = assemble_a_h(dm, geom, cache, 10.0).full
+        got = full_a_h(dm, geom, cache, 10.0)
         np.testing.assert_array_equal(got.toarray(), expected)
 
     def test_transient_memory_bounded_by_the_result(self):
@@ -212,7 +224,7 @@ class TestStiffness:
         dm, geom, cache = discrete_parts(mesh)
         tracemalloc.start()
         try:
-            full = assemble_a_h(dm, geom, cache, 10.0).full
+            full = full_a_h(dm, geom, cache, 10.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -224,7 +236,7 @@ class TestStiffness:
         # a sparse sum sizes its output for both operands; A_h must not
         # keep the unused tail of such a buffer alive behind its arrays
         _, dm, geom, cache = discrete_setup(name)
-        full = assemble_a_h(dm, geom, cache, 10.0).full
+        full = full_a_h(dm, geom, cache, 10.0)
         for arr in (full.data, full.indices):
             owner = arr if arr.base is None else arr.base
             assert owner.size == full.nnz
@@ -236,33 +248,53 @@ class TestFreeBlocks:
 
     @staticmethod
     def assemble(which, dm, geom, cache):
+        """(free block, operator over all dofs) of A_h or M."""
         if which == "a_h":
-            return assemble_a_h(dm, geom, cache, 10.0)
-        return assemble_mass(dm, geom)
+            return (assemble_a_h(dm, geom, cache, 10.0),
+                    full_a_h(dm, geom, cache, 10.0))
+        return assemble_mass(dm, geom), full_mass(dm, geom)
+
+    @staticmethod
+    def assert_free_part(free, full, dm):
+        """``free`` is the CSC free block of ``full``, array for array."""
+        assert type(free) is sp.csc_matrix
+        assert free.shape == (dm.nfree, dm.nfree)
+        assert free.has_canonical_format
+        sliced = sp.csc_matrix(full[dm.free][:, dm.free])
+        sliced.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(free, name),
+                                          getattr(sliced, name))
 
     @pytest.fixture(scope="class", params=["nvb_lshape", "square16"])
     def parts(self, request):
         return discrete_setup(request.param)[1:]
 
-    @pytest.mark.parametrize("which", ["a_h", "mass"])
-    def test_free_is_the_free_part_of_full(self, parts, which):
+    def test_free_cols_map_free_dofs_to_their_columns(self, parts):
         dm = parts[0]
-        op = self.assemble(which, *parts)
-        free = op.free
-        assert isinstance(free, sp.csc_matrix)
-        assert free.shape == (dm.nfree, dm.nfree)
-        assert free.has_canonical_format
-        sliced = op.full[dm.free][:, dm.free]
-        assert (free != sliced).nnz == 0
-        assert np.array_equal(free.toarray(), sliced.toarray())
+        assert dm.free_cols.dtype == np.int32
+        assert dm.free_cols.shape == (dm.ndof,)
+        np.testing.assert_array_equal(dm.free_cols[dm.free],
+                                      np.arange(dm.nfree))
+        assert dm.dirichlet.any()
+        assert np.all(dm.free_cols[dm.dirichlet] == dm.nfree)
 
     @pytest.mark.parametrize("which", ["a_h", "mass"])
-    def test_full_is_built_on_demand(self, parts, which):
-        dm = parts[0]
-        op = self.assemble(which, *parts)
-        assert "full" not in vars(op)
-        assert op.full is op.full
-        assert op.full.shape == op.shape == (dm.ndof, dm.ndof)
+    def test_free_is_the_free_part_of_full(self, parts, which):
+        free, full = self.assemble(which, *parts)
+        self.assert_free_part(free, full, parts[0])
+
+    @pytest.mark.parametrize("name", ["nvb_lshape", "square16"])
+    def test_discretization_holds_the_free_blocks(self, name):
+        mesh, dm, geom, cache = discrete_setup(name)
+        ws = discretize(example1_spec(), mesh)
+        pairs = ((ws.stiffness, full_a_h(dm, geom, cache, ws.spec.eta)),
+                 (ws.mass, full_mass(dm, geom)))
+        for free, full in pairs:
+            self.assert_free_part(free, full, dm)
+            for arr in (free.data, free.indices):
+                owner = arr if arr.base is None else arr.base
+                assert owner.size == free.nnz
 
     def test_free_block_transient_memory(self):
         # At h = 1/64 (16 129 free dofs, 363 377 stored entries) the free
@@ -275,7 +307,7 @@ class TestFreeBlocks:
         dm, geom, cache = discrete_parts(mesh)
         tracemalloc.start()
         try:
-            free = assemble_a_h(dm, geom, cache, 10.0).free
+            free = assemble_a_h(dm, geom, cache, 10.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,15 +318,14 @@ class TestFreeBlocks:
 class TestMass:
     def test_total_mass_is_area(self):
         dm, geom, _ = discrete_parts(make_unit_square(3))
-        m = assemble_mass(dm, geom)
-        ones = np.ones(m.shape[0])
-        assert abs(ones @ (m.full @ ones) - 1.0) < 1e-13
+        ones = np.ones(dm.ndof)
+        assert abs(ones @ (full_mass(dm, geom) @ ones) - 1.0) < 1e-13
 
     def test_reference_triangle_pattern(self):
         # classical P2 mass matrix, here in global dof order
         # (v0, v1, v2, m01, m02, m12) with area 1/2
         dm, geom, _ = discrete_parts(reference_triangle_mesh())
-        m = assemble_mass(dm, geom).full.toarray()
+        m = full_mass(dm, geom).toarray()
         pattern = np.array([
             [6, -1, -1, 0, 0, -4],
             [-1, 6, -1, 0, -4, 0],
@@ -476,19 +507,22 @@ class TestElementGeometry:
             assert not getattr(ws.geom, name).flags.writeable
 
     def test_operators_on_shared_geometry_match_fresh_ones(self):
-        # the operators of a discretization equal those assembled on a
-        # freshly built geometry and edge cache
+        # the operators of a discretization, over all dofs and on the free
+        # dofs, equal those assembled on a freshly built geometry and edge
+        # cache
         mesh = random_nvb_mesh()
         spec = example1_spec()
         ws = discretize(spec, mesh)
         dm = ws.dofmap
         geom = element_geometry(mesh)
         cache = build_edge_cache(mesh, dm, geom)
+        assert (full_a_h(dm, ws.geom, ws.cache, spec.eta)
+                != full_a_h(dm, geom, cache, spec.eta)).nnz == 0
+        assert (full_mass(dm, ws.geom) != full_mass(dm, geom)).nnz == 0
         fresh_a = assemble_a_h(dm, geom, cache, spec.eta)
-        fresh_m = assemble_mass(dm, geom)
+        assert (ws.stiffness != fresh_a).nnz == 0
+        assert (ws.mass != assemble_mass(dm, geom)).nnz == 0
         fresh_b, _ = control_coupling(dm, geom, cache, spec.kind)
-        assert (ws.stiffness.full != fresh_a.full).nnz == 0
-        assert (ws.mass.full != fresh_m.full).nnz == 0
         assert (ws.coupling != fresh_b).nnz == 0
         np.testing.assert_array_equal(
             ws.load_f, assemble_load(dm, geom, spec.f, spec.load_degree))

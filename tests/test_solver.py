@@ -42,9 +42,8 @@ class TestLinearBlock:
         spec = example1_spec()
         ws = discretize(spec, make_unit_square(4))
         n = ws.dofmap.nfree
-        u, phi, res = solve_linear_block(ws.stiffness.free, ws.mass.free,
-                                         ws.mass.free, np.zeros(n),
-                                         np.zeros(n))
+        u, phi, res = solve_linear_block(ws.stiffness, ws.mass, ws.mass,
+                                         np.zeros(n), np.zeros(n))
         assert np.allclose(u, 0.0) and np.allclose(phi, 0.0)
         assert res < 1e-14
 
@@ -56,11 +55,11 @@ class TestLinearBlock:
         import scipy.sparse as sp
         n = ws.dofmap.nfree
         zero = sp.csc_matrix((n, n))
-        u, phi, res = solve_linear_block(ws.stiffness.free, ws.mass.free,
+        u, phi, res = solve_linear_block(ws.stiffness, ws.mass,
                                          zero, ws.load_f[free],
                                          -ws.load_ud[free])
         assert res < 1e-12
-        r1 = ws.stiffness.free @ u - ws.load_f[free]
+        r1 = ws.stiffness @ u - ws.load_f[free]
         assert np.linalg.norm(r1) < 1e-10 * max(
             np.linalg.norm(ws.load_f[free]), 1.0)
 
@@ -210,7 +209,7 @@ class TestCarriedStateAdjoint:
             q[inactive] = iterates[-1]
         free = ws.dofmap.free
         u = ws.lu.solve(ws.load_f[free] + ws.coupling[free] @ q)
-        phi = ws.lu.solve(ws.mass.free @ u - ws.load_ud[free])
+        phi = ws.lu.solve(ws.mass @ u - ws.load_ud[free])
         for got, ref in ((sol.u.coeffs[free], u), (sol.phi.coeffs[free], phi)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -264,7 +263,7 @@ def _block_pdas(spec, ws, max_iter=50):
                     @ b_in.T).tocsc()
         q = np.where(up, spec.upper, np.where(lo, spec.lower, 0.0))
         u, phi, _ = solve_linear_block(
-            ws.stiffness.free, ws.mass.free, coupling,
+            ws.stiffness, ws.mass, coupling,
             ws.load_f[free] + b_f @ q, -ws.load_ud[free])
         raw = -(b_f.T @ phi) / (spec.alpha * d_meas)
         q[inactive] = raw[inactive]
@@ -400,7 +399,7 @@ def _fixed_point(ws, max_iter=200):
         load_q = np.zeros(ws.dofmap.ndof)
         np.add.at(load_q, ws.dofmap.tri_dofs, local)
         u = ws.lu.solve(ws.load_f[free] + load_q[free])
-        phi_new = ws.lu.solve(ws.mass.free @ u - ws.load_ud[free])
+        phi_new = ws.lu.solve(ws.mass @ u - ws.load_ud[free])
         res = float(np.max(np.abs(phi_new - phi)))
         if res <= FIXED_POINT_TOL:
             return u, phi_new
@@ -423,7 +422,43 @@ def _assert_point_clamp_identity(ws, sol, rtol=1e-12):
         np.abs(expected))
 
 
+def _point_coupling_oracle(ws, rule):
+    """``solver._point_coupling`` on its own dof->free-row map, with -1 on
+    the constrained dofs."""
+    dofmap = ws.dofmap
+    nt, nq = len(dofmap.tri_dofs), len(rule.weights)
+    measures = (ws.geom.det[:, None] * rule.weights).ravel()
+    free_index = np.full(dofmap.ndof, -1, dtype=np.int32)
+    free_index[dofmap.free] = np.arange(dofmap.nfree, dtype=np.int32)
+    rows = free_index[dofmap.tri_dofs]
+    is_free = rows >= 0
+    keep = np.repeat(is_free[:, None, :], nq, axis=1)
+    values = measures.reshape(nt, nq, 1) * shape_values(rule.points)
+    indptr = np.zeros(nt * nq + 1, dtype=np.int32)
+    np.cumsum(np.repeat(np.count_nonzero(is_free, axis=1), nq),
+              out=indptr[1:])
+    indices = np.broadcast_to(rows[:, None, :], keep.shape)[keep]
+    n_f = sp.csc_matrix((values[keep], indices, indptr),
+                        shape=(dofmap.nfree, nt * nq))
+    return n_f, measures
+
+
 class TestVariational:
+    @pytest.mark.parametrize("mesh", [make_unit_square(8), make_lshape(2)],
+                             ids=["square8", "lshape2"])
+    def test_point_coupling_matches_its_oracle(self, mesh):
+        ws = discretize(example1_spec(), mesh)
+        rule = quadrature("triangle", solver.VD_QUAD_DEGREE)
+        got, got_measures = solver._point_coupling(ws, rule)
+        want, want_measures = _point_coupling_oracle(ws, rule)
+        assert type(got) is sp.csc_matrix
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        np.testing.assert_array_equal(got_measures, want_measures)
+
     def test_variational_control_matches_point_evaluation(self):
         spec = example1_spec()
         ws = discretize(spec, make_unit_square(8))
@@ -486,9 +521,9 @@ class TestVariational:
         ws = discretize(spec, mesh)
         sol = solve_variational(ws, solve_pdas(ws))
         free = ws.dofmap.free
-        m_f = ws.mass.free
+        m_f = ws.mass
         u_dir, phi_dir, _ = solve_linear_block(
-            ws.stiffness.free, m_f, (m_f / spec.alpha).tocsc(),
+            ws.stiffness, m_f, (m_f / spec.alpha).tocsc(),
             ws.load_f[free], -ws.load_ud[free])
         scale = max(np.max(np.abs(u_dir)), 1.0)
         assert np.max(np.abs(sol.u.coeffs[free] - u_dir)) < 1e-8 * scale
@@ -523,7 +558,7 @@ class TestProjections:
         rhs = (assemble_load(ws.dofmap, ws.geom, spec.f, spec.load_degree)
                + assemble_load(ws.dofmap, ws.geom, spec.exact.q, 8))
         free = ws.dofmap.free
-        r = ws.stiffness.free @ ph_u.coeffs[free] - rhs[free]
+        r = ws.stiffness @ ph_u.coeffs[free] - rhs[free]
         assert np.linalg.norm(r) <= 1e-10 * max(np.linalg.norm(rhs[free]), 1.0)
 
     def test_state_projection_first_order(self):
