@@ -5,7 +5,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .assembly import error_norms
 from .estimator import estimate
 from .io import write_csv
 from .mesh import bisect, dorfler_mark, mesh_metrics
@@ -71,10 +70,7 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=25,
         err_u = err_phi = err_q = None
         if spec.exact is not None:
             case = spec.exact
-            err_u, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom,
-                                   ws.cache, spec.eta)
-            err_phi, _ = error_norms(sol.phi, case.phi, case.phi_hess,
-                                     ws.geom, ws.cache, spec.eta)
+            err_u, err_phi = case.energy_errors(ws, sol)
             err_q = case.control_error(ws.geom, sol.q)
         seconds = time.perf_counter() - t0
         h_max, min_angle, _ = mesh_metrics(mesh)

@@ -24,8 +24,11 @@ mean second normal derivative S and the jumps J_1, J_2 at the two Gauss
 points (G couples S with J_g through -|e| w_g and J_g with itself through
 eta w_g). X and Y share one sparsity pattern, and their columns are the free
 dofs (``DofMap.free_cols``), so the product is the free block that the solver
-factors. The mass matrix sums its element matrices over the free dofs the
-same way, in element order.
+factors. The mass matrix is the same Gram product, with X the rows of the
+Cholesky factor R of the reference mass matrix on each triangle's dofs and
+Y = det_T X. The loads and the control couplings are built on the free dofs
+too; passing a dofmap whose free dofs are all dofs gives any of these
+operators over all dofs.
 """
 
 from __future__ import annotations
@@ -212,15 +215,6 @@ def _trace_operator(ndof, dofs, local):
     return op.copy()
 
 
-def _gauss_sum(length):
-    """(n, 2n) map from Gauss-point values to edge integrals."""
-    n = len(length)
-    weights = (length[:, None] * _EDGE_RULE.weights).ravel()
-    indptr = np.arange(0, 2 * n + 1, 2)
-    return sp.csr_matrix((weights, np.arange(2 * n), indptr),
-                         shape=(n, 2 * n))
-
-
 def build_edge_cache(mesh, dofmap, geom):
     def edge_data(edge_idx, tris):
         pe = mesh.vertices[mesh.edges[edge_idx]]
@@ -274,13 +268,12 @@ def build_edge_cache(mesh, dofmap, geom):
                           bhess)
 
 
-def _a_h_rows(geom, cache, eta, tri_dofs, cols, n):
+def _a_h_rows(geom, cache, eta, tri_dofs, cols):
     """CSR arrays (indptr, indices, xdata, ydata) of X and Y = G X.
 
     Per triangle, four rows of X hold the Hessian components xx, xy, yx, yy
     of its 6 basis functions; per interior edge, three rows hold S, J_1 and
-    J_2 of ``mean_d2n`` and ``jump`` on the edge's 9 dofs. X is zero on
-    column n, so the product drops it.
+    J_2 of ``mean_d2n`` and ``jump`` on the edge's 9 dofs.
     """
     nt, ne = len(geom.area), len(cache.length)
     edge_dofs = cache.mean_d2n.indices.reshape(ne, 9)
@@ -310,17 +303,19 @@ def _a_h_rows(geom, cache, eta, tri_dofs, cols, n):
     gy = ydata[split:].reshape(ne, 3, 9)
     gy[:, 0] = -(lw[:, 0] * jumps[:, 0] + lw[:, 1] * jumps[:, 1])
     gy[:, 1:] = -lw * s + (eta * w) * jumps
-
-    xdata[indices == n] = 0.0
     return indptr, indices, xdata, ydata
 
 
-def _a_h_block(geom, cache, eta, tri_dofs, cols, n):
-    """A_h = X^T Y in CSC on the columns ``cols`` of the dofs, dropping the
-    dofs on column n: ``DofMap.free_cols`` gives the free block, the
-    identity the operator over all dofs."""
-    indptr, indices, xdata, ydata = _a_h_rows(geom, cache, eta, tri_dofs,
-                                              cols, n)
+def _gram(n, rows, *args):
+    """X^T Y in CSC on n columns, for the CSR arrays (indptr, indices,
+    xdata, ydata) of X and Y = G X that ``rows(*args)`` returns.
+
+    X and Y have n + 1 columns; the last one, which the constrained dofs
+    share, is dropped. They are built here rather than passed in, so that
+    only this frame holds them and they are freed before the product.
+    """
+    indptr, indices, xdata, ydata = rows(*args)
+    xdata[indices == n] = 0.0
     shape = (len(indptr) - 1, n + 1)
     yt = sp.csr_matrix((ydata, indices, indptr), shape=shape).tocsc()
     del ydata
@@ -347,69 +342,77 @@ def assemble_a_h(dofmap, geom, cache, eta):
     """Free block of the interior penalty bilinear form, in CSC."""
     if eta <= 0.0:
         raise ValueError("penalty parameter eta must be positive")
-    return _a_h_block(geom, cache, eta, dofmap.tri_dofs, dofmap.free_cols,
-                      dofmap.nfree)
+    return _gram(dofmap.nfree, _a_h_rows, geom, cache, eta, dofmap.tri_dofs,
+                 dofmap.free_cols)
 
 
-def _accumulate(tri_dofs, local, cols, n):
-    """Sum the (nt, k, k) local matrices of the (nt, k) dof maps into an
-    n x n CSC matrix on the columns ``cols``, dropping column n.
-
-    local[t, i, j] belongs at (a, b) = (cols[dof i], cols[dof j]). The
-    entries are bucketed stably by a, then by b, so each sum runs in
-    element order whatever is dropped.
-    """
-    nt, k = tri_dofs.shape
-    c = cols[tri_dofs]
-    # row (t, j) holds local[t, i, j] at column c[t, i]
-    by_a = sp.csr_matrix(
-        (local.transpose(0, 2, 1).reshape(-1),
-         np.broadcast_to(c[:, None], (nt, k, k)).reshape(-1),
-         np.arange(0, nt * k * k + 1, k, dtype=np.int32)),
-        shape=(nt * k, n + 1)).tocsc()
-    end = by_a.indptr[n]
-    by_b = sp.csr_matrix((by_a.data[:end], c.reshape(-1)[by_a.indices[:end]],
-                          by_a.indptr[:n + 1]), shape=(n, n + 1)).tocsc()
-    del by_a
-    end = by_b.indptr[n]
-    mat = sp.csc_matrix((by_b.data[:end], by_b.indices[:end],
-                         by_b.indptr[:n + 1]), shape=(n, n))
-    # duplicates are adjacent and in element order; sum them as they are
-    mat.has_sorted_indices = True
-    mat.sum_duplicates()
-    # the arrays view buffers that also held the summed and dropped
-    # entries; keep only the entries
-    mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
-    return mat
-
-
-def _mass_block(geom, tri_dofs, cols, n):
+def _mass_factor_rows():
+    """The rows of the upper Cholesky factor R of the P2 reference mass
+    matrix (R^T R), each from the diagonal on: 21 values and their local
+    dofs."""
     rule = quadrature("triangle", 4)
     vals = shape_values(rule.points)                    # (nq, 6)
     m_ref = np.einsum("g,gi,gj->ij", rule.weights, vals, vals)
-    return _accumulate(tri_dofs, geom.det[:, None, None] * m_ref, cols, n)
+    upper = np.triu_indices(6)
+    values = np.linalg.cholesky(m_ref).T[upper]
+    values.setflags(write=False)
+    upper[1].setflags(write=False)
+    return values, upper[1]
+
+
+_MASS_FACTOR, _MASS_FACTOR_DOFS = _mass_factor_rows()
+
+
+def _mass_rows(geom, tri_dofs, cols):
+    """CSR arrays of X and Y = det_T X: per triangle, six rows of X hold
+    the rows of R on its dofs (6, 5, ..., 1 entries), so that X^T Y sums
+    det_T R^T R."""
+    nt = len(tri_dofs)
+    indptr = np.zeros(6 * nt + 1, dtype=np.int32)
+    np.cumsum(np.tile(np.arange(6, 0, -1, dtype=np.int32), nt),
+              out=indptr[1:])
+    indices = cols[tri_dofs][:, _MASS_FACTOR_DOFS].ravel()
+    xdata = np.tile(_MASS_FACTOR, nt)
+    ydata = (geom.det[:, None] * _MASS_FACTOR).ravel()
+    return indptr, indices, xdata, ydata
 
 
 def assemble_mass(dofmap, geom):
     """Free block of the P2 mass matrix (SPD, exact quadrature), in CSC."""
-    return _mass_block(geom, dofmap.tri_dofs, dofmap.free_cols, dofmap.nfree)
+    return _gram(dofmap.nfree, _mass_rows, geom, dofmap.tri_dofs,
+                 dofmap.free_cols)
 
 
 def assemble_load(dofmap, geom, f, degree):
-    """Load vector F_i = int f v_i with a degree-``degree`` triangle rule."""
+    """Load vector F_i = int f v_i on the free dofs, with a
+    degree-``degree`` triangle rule."""
     rule = quadrature("triangle", degree)
     x, y = geom.quad_points(rule)
     fvals = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
     vals = shape_values(rule.points)
     local = np.einsum("q,tq,qi->ti", rule.weights, fvals, vals)
     local *= geom.det[:, None]
-    vec = np.zeros(dofmap.ndof)
-    np.add.at(vec, dofmap.tri_dofs, local)
-    return vec
+    # sums in element order, as np.add.at does; bin nfree collects the
+    # constrained dofs
+    return np.bincount(dofmap.free_cols[dofmap.tri_dofs].ravel(),
+                       local.ravel(), minlength=dofmap.nfree + 1)[:-1]
+
+
+def _coupling_block(dofs, local, cols, n):
+    """n x (ne m) CSC matrix with local[e, k, j] at row cols[dofs[e, j]]
+    and column e m + k, dropping the rows that map to n."""
+    ne, m, _ = local.shape
+    rows = np.broadcast_to(cols[dofs][:, None], local.shape)
+    keep = rows < n
+    indptr = np.zeros(ne * m + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=2).ravel(), out=indptr[1:])
+    return sp.csc_matrix((local[keep], rows[keep], indptr),
+                         shape=(n, ne * m))
 
 
 def control_coupling(dofmap, geom, cache, kind):
-    """Coupling matrix B with entries <p_entity, B_h v_i> and entity measures.
+    """Free rows of the coupling B with entries <p_entity, B_h v_i>, in
+    CSC, and the entity measures.
 
     Distributed: B[i, T] = int_T v_i dx, measures are triangle areas.
     Boundary:    B[i, e] = int_e dv_i/dn ds over boundary edges, measures are
@@ -419,15 +422,18 @@ def control_coupling(dofmap, geom, cache, kind):
         rule = quadrature("triangle", 2)
         vals = np.einsum("q,qi->i", rule.weights, shape_values(rule.points))
         local = geom.det[:, None] * vals            # (nt, 6)
-        nt = len(local)
-        rows = dofmap.tri_dofs.astype(np.int32).ravel()
-        cols = np.repeat(np.arange(nt, dtype=np.int32), 6)
-        mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                            shape=(dofmap.ndof, nt))
-        return mat.tocsr(), geom.area.copy()
+        return (_coupling_block(dofmap.tri_dofs, local[:, None],
+                                dofmap.free_cols, dofmap.nfree),
+                geom.area.copy())
     if kind == "boundary":
-        mat = (_gauss_sum(cache.blength) @ cache.bgrad).T
-        return mat.tocsr(), cache.blength.copy()
+        nb = len(cache.blength)
+        grads = cache.bgrad.data.reshape(nb, 2, 6)
+        lw = cache.blength[:, None] * _EDGE_RULE.weights    # (nEb, 2)
+        local = lw[:, :1] * grads[:, 0] + lw[:, 1:] * grads[:, 1]
+        return (_coupling_block(cache.bgrad.indices.reshape(nb, 2, 6)[:, 0],
+                                local[:, None], dofmap.free_cols,
+                                dofmap.nfree),
+                cache.blength.copy())
     raise ValueError("kind must be 'distributed' or 'boundary'")
 
 
@@ -442,30 +448,23 @@ def eval_on_elements(dofmap, coeffs, rule):
     return coeffs[dofmap.tri_dofs] @ vals.T     # (nt, nq)
 
 
-def error_norms(v, exact_value, exact_hessian, geom, cache, eta):
-    """Energy and L2 error of a P2 function against a smooth exact field.
+def error_norms(v, exact_hessian, geom, cache, eta):
+    """Energy error of a P2 function against a smooth exact field.
 
     ``exact_hessian(x, y)`` must return the tuple (w_xx, w_xy, w_yy). The
     exact field has no normal-derivative jumps, so the penalty part of the
     energy error is that of ``v`` alone.
     """
-    dofmap = v.dofmap
     rule = quadrature("triangle", ERROR_DEGREE)
     x, y = geom.quad_points(rule)
 
     hxx, hxy, hyy = (np.broadcast_to(np.asarray(h, dtype=float), x.shape)
                      for h in exact_hessian(x, y))
-    vh = broken_hessians(geom, dofmap, v.coeffs)
+    vh = broken_hessians(geom, v.dofmap, v.coeffs)
     dxx = hxx - vh[:, None, 0, 0]
     dxy = hxy - vh[:, None, 0, 1]
     dyy = hyy - vh[:, None, 1, 1]
     misfit = np.einsum("q,tq->t", rule.weights,
                        dxx ** 2 + 2.0 * dxy ** 2 + dyy ** 2) * geom.det
     pen = float(eta * cache.jump_energy(v.coeffs).sum())
-    energy_err = np.sqrt(float(misfit.sum()) + pen)
-
-    uvals = np.broadcast_to(np.asarray(exact_value(x, y), dtype=float), x.shape)
-    vvals = eval_on_elements(dofmap, v.coeffs, rule)
-    l2_err = np.sqrt(float(np.einsum(
-        "q,tq->", rule.weights, (uvals - vvals) ** 2 * geom.det[:, None])))
-    return energy_err, l2_err
+    return np.sqrt(float(misfit.sum()) + pen)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import error_norms
 from .controls import clamp
 from .fem import quadrature
 from .solver import ProblemSpec
@@ -128,6 +129,12 @@ class ManufacturedCase:
     alpha: float
     lower: float
     upper: float
+
+    def energy_errors(self, ws, sol):
+        """(||u - u_h||_h, ||phi - phi_h||_h) of a solution on ``ws``."""
+        eta = ws.spec.eta
+        return (error_norms(sol.u, self.u_hess, ws.geom, ws.cache, eta),
+                error_norms(sol.phi, self.phi_hess, ws.geom, ws.cache, eta))
 
     def control_error(self, geom, q_h):
         """||q - q_h||_{0,Omega} for a piecewise-constant control field.

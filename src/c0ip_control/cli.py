@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import run_adaptive
-from .assembly import error_norms
 from .cases import boundary_demo_spec, example1_spec, example2_spec
 from .controls import vi_residual
 from .estimator import estimate
@@ -80,10 +79,7 @@ def run_example1(config):
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
         del ws.lu   # the error norms need no factor; free it first
-        eu, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom, ws.cache,
-                            spec.eta)
-        ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, ws.geom,
-                              ws.cache, spec.eta)
+        eu, ephi = case.energy_errors(ws, sol)
         eq = case.control_error(ws.geom, sol.q)
         hs.append(h)
         eus.append(eu)
@@ -130,7 +126,7 @@ def run_boundary_demo(config, subdivision=8):
     mesh = make_unit_square(subdivision, diagonal=config.diagonal)
     ws = discretize(spec, mesh)
     sol = solve_pdas(ws)
-    means = ws.coupling.T @ sol.phi.coeffs / ws.measures
+    means = ws.coupling.T @ sol.phi.coeffs[ws.dofmap.free] / ws.measures
     kkt = vi_residual(sol.q, means, spec.alpha)
     report = estimate(ws, sol)
     rows = [
@@ -165,14 +161,8 @@ def run_vd_compare(config):
         sol = solve_pdas(ws)
         vd = solve_variational(ws, sol)
         del ws.lu   # the error norms need no factor; free it first
-        eu, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom, ws.cache,
-                            spec.eta)
-        eu_vd, _ = error_norms(vd.u, case.u, case.u_hess, ws.geom, ws.cache,
-                               spec.eta)
-        ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, ws.geom,
-                              ws.cache, spec.eta)
-        ephi_vd, _ = error_norms(vd.phi, case.phi, case.phi_hess, ws.geom,
-                                 ws.cache, spec.eta)
+        eu, ephi = case.energy_errors(ws, sol)
+        eu_vd, ephi_vd = case.energy_errors(ws, vd)
         per_triangle = len(vd.q.values) // len(sol.q.values)
         diff = vd.q.values - np.repeat(sol.q.values, per_triangle)
         qdist = float(np.sqrt(np.sum(vd.q.measures * diff ** 2)))

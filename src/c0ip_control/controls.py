@@ -1,9 +1,10 @@
 """Control fields, the box clamp and the discrete optimality check.
 
 Controls live on boundary edges (boundary flux control) or on triangles
-(distributed control). The entity means Pi_h(B_h v) of a P2 function v are
-B^T v / measures, with the coupling B and the measures that
-``assembly.control_coupling`` builds.
+(distributed control). ``assembly.control_coupling`` builds the free rows
+of the coupling B and the entity measures; the entity means Pi_h(B_h v) of
+a P2 function v that vanishes on the boundary, as the state and the adjoint
+do, are B^T v[free] / measures.
 """
 
 from __future__ import annotations

@@ -85,16 +85,17 @@ def _control_consistency(ws, sol):
     """|| (B_h phi_h + alpha q_h) - Pi_h(B_h phi_h + alpha q_h) ||_Q.
 
     The piecewise-constant alpha q_h drops out of the fluctuation, so this
-    is the projection defect of B_h phi_h alone.
+    is the projection defect of B_h phi_h alone. The triangle means are
+    the coupling's B^T phi / |T|; the edge means are taken from the same
+    Gauss-point values as the squares.
     """
     phi = sol.phi.coeffs
     if ws.spec.kind == "distributed":
         geom = ws.geom
         rule = quadrature("triangle", 4)
         vals = eval_on_elements(ws.dofmap, phi, rule)
-        integral = np.einsum("q,tq->t", rule.weights, vals) * geom.det
         sq_integral = np.einsum("q,tq->t", rule.weights, vals ** 2) * geom.det
-        mean = integral / geom.area
+        mean = ws.coupling.T @ phi[ws.dofmap.free] / ws.measures
         defect = sq_integral - geom.area * mean ** 2
         return float(np.sqrt(max(defect.sum(), 0.0)))
     cache = ws.cache

@@ -37,9 +37,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (assemble_a_h, assemble_load, assemble_mass,
-                       build_edge_cache, control_coupling, element_geometry,
-                       eval_on_elements)
+from .assembly import (_coupling_block, assemble_a_h, assemble_load,
+                       assemble_mass, build_edge_cache, control_coupling,
+                       element_geometry, eval_on_elements)
 from .controls import ControlField
 from .fem import P2Function, build_dofmap, quadrature, shape_values
 
@@ -111,9 +111,10 @@ class Discretization:
     """Assembled operators for one (spec, mesh) pair.
 
     ``geom`` is built once here and is the element geometry that every
-    operator, estimator and error norm of this pair uses. ``stiffness`` and
-    ``mass`` are the free blocks of A_h and M, assembled on the free dofs
-    only; the factor and the PDAS products read them.
+    operator, estimator and error norm of this pair uses. Every operator
+    and load lives on the free dofs, assembled there: ``stiffness`` and
+    ``mass`` are the free blocks of A_h and M, ``coupling`` the free rows
+    of B; the factor and the PDAS products read them as they are.
     """
 
     spec: ProblemSpec
@@ -123,10 +124,10 @@ class Discretization:
     cache: object
     stiffness: sp.csc_matrix   # nfree x nfree
     mass: sp.csc_matrix        # nfree x nfree
-    coupling: sp.csr_matrix    # ndof x n_entities
+    coupling: sp.csc_matrix    # nfree x n_entities
     measures: np.ndarray
-    load_f: np.ndarray         # int f v_i over all dofs
-    load_ud: np.ndarray        # int u_d v_i over all dofs
+    load_f: np.ndarray         # int f v_i over the free dofs
+    load_ud: np.ndarray        # int u_d v_i over the free dofs
 
     def full_coeffs(self, free_vec):
         out = np.zeros(self.dofmap.ndof)
@@ -257,11 +258,10 @@ class KktSolution:
 def _residuals(ws, u_free, phi_free, control_load):
     """Backward errors of the state and adjoint equations; ``control_load``
     is B q on the free dofs."""
-    free = ws.dofmap.free
     a_f, m_f = ws.stiffness, ws.mass
-    rhs_state = ws.load_f[free] + control_load
+    rhs_state = ws.load_f + control_load
     r_state = a_f @ u_free - rhs_state
-    rhs_adj = m_f @ u_free - ws.load_ud[free]
+    rhs_adj = m_f @ u_free - ws.load_ud
     r_adj = a_f @ phi_free - rhs_adj
     return (backward_error(ws.a_norm, u_free, r_state, rhs_state),
             backward_error(ws.a_norm, phi_free, r_adj, rhs_adj))
@@ -274,9 +274,8 @@ def _objective(ws, u_free, qvals, measures):
     and int u_d^2 taken with the same rule, equals the quadrature of
     (u - u_d)^2 with that rule because M is exact for P2.
     """
-    free = ws.dofmap.free
     track = (u_free @ (ws.mass @ u_free)
-             - 2.0 * (u_free @ ws.load_ud[free]) + ws.ud_norm2)
+             - 2.0 * (u_free @ ws.load_ud) + ws.ud_norm2)
     return 0.5 * float(track) + 0.5 * ws.spec.alpha * float(
         np.sum(measures * qvals ** 2))
 
@@ -338,18 +337,17 @@ def solve_pdas(ws, max_iter=50):
     cycle's signatures when an earlier active set other than the last one
     comes back.
     """
-    b_f = ws.coupling[ws.dofmap.free].tocsc()
-    return _pdas(ws, b_f, ws.measures, np.zeros(len(ws.measures)), max_iter)
+    return _pdas(ws, ws.coupling, ws.measures, np.zeros(len(ws.measures)),
+                 max_iter)
 
 
 def _pdas(ws, b_f, d_meas, raw, max_iter):
-    """``solve_pdas`` for the coupling whose free rows are ``b_f`` (CSC),
-    with control measures ``d_meas``, from the raw control ``raw``."""
+    """``solve_pdas`` for the free rows ``b_f`` (CSC) of a coupling, with
+    control measures ``d_meas``, from the raw control ``raw``."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     spec = ws.spec
     m_f = ws.mass
-    load_f, load_ud = ws.load_f[ws.dofmap.free], ws.load_ud[ws.dofmap.free]
     alpha = spec.alpha
     nent = len(d_meas)
     lu = ws.lu
@@ -380,8 +378,8 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
         qvals = np.zeros(nent)
         qvals[act_up] = spec.upper
         qvals[act_lo] = spec.lower
-        u_free = lu.solve(load_f + b_f @ qvals)
-        phi_free = lu.solve(m_f @ u_free - load_ud)
+        u_free = lu.solve(ws.load_f + b_f @ qvals)
+        phi_free = lu.solve(m_f @ u_free - ws.load_ud)
         cg_steps, cg_res = 0, 0.0
         if inactive.any():
             b_in = b_f[:, inactive]
@@ -432,19 +430,10 @@ def _point_coupling(ws, rule):
     """Free rows of N[i, (t, k)] = w_k det_t v_i(x_k) in CSC, column
     t * nq + k, and the point measures w_k det_t, for ``rule``'s points."""
     dofmap = ws.dofmap
-    nt, nq = len(dofmap.tri_dofs), len(rule.weights)
-    measures = (ws.geom.det[:, None] * rule.weights).ravel()
-    rows = dofmap.free_cols[dofmap.tri_dofs]                 # (nt, 6)
-    is_free = rows < dofmap.nfree
-    keep = np.repeat(is_free[:, None, :], nq, axis=1)        # (nt, nq, 6)
-    values = measures.reshape(nt, nq, 1) * shape_values(rule.points)
-    indptr = np.zeros(nt * nq + 1, dtype=np.int32)
-    np.cumsum(np.repeat(np.count_nonzero(is_free, axis=1), nq),
-              out=indptr[1:])
-    indices = np.broadcast_to(rows[:, None, :], keep.shape)[keep]
-    n_f = sp.csc_matrix((values[keep], indices, indptr),
-                        shape=(dofmap.nfree, nt * nq))
-    return n_f, measures
+    measures = ws.geom.det[:, None] * rule.weights           # (nt, nq)
+    values = measures[:, :, None] * shape_values(rule.points)
+    return (_coupling_block(dofmap.tri_dofs, values, dofmap.free_cols,
+                            dofmap.nfree), measures.ravel())
 
 
 def solve_variational(ws, full):
@@ -504,7 +493,6 @@ def projection_ph(ws, which):
     spec = ws.spec
     if spec.exact is None:
         raise ValueError("projection requires a manufactured exact solution")
-    free = ws.dofmap.free
     lu = ws.lu
     case = spec.exact
     if which == "state":
@@ -520,5 +508,5 @@ def projection_ph(ws, which):
         rhs = assemble_load(ws.dofmap, ws.geom, misfit, PROJECTION_DEGREE)
     else:
         raise ValueError("which must be 'state' or 'adjoint'")
-    sol = lu.solve(rhs[free])
+    sol = lu.solve(rhs)
     return P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(sol))

@@ -13,18 +13,17 @@ import pytest
 
 from c0ip_control import (assemble_a_h, bisect, build_dofmap,
                           build_edge_cache, clamp, control_coupling,
-                          dorfler_mark, error_norms,
-                          estimate, example1_case, example1_spec,
+                          dorfler_mark, estimate, example1_case, example1_spec,
                           example2_spec, interpolate, make_lshape,
                           make_unit_square, vi_residual)
-from c0ip_control.assembly import (_a_h_block, element_geometry,
-                                   eval_on_elements)
+from c0ip_control.assembly import element_geometry, eval_on_elements
 from c0ip_control.cases import biharmonic_sin3
 from c0ip_control.cli import RunConfig, _uniform_square_meshes
 from c0ip_control.fem import QuadratureRule, quadrature
 from c0ip_control.solver import (ProblemSpec, discretize, evaluate_p2,
                                  projection_ph, solve_linear_block,
                                  solve_pdas, solve_variational)
+from test_assembly import unconstrained
 
 # Reference energy errors of the state and adjoint and the L2 control error
 # for the benchmark configuration (eta = 10, alpha = 1e-3, bounds
@@ -60,10 +59,7 @@ def uniform_study():
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
         report = estimate(ws, sol)
-        err_u, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom,
-                               ws.cache, spec.eta)
-        err_phi, _ = error_norms(sol.phi, case.phi, case.phi_hess, ws.geom,
-                                 ws.cache, spec.eta)
+        err_u, err_phi = case.energy_errors(ws, sol)
         err_q = case.control_error(ws.geom, sol.q)
         levels.append({"h": h, "mesh": mesh, "ws": ws, "sol": sol,
                        "report": report, "err_u": err_u,
@@ -80,9 +76,8 @@ def _discrete_parts(mesh):
 
 
 def _full_a_h(dm, geom, cache, eta):
-    """A_h over all dofs: the free block's builder on identity columns."""
-    cols = np.arange(dm.ndof, dtype=np.int32)
-    return _a_h_block(geom, cache, eta, dm.tri_dofs, cols, dm.ndof)
+    """A_h over all dofs."""
+    return assemble_a_h(unconstrained(dm), geom, cache, eta)
 
 
 def _subtriangle_rules(k):
@@ -311,9 +306,7 @@ class TestCriterion4OptimalityConditions:
             assert sol.state_residual <= 1e-10
             assert sol.adjoint_residual <= 1e-10
             # clamp identity, recomputed with the solver's coupling pairing
-            free = ws.dofmap.free
-            b_f = ws.coupling[free].tocsc()
-            raw = -(b_f.T @ sol.phi.coeffs[free]) \
+            raw = -(ws.coupling.T @ sol.phi.coeffs[ws.dofmap.free]) \
                 / (spec.alpha * sol.q.measures)
             assert np.array_equal(sol.q.values,
                                   clamp(raw, spec.lower, spec.upper))
@@ -343,7 +336,8 @@ class TestCriterion5Oracles:
         rng = np.random.default_rng(31)
         v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
         v.coeffs[:] = rng.standard_normal(dm.ndof)
-        coupling, measures = control_coupling(dm, geom, cache, "distributed")
+        coupling, measures = control_coupling(unconstrained(dm), geom, cache,
+                                              "distributed")
         means = coupling.T @ v.coeffs / measures
         rule = quadrature("triangle", 2)
         vals = eval_on_elements(dm, v.coeffs, rule)
@@ -419,10 +413,7 @@ class TestCriterion6VariationalDiscretization:
                      if lv["h"] == 1 / 16)
         ws = level["ws"]
         vd = solve_variational(ws, level["sol"])
-        e_u, _ = error_norms(vd.u, case.u, case.u_hess, ws.geom, ws.cache,
-                             spec.eta)
-        e_phi, _ = error_norms(vd.phi, case.phi, case.phi_hess, ws.geom,
-                               ws.cache, spec.eta)
+        e_u, e_phi = case.energy_errors(ws, vd)
         assert e_u <= 2.0 * level["err_u"]
         assert e_phi <= 2.0 * level["err_phi"]
         assert level["err_u"] <= 2.0 * e_u
@@ -452,7 +443,7 @@ class TestCriterion6VariationalDiscretization:
         m_f = ws.mass
         u_dir, phi_dir, _ = solve_linear_block(
             ws.stiffness, m_f, (m_f / spec.alpha).tocsc(),
-            ws.load_f[free], -ws.load_ud[free])
+            ws.load_f, -ws.load_ud)
         scale = max(np.max(np.abs(u_dir)), 1.0)
         assert np.max(np.abs(vd.u.coeffs[free] - u_dir)) < 1e-8 * scale
         assert np.max(np.abs(vd.phi.coeffs[free] - phi_dir)) < 1e-8 * scale

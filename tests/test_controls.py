@@ -10,6 +10,7 @@ from c0ip_control.assembly import element_geometry, eval_on_elements
 from c0ip_control.controls import ControlField
 from c0ip_control.fem import quadrature
 from c0ip_control.mesh import Mesh
+from test_assembly import unconstrained
 
 
 def discrete_parts(mesh):
@@ -20,8 +21,11 @@ def discrete_parts(mesh):
 
 
 def entity_means(mesh, v, kind):
-    """Pi_h(B_h v) as B^T v / measures, from ``control_coupling``."""
-    coupling, measures = control_coupling(*discrete_parts(mesh), kind)
+    """Pi_h(B_h v) as B^T v / measures, from ``control_coupling`` over all
+    dofs."""
+    dm, geom, cache = discrete_parts(mesh)
+    coupling, measures = control_coupling(unconstrained(dm), geom, cache,
+                                          kind)
     return coupling.T @ v.coeffs / measures
 
 

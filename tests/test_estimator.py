@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from c0ip_control import (error_norms, estimate, example1_spec, interpolate,
+from c0ip_control import (estimate, example1_spec, interpolate,
                           make_unit_square)
 from c0ip_control.assembly import (broken_hessians, element_geometry,
                                    eval_on_elements)
@@ -121,10 +121,7 @@ class TestEfficiencyIndex:
         spec, ws, sol = solved_instance
         case = spec.exact
         report = estimate(ws, sol)
-        eu, _ = error_norms(sol.u, case.u, case.u_hess, ws.geom, ws.cache,
-                            spec.eta)
-        ephi, _ = error_norms(sol.phi, case.phi, case.phi_hess, ws.geom,
-                              ws.cache, spec.eta)
+        eu, ephi = case.energy_errors(ws, sol)
         eq = case.control_error(ws.geom, sol.q)
         index = report.eta_total / (eu + ephi + eq)
         assert 1.0 < index < 50.0

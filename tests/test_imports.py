@@ -1,4 +1,5 @@
-"""Every name a package module imports is used or re-exported."""
+"""Every name a package module imports is used or re-exported, and every
+name a function binds is read."""
 
 import ast
 import pathlib
@@ -46,3 +47,64 @@ def test_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func):
+    """The nodes of ``func``'s body outside its nested functions and
+    classes, whose names live in scopes of their own."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source):
+    """Names that a function of ``source`` binds and never reads, itself
+    or in a function nested in it; names starting with ``_`` are exempt."""
+    unused = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, shared = {}, set()
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+                bound.setdefault(node.name, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+        read = {node.target.id for node in ast.walk(func)
+                if isinstance(node, ast.AugAssign)
+                and isinstance(node.target, ast.Name)}
+        read.update(node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load))
+        unused.update((line, name) for name, line in bound.items()
+                      if name not in read | shared
+                      and not name.startswith("_"))
+    return sorted(unused)
+
+
+def test_scan_sees_an_unused_local():
+    source = ("def f(a):\n"
+              "    n, k = a.shape\n"
+              "    free = a.free\n"
+              "    _, m = a.pair\n"
+              "    total = 0\n"
+              "    def g():\n"
+              "        return n + m\n"
+              "    for i in range(3):\n"
+              "        total += 1\n"
+              "    return g, [j for j in a]\n")
+    assert unused_locals(source) == [(2, "k"), (3, "free"), (8, "i")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []

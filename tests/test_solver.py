@@ -51,17 +51,16 @@ class TestLinearBlock:
         # zero coupling block: two consecutive solves with the same operator
         spec = example1_spec()
         ws = discretize(spec, make_unit_square(4))
-        free = ws.dofmap.free
         import scipy.sparse as sp
         n = ws.dofmap.nfree
         zero = sp.csc_matrix((n, n))
         u, phi, res = solve_linear_block(ws.stiffness, ws.mass,
-                                         zero, ws.load_f[free],
-                                         -ws.load_ud[free])
+                                         zero, ws.load_f,
+                                         -ws.load_ud)
         assert res < 1e-12
-        r1 = ws.stiffness @ u - ws.load_f[free]
+        r1 = ws.stiffness @ u - ws.load_f
         assert np.linalg.norm(r1) < 1e-10 * max(
-            np.linalg.norm(ws.load_f[free]), 1.0)
+            np.linalg.norm(ws.load_f), 1.0)
 
 
 class TestPdas:
@@ -73,8 +72,7 @@ class TestPdas:
         # (recomputed with the solver's own coupling pairing so the clamp
         # identity holds bitwise)
         free = ws.dofmap.free
-        b_f = ws.coupling[free].tocsc()
-        raw = -(b_f.T @ sol.phi.coeffs[free]) / (spec.alpha * sol.q.measures)
+        raw = -(ws.coupling.T @ sol.phi.coeffs[free]) / (spec.alpha * sol.q.measures)
         expected = clamp(raw, spec.lower, spec.upper)
         assert np.array_equal(sol.q.values, expected)
         # the projection-based recomputation agrees to rounding
@@ -208,8 +206,8 @@ class TestCarriedStateAdjoint:
             inactive[sol.active_lower] = inactive[sol.active_upper] = False
             q[inactive] = iterates[-1]
         free = ws.dofmap.free
-        u = ws.lu.solve(ws.load_f[free] + ws.coupling[free] @ q)
-        phi = ws.lu.solve(ws.mass @ u - ws.load_ud[free])
+        u = ws.lu.solve(ws.load_f + ws.coupling @ q)
+        phi = ws.lu.solve(ws.mass @ u - ws.load_ud)
         for got, ref in ((sol.u.coeffs[free], u), (sol.phi.coeffs[free], phi)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -245,8 +243,7 @@ class TestCarriedStateAdjoint:
 
 def _block_pdas(spec, ws, max_iter=50):
     """Reference PDAS whose linear step is the 2n x 2n block LU."""
-    free = ws.dofmap.free
-    b_f = ws.coupling[free].tocsc()
+    b_f = ws.coupling
     d_meas = ws.measures
     raw = np.zeros(len(d_meas))
     prev = None
@@ -264,7 +261,7 @@ def _block_pdas(spec, ws, max_iter=50):
         q = np.where(up, spec.upper, np.where(lo, spec.lower, 0.0))
         u, phi, _ = solve_linear_block(
             ws.stiffness, ws.mass, coupling,
-            ws.load_f[free] + b_f @ q, -ws.load_ud[free])
+            ws.load_f + b_f @ q, -ws.load_ud)
         raw = -(b_f.T @ phi) / (spec.alpha * d_meas)
         q[inactive] = raw[inactive]
     raise AssertionError("reference PDAS did not terminate")
@@ -398,8 +395,8 @@ def _fixed_point(ws, max_iter=200):
         local *= ws.geom.det[:, None]
         load_q = np.zeros(ws.dofmap.ndof)
         np.add.at(load_q, ws.dofmap.tri_dofs, local)
-        u = ws.lu.solve(ws.load_f[free] + load_q[free])
-        phi_new = ws.lu.solve(ws.mass @ u - ws.load_ud[free])
+        u = ws.lu.solve(ws.load_f + load_q[free])
+        phi_new = ws.lu.solve(ws.mass @ u - ws.load_ud)
         res = float(np.max(np.abs(phi_new - phi)))
         if res <= FIXED_POINT_TOL:
             return u, phi_new
@@ -524,7 +521,7 @@ class TestVariational:
         m_f = ws.mass
         u_dir, phi_dir, _ = solve_linear_block(
             ws.stiffness, m_f, (m_f / spec.alpha).tocsc(),
-            ws.load_f[free], -ws.load_ud[free])
+            ws.load_f, -ws.load_ud)
         scale = max(np.max(np.abs(u_dir)), 1.0)
         assert np.max(np.abs(sol.u.coeffs[free] - u_dir)) < 1e-8 * scale
         assert np.max(np.abs(sol.phi.coeffs[free] - phi_dir)) < 1e-8 * scale
@@ -557,9 +554,8 @@ class TestProjections:
         from c0ip_control.assembly import assemble_load
         rhs = (assemble_load(ws.dofmap, ws.geom, spec.f, spec.load_degree)
                + assemble_load(ws.dofmap, ws.geom, spec.exact.q, 8))
-        free = ws.dofmap.free
-        r = ws.stiffness @ ph_u.coeffs[free] - rhs[free]
-        assert np.linalg.norm(r) <= 1e-10 * max(np.linalg.norm(rhs[free]), 1.0)
+        r = ws.stiffness @ ph_u.coeffs[ws.dofmap.free] - rhs
+        assert np.linalg.norm(r) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
 
     def test_state_projection_first_order(self):
         spec = example1_spec()
@@ -568,8 +564,7 @@ class TestProjections:
         for n in (8, 16, 32):
             ws = discretize(spec, make_unit_square(n))
             ph_u = projection_ph(ws, "state")
-            e, _ = error_norms(ph_u, case.u, case.u_hess, ws.geom, ws.cache,
-                               spec.eta)
+            e = error_norms(ph_u, case.u_hess, ws.geom, ws.cache, spec.eta)
             errs.append(e)
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 0.8) and np.all(orders < 1.3)
