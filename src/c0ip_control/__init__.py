@@ -8,8 +8,8 @@ estimators and newest-vertex-bisection adaptivity.
 
 from .mesh import (Mesh, MeshTopologyError, bisect, dorfler_mark,
                    make_lshape, make_unit_square, mesh_metrics)
-from .fem import (DofMap, P2Function, QuadratureRule, build_dofmap,
-                  interpolate, quadrature)
+from .fem import (DofMap, QuadratureRule, build_dofmap, interpolate,
+                  quadrature)
 from .assembly import (assemble_a_h, assemble_load, assemble_mass,
                        build_edge_cache, control_coupling, error_norms)
 from .controls import ControlField, clamp, vi_residual

@@ -73,7 +73,7 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=25,
             err_u, err_phi = case.energy_errors(ws, sol)
             err_q = case.control_error(ws.geom, sol.q)
         seconds = time.perf_counter() - t0
-        h_max, min_angle, _ = mesh_metrics(mesh)
+        h_max, min_angle = mesh_metrics(mesh)
         history.records.append(LevelRecord(
             level=level, ndof=ws.dofmap.nfree,
             ntriangles=mesh.num_triangles, h_max=h_max, min_angle=min_angle,

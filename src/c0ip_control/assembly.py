@@ -340,8 +340,9 @@ def _gram(n, rows, *args):
 
 def assemble_a_h(dofmap, geom, cache, eta):
     """Free block of the interior penalty bilinear form, in CSC."""
-    if eta <= 0.0:
-        raise ValueError("penalty parameter eta must be positive")
+    if not 0.0 < eta < np.inf:
+        raise ValueError("penalty parameter eta must be positive and "
+                         "finite, got %r" % (eta,))
     return _gram(dofmap.nfree, _a_h_rows, geom, cache, eta, dofmap.tri_dofs,
                  dofmap.free_cols)
 
@@ -448,23 +449,24 @@ def eval_on_elements(dofmap, coeffs, rule):
     return coeffs[dofmap.tri_dofs] @ vals.T     # (nt, nq)
 
 
-def error_norms(v, exact_hessian, geom, cache, eta):
-    """Energy error of a P2 function against a smooth exact field.
+def error_norms(coeffs, dofmap, exact_hessian, geom, cache, eta):
+    """Energy error of the P2 function with coefficients ``coeffs`` over
+    ``dofmap`` against a smooth exact field.
 
     ``exact_hessian(x, y)`` must return the tuple (w_xx, w_xy, w_yy). The
     exact field has no normal-derivative jumps, so the penalty part of the
-    energy error is that of ``v`` alone.
+    energy error is that of the P2 function alone.
     """
     rule = quadrature("triangle", ERROR_DEGREE)
     x, y = geom.quad_points(rule)
 
     hxx, hxy, hyy = (np.broadcast_to(np.asarray(h, dtype=float), x.shape)
                      for h in exact_hessian(x, y))
-    vh = broken_hessians(geom, v.dofmap, v.coeffs)
+    vh = broken_hessians(geom, dofmap, coeffs)
     dxx = hxx - vh[:, None, 0, 0]
     dxy = hxy - vh[:, None, 0, 1]
     dyy = hyy - vh[:, None, 1, 1]
     misfit = np.einsum("q,tq->t", rule.weights,
                        dxx ** 2 + 2.0 * dxy ** 2 + dyy ** 2) * geom.det
-    pen = float(eta * cache.jump_energy(v.coeffs).sum())
+    pen = float(eta * cache.jump_energy(coeffs).sum())
     return np.sqrt(float(misfit.sum()) + pen)

@@ -112,16 +112,14 @@ def biharmonic_sin3(x, y):
 class ManufacturedCase:
     """Exact solution triple with derivatives and derived data.
 
-    ``u``/``phi`` are value callables; ``*_grad`` return (w_x, w_y) and
-    ``*_hess`` return (w_xx, w_xy, w_yy). ``q`` is the clamped exact control
+    ``u``/``phi`` are value callables and ``*_hess`` return
+    (w_xx, w_xy, w_yy). ``q`` is the clamped exact control
     and ``f``, ``u_d`` the induced problem data.
     """
 
     u: object
-    u_grad: object
     u_hess: object
     phi: object
-    phi_grad: object
     phi_hess: object
     q: object
     f: object
@@ -132,9 +130,9 @@ class ManufacturedCase:
 
     def energy_errors(self, ws, sol):
         """(||u - u_h||_h, ||phi - phi_h||_h) of a solution on ``ws``."""
-        eta = ws.spec.eta
-        return (error_norms(sol.u, self.u_hess, ws.geom, ws.cache, eta),
-                error_norms(sol.phi, self.phi_hess, ws.geom, ws.cache, eta))
+        args = ws.geom, ws.cache, ws.spec.eta
+        return (error_norms(sol.u, ws.dofmap, self.u_hess, *args),
+                error_norms(sol.phi, ws.dofmap, self.phi_hess, *args))
 
     def control_error(self, geom, q_h):
         """||q - q_h||_{0,Omega} for a piecewise-constant control field.
@@ -155,9 +153,6 @@ def example1_case(alpha=1e-3, lower=-750.0, upper=-50.0):
     def u(x, y):
         return g_sin3(x) * g_sin3(y)
 
-    def u_grad(x, y):
-        return g_sin3(x, 1) * g_sin3(y), g_sin3(x) * g_sin3(y, 1)
-
     def u_hess(x, y):
         gx0, gx1, gx2 = _sin3_derivatives(x, (0, 1, 2))
         gy0, gy1, gy2 = _sin3_derivatives(y, (0, 1, 2))
@@ -172,8 +167,7 @@ def example1_case(alpha=1e-3, lower=-750.0, upper=-50.0):
     def u_d(x, y):
         return u(x, y) - biharmonic_sin3(x, y)
 
-    return ManufacturedCase(u=u, u_grad=u_grad, u_hess=u_hess,
-                            phi=u, phi_grad=u_grad, phi_hess=u_hess,
+    return ManufacturedCase(u=u, u_hess=u_hess, phi=u, phi_hess=u_hess,
                             q=q, f=f, u_d=u_d,
                             alpha=alpha, lower=lower, upper=upper)
 

@@ -108,10 +108,8 @@ def run_example2(config, initial_subdivision=2, max_levels=60):
     for idx in picks:
         m = history.meshes[idx]
         sol = history.solutions[idx]
-        nv = m.num_vertices
         write_vtk(m, config.outpath("example2_level%02d.vtk" % idx),
-                  point_data={"u_h": sol.u.coeffs[:nv],
-                              "phi_h": sol.phi.coeffs[:nv]},
+                  point_data={"u_h": sol.u, "phi_h": sol.phi},
                   cell_data={"q_h": sol.q.values})
     write_mesh_txt(history.meshes[-1],
                    config.outpath("example2_final.node"),
@@ -126,7 +124,7 @@ def run_boundary_demo(config, subdivision=8):
     mesh = make_unit_square(subdivision, diagonal=config.diagonal)
     ws = discretize(spec, mesh)
     sol = solve_pdas(ws)
-    means = ws.coupling.T @ sol.phi.coeffs[ws.dofmap.free] / ws.measures
+    means = ws.coupling.T @ sol.phi[ws.dofmap.free] / ws.measures
     kkt = vi_residual(sol.q, means, spec.alpha)
     report = estimate(ws, sol)
     rows = [

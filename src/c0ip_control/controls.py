@@ -35,7 +35,6 @@ class ControlField:
     """Piecewise-constant control on boundary edges or triangles, or the
     variational discretization's control at quadrature points."""
 
-    kind: str                 # "boundary" | "distributed"
     values: np.ndarray        # one value per control entity
     lower: float
     upper: float

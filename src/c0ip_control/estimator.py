@@ -89,7 +89,7 @@ def _control_consistency(ws, sol):
     the coupling's B^T phi / |T|; the edge means are taken from the same
     Gauss-point values as the squares.
     """
-    phi = sol.phi.coeffs
+    phi = sol.phi
     if ws.spec.kind == "distributed":
         geom = ws.geom
         rule = quadrature("triangle", 4)
@@ -121,14 +121,14 @@ def estimate(ws, sol):
     volume_u = _volume_residual(mesh, geom, rule, state_resid)
 
     udvals = np.broadcast_to(np.asarray(spec.u_d(x, y), dtype=float), x.shape)
-    uhvals = eval_on_elements(dofmap, sol.u.coeffs, rule)
+    uhvals = eval_on_elements(dofmap, sol.u, rule)
     volume_phi = _volume_residual(mesh, geom, rule, uhvals - udvals)
 
-    hess_u, grad_u = _edge_terms(cache, sol.u.coeffs)
-    hess_phi, grad_phi = _edge_terms(cache, sol.phi.coeffs)
+    hess_u, grad_u = _edge_terms(cache, sol.u)
+    hess_phi, grad_phi = _edge_terms(cache, sol.phi)
     offset = sol.q.values if spec.kind == "boundary" else None
-    boundary_u = _boundary_term(cache, sol.u.coeffs, offset)
-    boundary_phi = _boundary_term(cache, sol.phi.coeffs)
+    boundary_u = _boundary_term(cache, sol.u, offset)
+    boundary_phi = _boundary_term(cache, sol.phi)
 
     control = _control_consistency(ws, sol)
 

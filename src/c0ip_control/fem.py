@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "DofMap",
-    "P2Function",
     "QuadratureRule",
     "build_dofmap",
     "shape_values",
@@ -67,15 +66,16 @@ def shape_gradients(points):
 
 @dataclass(frozen=True)
 class DofMap:
-    """Global P2 dof layout: vertex dofs first, then edge-midpoint dofs."""
+    """Global P2 dof layout: vertex dofs first, then edge-midpoint dofs.
+
+    A P2 function is its (ndof,) coefficient array over this layout.
+    """
 
     ndof: int
     tri_dofs: np.ndarray      # (nt, 6) local-to-global
-    dirichlet: np.ndarray     # (ndof,) bool mask of constrained dofs
     free: np.ndarray          # indices of unconstrained dofs
     # (ndof,) int32: free[k] -> k, every constrained dof -> nfree
     free_cols: np.ndarray
-    dof_coords: np.ndarray    # (ndof, 2) nodal coordinates
 
     @property
     def nfree(self):
@@ -94,32 +94,21 @@ def build_dofmap(mesh):
     free = np.flatnonzero(~dirichlet)
     free_cols = np.full(ndof, len(free), dtype=np.int32)
     free_cols[free] = np.arange(len(free), dtype=np.int32)
-    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
-                  + mesh.vertices[mesh.edges[:, 1]])
-    coords = np.vstack([mesh.vertices, mids])
-    return DofMap(ndof, tri_dofs, dirichlet, free, free_cols, coords)
-
-
-@dataclass
-class P2Function:
-    """Coefficient vector over a DofMap."""
-
-    mesh: object
-    dofmap: DofMap
-    coeffs: np.ndarray
-
-    def copy(self):
-        return P2Function(self.mesh, self.dofmap, self.coeffs.copy())
+    return DofMap(ndof, tri_dofs, free, free_cols)
 
 
 def interpolate(mesh, dofmap, field, constrained=False):
-    """Nodal interpolant of ``field(x, y)`` (vectorized callable)."""
-    coords = dofmap.dof_coords
+    """Coefficients of the nodal interpolant of ``field(x, y)`` (vectorized
+    callable) at the vertices and edge midpoints of ``mesh``, shape
+    (ndof,); ``constrained`` zeroes the boundary dofs."""
+    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
+                  + mesh.vertices[mesh.edges[:, 1]])
+    coords = np.vstack([mesh.vertices, mids])
     coeffs = np.asarray(field(coords[:, 0], coords[:, 1]), dtype=float)
     coeffs = np.broadcast_to(coeffs, (dofmap.ndof,)).copy()
     if constrained:
-        coeffs[dofmap.dirichlet] = 0.0
-    return P2Function(mesh, dofmap, coeffs)
+        coeffs[dofmap.free_cols == dofmap.nfree] = 0.0
+    return coeffs
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ def write_vtk(mesh, path, point_data=None, cell_data=None):
     """Legacy VTK unstructured grid with optional scalar fields.
 
     ``point_data``/``cell_data`` map field names to per-vertex or
-    per-triangle arrays. P2 fields should be passed as their vertex values.
+    per-triangle arrays; a P2 coefficient array, vertex dofs first, is
+    written as its vertex values.
     """
     nv, nt = mesh.num_vertices, mesh.num_triangles
     with open(path, "w") as fh:

@@ -398,10 +398,5 @@ def dorfler_mark(indicators, theta):
 
 
 def mesh_metrics(mesh):
-    """Return (max element diameter, global min angle, counts dict)."""
-    counts = {
-        "vertices": mesh.num_vertices,
-        "edges": mesh.num_edges,
-        "triangles": mesh.num_triangles,
-    }
-    return float(mesh.diameters().max()), mesh.min_angle(), counts
+    """Return (max element diameter, global min angle)."""
+    return float(mesh.diameters().max()), mesh.min_angle()

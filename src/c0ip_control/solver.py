@@ -22,9 +22,10 @@ along p, so CG carries u and phi along with q_I and no iteration
 back-solves them. An iteration with inactive controls makes two solves for
 (u_0, phi_0), two for the CG start and two per CG step. CG stops once its
 recursive residual is at most CG_RTOL ||B_I^T phi_0||; that relative
-residual is what ``PdasStep.cg_residual`` and ``KktSolution.cg_residual``
-report. The carried state is u_0 + A^-1 B_I q_I; where the two terms nearly
-cancel (small alpha without bounds) its backward error, which
+residual is what ``PdasStep.cg_residual`` reports, the solution's in
+``KktSolution.trace[-1]``. The carried state is u_0 + A^-1 B_I q_I;
+where the two terms nearly cancel (small alpha without bounds) its
+backward error, which
 ``KktSolution.state_residual`` reports, exceeds that of a fresh solve.
 """
 
@@ -41,7 +42,7 @@ from .assembly import (_coupling_block, assemble_a_h, assemble_load,
                        assemble_mass, build_edge_cache, control_coupling,
                        element_geometry, eval_on_elements)
 from .controls import ControlField
-from .fem import P2Function, build_dofmap, quadrature, shape_values
+from .fem import build_dofmap, quadrature, shape_values
 
 __all__ = [
     "ProblemSpec",
@@ -99,11 +100,12 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in ("distributed", "boundary"):
             raise ValueError("kind must be 'distributed' or 'boundary'")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if (np.isfinite(self.lower) and np.isfinite(self.upper)
-                and not self.lower < self.upper):
-            raise ValueError("bounds must satisfy lower < upper")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite, got %r"
+                             % (self.alpha,))
+        if not self.lower < self.upper:
+            raise ValueError("bounds must satisfy lower < upper, got %r, %r"
+                             % (self.lower, self.upper))
 
 
 @dataclass
@@ -241,17 +243,22 @@ class PdasStep:
 
 @dataclass
 class KktSolution:
-    """Solution triple with active sets and solver diagnostics."""
+    """Solution triple with active sets and solver diagnostics.
 
-    u: P2Function
-    phi: P2Function
+    ``u`` and ``phi`` are the (ndof,) coefficients of the discrete state
+    and adjoint over the ``DofMap`` of the discretization they solve.
+    ``iterations`` counts the PDAS iterations, one ``PdasStep`` each in
+    ``trace``.
+    """
+
+    u: np.ndarray
+    phi: np.ndarray
     q: ControlField
     active_lower: np.ndarray
     active_upper: np.ndarray
     iterations: int
     state_residual: float
     adjoint_residual: float
-    cg_residual: float
     trace: list = field(default_factory=list)    # PdasStep per iteration
 
 
@@ -365,7 +372,7 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
         act_lo &= ~act_up
         sig = (act_up.tobytes(), act_lo.tobytes())
         if seen and sig == seen[-1]:
-            u_free, phi_free, qvals, cg_res = solution
+            u_free, phi_free, qvals = solution
             break
         if sig in seen:
             cycle = seen[seen.index(sig):]
@@ -397,7 +404,7 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
         raw = -(b_f.T @ phi_free) / (alpha * d_meas)
         q_in = raw[inactive]
         qvals[inactive] = q_in
-        solution = (u_free, phi_free, qvals, cg_res)
+        solution = (u_free, phi_free, qvals)
         status = act_up.astype(np.int8) - act_lo.astype(np.int8)
         trace.append(PdasStep(
             int(inactive.sum()), int(np.count_nonzero(status != prev_status)),
@@ -410,18 +417,17 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
             "active sets did not stabilize within %d iterations" % max_iter,
             signatures=seen[-2:])
 
-    q = ControlField(spec.kind, qvals, spec.lower, spec.upper, d_meas)
+    q = ControlField(qvals, spec.lower, spec.upper, d_meas)
     r_state, r_adj = _residuals(ws, u_free, phi_free, b_f @ qvals)
     return KktSolution(
-        u=P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(u_free)),
-        phi=P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(phi_free)),
+        u=ws.full_coeffs(u_free),
+        phi=ws.full_coeffs(phi_free),
         q=q,
         active_lower=np.flatnonzero(act_lo),
         active_upper=np.flatnonzero(act_up),
         iterations=it - 1,
         state_residual=r_state,
         adjoint_residual=r_adj,
-        cg_residual=cg_res,
         trace=trace,
     )
 
@@ -451,20 +457,20 @@ def solve_variational(ws, full):
         raise ValueError("variational discretization: distributed kind only")
     rule = quadrature("triangle", VD_QUAD_DEGREE)
     n_f, measures = _point_coupling(ws, rule)
-    phi_at_points = eval_on_elements(ws.dofmap, full.phi.coeffs, rule)
+    phi_at_points = eval_on_elements(ws.dofmap, full.phi, rule)
     return _pdas(ws, n_f, measures, -phi_at_points.ravel() / spec.alpha,
                  max_iter=50)
 
 
-def evaluate_p2(v, x, y):
-    """Evaluate a P2 function at arbitrary points inside the domain.
+def evaluate_p2(geom, dofmap, coeffs, x, y):
+    """Values at arbitrary points inside the domain of the P2 function with
+    coefficients ``coeffs`` over ``dofmap``; ``geom`` is the element
+    geometry of its mesh (``Discretization.geom``).
 
     Every point is located by a search over all triangles.
     """
-    mesh = v.mesh
     pts = np.column_stack([np.atleast_1d(np.asarray(x, dtype=float)).ravel(),
                            np.atleast_1d(np.asarray(y, dtype=float)).ravel()])
-    geom = element_geometry(mesh)
     out = np.empty(len(pts))
     for lo in range(0, len(pts), 256):
         chunk = pts[lo:lo + 256]
@@ -479,7 +485,7 @@ def evaluate_p2(v, x, y):
             raise ValueError("point outside the mesh")
         vals = shape_values(ref[tri, sel])
         out[lo:lo + 256] = np.einsum(
-            "pi,pi->p", vals, v.coeffs[v.dofmap.tri_dofs[tri]])
+            "pi,pi->p", vals, coeffs[dofmap.tri_dofs[tri]])
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
@@ -488,7 +494,7 @@ def projection_ph(ws, which):
 
     ``which`` = "state": a_h(P_h u, v) = (f, v) + <q, B_h v> with the exact
     control q; "adjoint": a_h(v, P_h phi) = (u - u_d, v) with the exact
-    state u. Requires ``spec.exact``.
+    state u. Returns the (ndof,) coefficients; requires ``spec.exact``.
     """
     spec = ws.spec
     if spec.exact is None:
@@ -508,5 +514,4 @@ def projection_ph(ws, which):
         rhs = assemble_load(ws.dofmap, ws.geom, misfit, PROJECTION_DEGREE)
     else:
         raise ValueError("which must be 'state' or 'adjoint'")
-    sol = lu.solve(rhs)
-    return P2Function(ws.mesh, ws.dofmap, ws.full_coeffs(sol))
+    return ws.full_coeffs(lu.solve(rhs))

@@ -306,12 +306,12 @@ class TestCriterion4OptimalityConditions:
             assert sol.state_residual <= 1e-10
             assert sol.adjoint_residual <= 1e-10
             # clamp identity, recomputed with the solver's coupling pairing
-            raw = -(ws.coupling.T @ sol.phi.coeffs[ws.dofmap.free]) \
+            raw = -(ws.coupling.T @ sol.phi[ws.dofmap.free]) \
                 / (spec.alpha * sol.q.measures)
             assert np.array_equal(sol.q.values,
                                   clamp(raw, spec.lower, spec.upper))
             report = vi_residual(
-                sol.q, quadrature_means(ws, sol.phi.coeffs), spec.alpha)
+                sol.q, quadrature_means(ws, sol.phi), spec.alpha)
             assert report.satisfied
             assert report.vi_lower >= -1e-10
             assert report.vi_upper >= -1e-10
@@ -334,13 +334,12 @@ class TestCriterion5Oracles:
         mesh = make_unit_square(4)
         dm, geom, cache = _discrete_parts(mesh)
         rng = np.random.default_rng(31)
-        v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
-        v.coeffs[:] = rng.standard_normal(dm.ndof)
+        v = rng.standard_normal(dm.ndof)
         coupling, measures = control_coupling(unconstrained(dm), geom, cache,
                                               "distributed")
-        means = coupling.T @ v.coeffs / measures
+        means = coupling.T @ v / measures
         rule = quadrature("triangle", 2)
-        vals = eval_on_elements(dm, v.coeffs, rule)
+        vals = eval_on_elements(dm, v, rule)
         defect = np.einsum("q,tq->t", rule.weights,
                            vals - means[:, None]) * geom.det
         assert np.max(np.abs(defect)) < 1e-12
@@ -359,7 +358,7 @@ class TestCriterion5Oracles:
             a, b, c = coeffs
             v = interpolate(mesh, dm,
                             lambda x, y: a * x * x + b * x * y + c * y * y)
-            assert 10.0 * cache.jump_energy(v.coeffs).sum() < 1e-12
+            assert 10.0 * cache.jump_energy(v).sum() < 1e-12
 
     def test_single_free_dof_brute_force(self):
         # hand-computed entry for the two-triangle square (see
@@ -394,13 +393,11 @@ class TestCriterion5Oracles:
             return float(np.einsum("q,tq->", rule.weights,
                                    values * geom.det[:, None]))
 
-        v = eval_on_elements(ws.dofmap,
-                             ph_phi.coeffs - sol.phi.coeffs, rule)
+        v = eval_on_elements(ws.dofmap, ph_phi - sol.phi, rule)
         lhs = integral((np.broadcast_to(case.q(x, y), x.shape)
                         - sol.q.values[:, None]) * v)
-        w = eval_on_elements(ws.dofmap,
-                             ph_u.coeffs - sol.u.coeffs, rule)
-        u_h = eval_on_elements(ws.dofmap, sol.u.coeffs, rule)
+        w = eval_on_elements(ws.dofmap, ph_u - sol.u, rule)
+        u_h = eval_on_elements(ws.dofmap, sol.u, rule)
         rhs = integral((np.broadcast_to(case.u(x, y), x.shape) - u_h) * w)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
 
@@ -427,7 +424,7 @@ class TestCriterion6VariationalDiscretization:
         # the control at each point of the degree-8 rule against the clamp
         # of phi_h evaluated there by point location
         x, y = ws.geom.quad_points(quadrature("triangle", 8))
-        phiv = evaluate_p2(vd.phi, x.ravel(), y.ravel())
+        phiv = evaluate_p2(ws.geom, ws.dofmap, vd.phi, x.ravel(), y.ravel())
         expected = clamp(-phiv / spec.alpha, spec.lower, spec.upper)
         assert np.max(np.abs(vd.q.values - expected)) <= 1e-12 * np.max(
             np.abs(expected))
@@ -445,8 +442,8 @@ class TestCriterion6VariationalDiscretization:
             ws.stiffness, m_f, (m_f / spec.alpha).tocsc(),
             ws.load_f, -ws.load_ud)
         scale = max(np.max(np.abs(u_dir)), 1.0)
-        assert np.max(np.abs(vd.u.coeffs[free] - u_dir)) < 1e-8 * scale
-        assert np.max(np.abs(vd.phi.coeffs[free] - phi_dir)) < 1e-8 * scale
+        assert np.max(np.abs(vd.u[free] - u_dir)) < 1e-8 * scale
+        assert np.max(np.abs(vd.phi[free] - phi_dir)) < 1e-8 * scale
 
 
 class TestCriterion7MeshProperties:

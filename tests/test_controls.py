@@ -26,7 +26,7 @@ def entity_means(mesh, v, kind):
     dm, geom, cache = discrete_parts(mesh)
     coupling, measures = control_coupling(unconstrained(dm), geom, cache,
                                           kind)
-    return coupling.T @ v.coeffs / measures
+    return coupling.T @ v / measures
 
 
 class TestClamp:
@@ -65,11 +65,10 @@ class TestProjection:
         mesh = make_unit_square(3)
         dm, geom, _ = discrete_parts(mesh)
         rng = np.random.default_rng(11)
-        v = interpolate(mesh, dm, lambda x, y: 0.0 * x)
-        v.coeffs[:] = rng.standard_normal(dm.ndof)
+        v = rng.standard_normal(dm.ndof)
         means = entity_means(mesh, v, "distributed")
         rule = quadrature("triangle", 2)
-        vals = eval_on_elements(dm, v.coeffs, rule)
+        vals = eval_on_elements(dm, v, rule)
         defect = np.einsum("q,tq->t", rule.weights,
                            vals - means[:, None]) * geom.det
         assert np.max(np.abs(defect)) < 1e-12
@@ -108,12 +107,10 @@ class TestViResidual:
         mesh = make_unit_square(2)
         dm, geom, _ = discrete_parts(mesh)
         rng = np.random.default_rng(9)
-        phi = interpolate(mesh, dm, lambda x, y: 0.0 * x)
-        phi.coeffs[:] = rng.standard_normal(dm.ndof)
+        phi = rng.standard_normal(dm.ndof)
         means = entity_means(mesh, phi, "distributed")
         alpha, lo, hi = 1e-3, -1.0, 1.0
-        q = ControlField("distributed", clamp(-means / alpha, lo, hi),
-                         lo, hi, geom.area)
+        q = ControlField(clamp(-means / alpha, lo, hi), lo, hi, geom.area)
         return q, means, alpha
 
     def test_clamped_control_satisfies_kkt(self):
@@ -128,14 +125,13 @@ class TestViResidual:
     def test_constructed_violation_flagged(self):
         q, means, alpha = self._optimal_pair()
         bad_values = np.full_like(q.values, q.upper)
-        bad = ControlField(q.kind, bad_values, q.lower, q.upper, q.measures)
+        bad = ControlField(bad_values, q.lower, q.upper, q.measures)
         report = vi_residual(bad, means, alpha)
         # at least one entity has a raw value that should sit elsewhere
         assert not report.satisfied
 
     def test_inadmissible_rejected(self):
         q, means, alpha = self._optimal_pair()
-        worse = ControlField(q.kind, q.values + 10.0, q.lower, q.upper,
-                             q.measures)
+        worse = ControlField(q.values + 10.0, q.lower, q.upper, q.measures)
         with pytest.raises(ValueError):
             vi_residual(worse, means, alpha)

@@ -67,7 +67,7 @@ class TestEdgeJumpOracle:
         report = estimate(ws, sol)
         mesh, cache = ws.mesh, ws.cache
         geom = element_geometry(mesh)
-        hess = broken_hessians(geom, ws.dofmap, sol.u.coeffs)
+        hess = broken_hessians(geom, ws.dofmap, sol.u)
         diff = hess[cache.tri1] - hess[cache.tri2]
         njump = np.einsum("ea,eab,eb->e", cache.normal, diff, cache.normal)
         expected = cache.length ** 2 * njump ** 2
@@ -85,7 +85,7 @@ class TestControlTerm:
 
         geom = element_geometry(ws.mesh)
         rule = quadrature("triangle", 4)
-        phivals = eval_on_elements(ws.dofmap, sol.phi.coeffs, rule)
+        phivals = eval_on_elements(ws.dofmap, sol.phi, rule)
         combined = phivals + spec.alpha * sol.q.values[:, None]
         integral = np.einsum("q,tq->t", rule.weights, combined) * geom.det
         mean = integral / geom.area
@@ -105,7 +105,7 @@ class TestConstructedZeroResidual:
         sol = solve_pdas(ws)
 
         quad = interpolate(mesh, ws.dofmap, lambda x, y: x * x + y * y)
-        sol.u.coeffs[:] = quad.coeffs
+        sol.u[:] = quad
         c = -4.0
         sol.q.values[:] = c
         spec2 = example1_spec()

@@ -11,10 +11,17 @@ import pytest
 import c0ip_control
 from c0ip_control import (build_dofmap, interpolate, make_lshape,
                           make_unit_square, quadrature)
+from c0ip_control.assembly import element_geometry
 from c0ip_control.fem import (REFERENCE_HESSIANS, _GAUSS_JACOBI,
                               _TRIANGLE_DEGREES, shape_gradients,
                               shape_values)
 from c0ip_control.solver import evaluate_p2
+
+
+def dof_coordinates(mesh, dm):
+    """(x, y) of every dof: the interpolants of x and of y."""
+    return (interpolate(mesh, dm, lambda x, y: x),
+            interpolate(mesh, dm, lambda x, y: y))
 
 
 class TestDofMap:
@@ -24,7 +31,8 @@ class TestDofMap:
         assert dm.ndof == 9
         assert dm.nfree == 1
         # the only free dof is the midpoint of the diagonal
-        assert np.allclose(dm.dof_coords[dm.free[0]], [0.5, 0.5])
+        x, y = dof_coordinates(mesh, dm)
+        assert np.allclose([x[dm.free[0]], y[dm.free[0]]], [0.5, 0.5])
 
     def test_unit_square_n2(self):
         dm = build_dofmap(make_unit_square(2))
@@ -75,14 +83,15 @@ class TestInterpolation:
     def test_constant(self):
         mesh = make_unit_square(2)
         v = interpolate(mesh, build_dofmap(mesh), lambda x, y: 1.0 + 0.0 * x)
-        assert np.allclose(v.coeffs, 1.0)
+        assert np.allclose(v, 1.0)
 
     def test_bilinear_node_value(self):
         mesh = make_unit_square(1)
-        v = interpolate(mesh, build_dofmap(mesh), lambda x, y: x * y)
-        dm = v.dofmap
-        mid = np.flatnonzero(np.all(np.isclose(dm.dof_coords, 0.5), axis=1))
-        assert np.isclose(v.coeffs[mid[0]], 0.25)
+        dm = build_dofmap(mesh)
+        v = interpolate(mesh, dm, lambda x, y: x * y)
+        x, y = dof_coordinates(mesh, dm)
+        mid = np.flatnonzero(np.isclose(x, 0.5) & np.isclose(y, 0.5))
+        assert np.isclose(v[mid[0]], 0.25)
 
     def test_quadratic_reproduction(self):
         mesh = make_unit_square(3)
@@ -94,14 +103,23 @@ class TestInterpolation:
         v = interpolate(mesh, dm, quad)
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.01, 0.99, size=(100, 2))
-        vals = evaluate_p2(v, pts[:, 0], pts[:, 1])
+        vals = evaluate_p2(element_geometry(mesh), dm, v, pts[:, 0],
+                           pts[:, 1])
         assert np.max(np.abs(vals - quad(pts[:, 0], pts[:, 1]))) < 1e-12
 
     def test_constrained_zeroes_boundary(self):
         mesh = make_unit_square(2)
         dm = build_dofmap(mesh)
         v = interpolate(mesh, dm, lambda x, y: 1.0 + x, constrained=True)
-        assert np.allclose(v.coeffs[dm.dirichlet], 0.0)
+        x, y = dof_coordinates(mesh, dm)
+        on_boundary = (np.isclose(x, 0.0) | np.isclose(x, 1.0)
+                       | np.isclose(y, 0.0) | np.isclose(y, 1.0))
+        # the constrained dofs are the boundary dofs: zeroed there, the
+        # nodal values elsewhere
+        np.testing.assert_array_equal(on_boundary,
+                                      dm.free_cols == dm.nfree)
+        assert np.all(v[on_boundary] == 0.0)
+        np.testing.assert_array_equal(v[~on_boundary], 1.0 + x[~on_boundary])
 
 
 class TestQuadrature:

@@ -207,6 +207,31 @@ class TestCommandLine:
         assert "--domain lshape" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags", [
+        ["--qmin", "nan"], ["--qmax", "nan"], ["--qmin=inf", "--qmax=-inf"],
+        ["--alpha", "nan"], ["--alpha", "inf"]])
+    def test_invalid_problem_data_rejected(self, tmp_path, capsys, flags):
+        rc = main(["--mode", "uniform", "--levels", "2", *flags,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_invalid_penalty_rejected(self, tmp_path, eta):
+        # in a fresh process, so that a crash in the sparse LU fails this
+        # test instead of ending the test run
+        src = os.path.dirname(os.path.dirname(c0ip_control.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "c0ip_control.cli", "--mode", "uniform",
+             "--levels", "2", "--eta", eta, "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "eta" in proc.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_zero_levels_rejected(self, tmp_path, capsys):
         rc = main(["--mode", "uniform", "--levels", "0",
                    "--out", str(tmp_path)])
@@ -265,7 +290,7 @@ class TestCommandLine:
             vd = solver.solve_variational(ws, sol)
             geom = element_geometry(mesh)
             x, y = geom.quad_points(rule)
-            phiv = solver.evaluate_p2(vd.phi, x, y)
+            phiv = solver.evaluate_p2(geom, ws.dofmap, vd.phi, x, y)
             q_vd = clamp(-phiv / spec.alpha, spec.lower, spec.upper)
             assert np.max(np.abs(vd.q.values - q_vd.ravel())) <= 1e-12 * \
                 np.max(np.abs(q_vd))

@@ -1,13 +1,16 @@
 """Active-set solver, variational discretization, auxiliary projections."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from c0ip_control import (boundary_demo_spec, clamp, error_norms,
-                          example1_case, example1_spec, make_lshape,
-                          make_unit_square, vi_residual)
+from c0ip_control import (boundary_demo_spec, build_dofmap, clamp,
+                          error_norms, example1_case, example1_spec,
+                          interpolate, make_lshape, make_unit_square,
+                          vi_residual)
 from c0ip_control.assembly import element_geometry, eval_on_elements
 from c0ip_control import solver
 from c0ip_control.fem import quadrature, shape_values
@@ -15,6 +18,8 @@ from c0ip_control.solver import (PdasError, ProblemSpec, _objective,
                                  discretize, evaluate_p2, projection_ph,
                                  solve_linear_block, solve_pdas,
                                  solve_variational)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def quadrature_means(ws, coeffs):
@@ -72,17 +77,17 @@ class TestPdas:
         # (recomputed with the solver's own coupling pairing so the clamp
         # identity holds bitwise)
         free = ws.dofmap.free
-        raw = -(ws.coupling.T @ sol.phi.coeffs[free]) / (spec.alpha * sol.q.measures)
+        raw = -(ws.coupling.T @ sol.phi[free]) / (spec.alpha * sol.q.measures)
         expected = clamp(raw, spec.lower, spec.upper)
         assert np.array_equal(sol.q.values, expected)
         # the projection-based recomputation agrees to rounding
-        raw2 = -quadrature_means(ws, sol.phi.coeffs) / spec.alpha
+        raw2 = -quadrature_means(ws, sol.phi) / spec.alpha
         assert np.allclose(sol.q.values, clamp(raw2, spec.lower, spec.upper),
                            rtol=1e-10, atol=1e-8)
 
     def test_vi_report_clean(self, solved_n8):
         spec, mesh, ws, sol = solved_n8
-        report = vi_residual(sol.q, quadrature_means(ws, sol.phi.coeffs),
+        report = vi_residual(sol.q, quadrature_means(ws, sol.phi),
                              spec.alpha)
         assert report.satisfied
         assert report.vi_lower >= -1e-10
@@ -100,7 +105,7 @@ class TestPdas:
         sol = solve_pdas(discretize(spec, make_unit_square(4)))
         assert np.allclose(sol.q.values, -50.0)
         # every control active: no reduced solve at all
-        assert sol.cg_residual == 0.0
+        assert sol.trace[-1].cg_residual == 0.0
         assert all(step.cg_steps == 0 and step.inactive == 0
                    for step in sol.trace)
 
@@ -126,7 +131,7 @@ class TestPdas:
         last = sol.trace[-1]
         assert last.inactive == mesh.num_triangles - len(
             sol.active_lower) - len(sol.active_upper)
-        assert last.cg_residual == sol.cg_residual <= 1e-13
+        assert last.cg_residual <= 1e-13
         # the first active sets come from the raw estimate 0 >= upper = -50
         assert sol.trace[0].flipped == mesh.num_triangles
         assert all(step.flipped > 0 for step in sol.trace)
@@ -136,13 +141,13 @@ class TestPdas:
         geom = element_geometry(mesh)
         rule = quadrature("triangle", spec.load_degree)
         x, y = geom.quad_points(rule)
-        misfit = (eval_on_elements(ws.dofmap, sol.u.coeffs, rule)
+        misfit = (eval_on_elements(ws.dofmap, sol.u, rule)
                   - spec.u_d(x, y))
         track = np.einsum("q,tq->", rule.weights,
                           misfit ** 2 * geom.det[:, None])
         expected = 0.5 * track + 0.5 * spec.alpha * np.sum(
             sol.q.measures * sol.q.values ** 2)
-        got = _objective(ws, sol.u.coeffs[ws.dofmap.free], sol.q.values,
+        got = _objective(ws, sol.u[ws.dofmap.free], sol.q.values,
                          sol.q.measures)
         assert abs(got - expected) <= 1e-12 * expected
 
@@ -208,7 +213,7 @@ class TestCarriedStateAdjoint:
         free = ws.dofmap.free
         u = ws.lu.solve(ws.load_f + ws.coupling @ q)
         phi = ws.lu.solve(ws.mass @ u - ws.load_ud)
-        for got, ref in ((sol.u.coeffs[free], u), (sol.phi.coeffs[free], phi)):
+        for got, ref in ((sol.u[free], u), (sol.phi[free], phi)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("case", ["bounded", "unbounded", "variational"])
@@ -302,7 +307,7 @@ class TestReducedSolveEquivalence:
         assert np.array_equal(sol.active_upper, np.flatnonzero(up))
         assert np.array_equal(sol.active_lower, np.flatnonzero(lo))
         free = ws.dofmap.free
-        for got, ref in ((sol.u.coeffs[free], u), (sol.phi.coeffs[free], phi),
+        for got, ref in ((sol.u[free], u), (sol.phi[free], phi),
                          (sol.q.values, q)):
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -366,7 +371,7 @@ class TestDegenerateInputs:
     def test_boundary_control_on_lshape(self):
         ws = discretize(boundary_demo_spec(), make_lshape(4))
         sol = self._certified(ws)
-        means = quadrature_means(ws, sol.phi.coeffs)
+        means = quadrature_means(ws, sol.phi)
         assert vi_residual(sol.q, means, ws.spec.alpha).satisfied
 
 
@@ -412,7 +417,7 @@ def _assert_point_clamp_identity(ws, sol, rtol=1e-12):
     evaluated by point location."""
     rule = quadrature("triangle", solver.VD_QUAD_DEGREE)
     x, y = ws.geom.quad_points(rule)
-    phiv = evaluate_p2(sol.phi, x.ravel(), y.ravel())
+    phiv = evaluate_p2(ws.geom, ws.dofmap, sol.phi, x.ravel(), y.ravel())
     expected = clamp(-phiv / ws.spec.alpha, ws.spec.lower, ws.spec.upper)
     assert sol.q.values.shape == expected.shape
     assert np.max(np.abs(sol.q.values - expected)) <= rtol * np.max(
@@ -492,22 +497,22 @@ class TestVariational:
             assert sol.q.admissible
             assert sol.state_residual <= 1e-10
             assert sol.adjoint_residual <= 1e-10
-            assert sol.cg_residual <= solver.CG_RTOL
+            assert sol.trace[-1].cg_residual <= solver.CG_RTOL
             _assert_point_clamp_identity(ws, sol)
         # from the full solution's raw control the sets need at most one
         # correction; from raw = 0 >= upper every control starts there
         assert warm.iterations <= 2
         if np.isfinite(bounds[1]):
             assert cold.trace[0].inactive == 0 < cold.trace[-1].inactive
-        scale = np.max(np.abs(warm.u.coeffs))
-        assert np.max(np.abs(cold.u.coeffs - warm.u.coeffs)) <= 1e-10 * scale
+        scale = np.max(np.abs(warm.u))
+        assert np.max(np.abs(cold.u - warm.u)) <= 1e-10 * scale
         oracle = _fixed_point(ws)
         if oracle is None:
             # the fixed point does not settle at alpha = 1e-7 unbounded
             assert (alpha, bounds) == (1e-7, (-np.inf, np.inf))
             return
         u_fp, _ = oracle
-        assert np.max(np.abs(warm.u.coeffs[free] - u_fp)) <= (
+        assert np.max(np.abs(warm.u[free] - u_fp)) <= (
             0.1 * FIXED_POINT_TOL / alpha + 1e-12 * scale)
 
     def test_unconstrained_matches_direct_solve(self):
@@ -523,8 +528,8 @@ class TestVariational:
             ws.stiffness, m_f, (m_f / spec.alpha).tocsc(),
             ws.load_f, -ws.load_ud)
         scale = max(np.max(np.abs(u_dir)), 1.0)
-        assert np.max(np.abs(sol.u.coeffs[free] - u_dir)) < 1e-8 * scale
-        assert np.max(np.abs(sol.phi.coeffs[free] - phi_dir)) < 1e-8 * scale
+        assert np.max(np.abs(sol.u[free] - u_dir)) < 1e-8 * scale
+        assert np.max(np.abs(sol.phi[free] - phi_dir)) < 1e-8 * scale
 
     def test_boundary_kind_rejected(self):
         case = example1_case()
@@ -554,7 +559,7 @@ class TestProjections:
         from c0ip_control.assembly import assemble_load
         rhs = (assemble_load(ws.dofmap, ws.geom, spec.f, spec.load_degree)
                + assemble_load(ws.dofmap, ws.geom, spec.exact.q, 8))
-        r = ws.stiffness @ ph_u.coeffs[ws.dofmap.free] - rhs
+        r = ws.stiffness @ ph_u[ws.dofmap.free] - rhs
         assert np.linalg.norm(r) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
 
     def test_state_projection_first_order(self):
@@ -564,7 +569,8 @@ class TestProjections:
         for n in (8, 16, 32):
             ws = discretize(spec, make_unit_square(n))
             ph_u = projection_ph(ws, "state")
-            e = error_norms(ph_u, case.u_hess, ws.geom, ws.cache, spec.eta)
+            e = error_norms(ph_u, ws.dofmap, case.u_hess, ws.geom, ws.cache,
+                            spec.eta)
             errs.append(e)
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 0.8) and np.all(orders < 1.3)
@@ -597,15 +603,13 @@ class TestDualityIdentity:
             return float(np.einsum("q,tq->", rule.weights,
                                    values * geom.det[:, None]))
 
-        v = eval_on_elements(ws.dofmap,
-                             ph_phi.coeffs - sol.phi.coeffs, rule)
+        v = eval_on_elements(ws.dofmap, ph_phi - sol.phi, rule)
         q_exact = np.broadcast_to(case.q(x, y), x.shape)
         lhs = integral((q_exact - sol.q.values[:, None]) * v)
 
-        w = eval_on_elements(ws.dofmap,
-                             ph_u.coeffs - sol.u.coeffs, rule)
+        w = eval_on_elements(ws.dofmap, ph_u - sol.u, rule)
         u_exact = np.broadcast_to(case.u(x, y), x.shape)
-        u_h = eval_on_elements(ws.dofmap, sol.u.coeffs, rule)
+        u_h = eval_on_elements(ws.dofmap, sol.u, rule)
         rhs = integral((u_exact - u_h) * w)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
 
@@ -616,8 +620,9 @@ class TestEvaluateP2:
         mesh = make_unit_square(2)
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
-        vals = evaluate_p2(sol.u, mesh.vertices[:, 0], mesh.vertices[:, 1])
-        assert np.allclose(vals, sol.u.coeffs[:mesh.num_vertices],
+        vals = evaluate_p2(ws.geom, ws.dofmap, sol.u, mesh.vertices[:, 0],
+                           mesh.vertices[:, 1])
+        assert np.allclose(vals, sol.u[:mesh.num_vertices],
                            atol=1e-12)
 
     def test_outside_point_rejected(self):
@@ -626,7 +631,51 @@ class TestEvaluateP2:
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
         with pytest.raises(ValueError):
-            evaluate_p2(sol.u, 2.0, 2.0)
+            evaluate_p2(ws.geom, ws.dofmap, sol.u, 2.0, 2.0)
+
+    @pytest.fixture()
+    def field(self):
+        """A quadratic's interpolant on ``make_unit_square(4)``, its
+        geometry and dofmap, and five points with the exact values."""
+        mesh = make_unit_square(4)
+        dm = build_dofmap(mesh)
+
+        def quad(x, y):
+            return 1.0 - x + 2.0 * x * y + 0.5 * y * y
+
+        x = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+        y = np.array([0.9, 0.2, 0.5, 0.35, 0.05])
+        return (element_geometry(mesh), dm, interpolate(mesh, dm, quad),
+                x, y, quad(x, y))
+
+    def test_builds_no_element_geometry(self, field, monkeypatch):
+        geom, dm, coeffs, x, y, want = field
+        built = []
+
+        def counting(mesh):
+            built.append(mesh)
+            return element_geometry(mesh)
+
+        monkeypatch.setattr(solver, "element_geometry", counting)
+        for k in range(len(x)):
+            got = solver.evaluate_p2(geom, dm, coeffs, x[k], y[k])
+            assert abs(got - want[k]) < 1e-13
+        assert built == []
+
+    def test_traced_call_counts_its_points(self, field, monkeypatch):
+        geom, dm, coeffs, x, y, want = field
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        from tracer import Tracer, layer_metrics
+
+        tracer = Tracer().install()
+        try:
+            got = solver.evaluate_p2(geom, dm, coeffs, x=x, y=y)
+        finally:
+            tracer.uninstall()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        metrics = layer_metrics(tracer.dump())
+        assert metrics["solver.evaluate_p2_calls"] == 1
+        assert metrics["solver.evaluate_p2_points"] == 5
 
 
 class TestProblemSpecValidation:
@@ -642,3 +691,23 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError):
             ProblemSpec(kind="distributed", f=None, u_d=None,
                         lower=1.0, upper=-1.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ProblemSpec(kind="distributed", f=None, u_d=None, alpha=alpha)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (np.nan, -50.0), (-750.0, np.nan), (np.nan, np.nan),
+        (np.inf, -np.inf), (-50.0, -50.0), (-np.inf, -np.inf)])
+    def test_nan_and_empty_boxes_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="lower < upper"):
+            ProblemSpec(kind="distributed", f=None, u_d=None,
+                        lower=lower, upper=upper)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (-np.inf, np.inf), (-750.0, np.inf), (-np.inf, -50.0)])
+    def test_infinite_bounds_accepted(self, lower, upper):
+        spec = ProblemSpec(kind="distributed", f=None, u_d=None,
+                           lower=lower, upper=upper)
+        assert (spec.lower, spec.upper) == (lower, upper)
