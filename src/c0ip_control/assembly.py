@@ -112,10 +112,17 @@ def element_geometry(mesh):
     inv_jac[:, 0, 1] = -jac[:, 0, 1] / det
     inv_jac[:, 1, 0] = -jac[:, 1, 0] / det
     inv_jac[:, 1, 1] = jac[:, 0, 0] / det
-    # H_phys = J^{-T} H_ref J^{-1}, batched over triangles and basis functions
-    hess = np.matmul(inv_jac.transpose(0, 2, 1)[:, None],
-                     np.matmul(REFERENCE_HESSIANS, inv_jac[:, None]))
-    return ElementGeometry(v0, jac, inv_jac, det, 0.5 * det, hess)
+    # H_phys = J^{-T} (H_ref J^{-1}) as two-term sums in the order np.matmul
+    # sums them, so bitwise equal to it; triangles run along the last axis,
+    # which keeps numpy's inner loops long
+    inv = np.ascontiguousarray(inv_jac.transpose(1, 2, 0))     # (2, 2, nt)
+    ref = REFERENCE_HESSIANS[..., None, None]                  # (6, 2, 2, 1, 1)
+    t = ref[:, :, 0] * inv[0]
+    t += ref[:, :, 1] * inv[1]                                 # (6, 2, 2, nt)
+    hess = inv[0][:, None] * t[:, None, 0]
+    hess += inv[1][:, None] * t[:, None, 1]
+    return ElementGeometry(v0, jac, inv_jac, det, 0.5 * det,
+                           hess.transpose(3, 0, 1, 2).copy())
 
 
 def _edge_gradient_table():

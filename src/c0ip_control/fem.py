@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = [
     "DofMap",
@@ -69,11 +71,15 @@ class DofMap:
     """Global P2 dof layout: vertex dofs first, then edge-midpoint dofs.
 
     A P2 function is its (ndof,) coefficient array over this layout.
+    ``free`` lists the unconstrained dofs in factor order, not ascending:
+    the vertices in reverse Cuthill-McKee order of the mesh's vertex graph,
+    each edge right after the earlier of its two end vertices. Every
+    operator on the free dofs has its rows and columns in this order.
     """
 
     ndof: int
     tri_dofs: np.ndarray      # (nt, 6) local-to-global
-    free: np.ndarray          # indices of unconstrained dofs
+    free: np.ndarray          # unconstrained dofs, in factor order
     # (ndof,) int32: free[k] -> k, every constrained dof -> nfree
     free_cols: np.ndarray
 
@@ -82,16 +88,47 @@ class DofMap:
         return len(self.free)
 
 
+def _vertex_ranks(mesh):
+    """Position of each vertex in the reverse Cuthill-McKee order of the
+    vertex graph (Cuthill and McKee, 1969; George, 1971)."""
+    nv = mesh.num_vertices
+    lo, hi = mesh.edges.T
+    # one key row * nv + column per direction of each edge; sorted, they
+    # list the rows in turn, each row's neighbours ascending
+    pairs = np.concatenate([lo * nv + hi, hi * nv + lo])
+    pairs.sort()
+    rows, cols = np.divmod(pairs, nv)
+    indptr = np.zeros(nv + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
+    graph = sp.csr_matrix((np.ones(len(cols), dtype=np.int8),
+                           cols.astype(np.int32), indptr), shape=(nv, nv))
+    order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    rank = np.empty(nv, dtype=np.int64)
+    rank[order] = np.arange(nv)
+    return rank
+
+
 def build_dofmap(mesh):
     nv = mesh.num_vertices
-    ndof = nv + mesh.num_edges
+    ne = mesh.num_edges
+    ndof = nv + ne
     tri_dofs = np.empty((mesh.num_triangles, 6), dtype=int)
     tri_dofs[:, :3] = mesh.triangles
     tri_dofs[:, 3:] = nv + mesh.tri_edges
     dirichlet = np.zeros(ndof, dtype=bool)
     dirichlet[mesh.boundary_vertices] = True
     dirichlet[nv + mesh.boundary_edges] = True
-    free = np.flatnonzero(~dirichlet)
+    # SuperLU's minimum-degree ordering breaks its ties by the column
+    # order, and this banded start gives it less fill than vertices, then
+    # edges. Each vertex comes in rank order, followed by the edges whose
+    # lower-ranked end it is, in edge order: one distinct key per dof.
+    rank = _vertex_ranks(mesh)
+    lo, hi = mesh.edges.T
+    key = np.concatenate([rank * (ne + 1),
+                          np.minimum(rank[lo], rank[hi]) * (ne + 1) + 1
+                          + np.arange(ne)])
+    order = np.argsort(key)
+    free = order[~dirichlet[order]]
     free_cols = np.full(ndof, len(free), dtype=np.int32)
     free_cols[free] = np.arange(len(free), dtype=np.int32)
     return DofMap(ndof, tri_dofs, free, free_cols)

@@ -142,8 +142,11 @@ class Discretization:
 
         A_h is symmetric, so the columns are ordered by minimum degree on
         A + A^T and the diagonal is kept as pivot unless it is smaller than
-        a tenth of its column's largest entry; at 16k dofs this has half
-        the fill of the default column ordering.
+        a tenth of its column's largest entry. Minimum degree breaks its
+        ties by the input order, the factor order of ``DofMap.free``: at
+        h = 1/64 (16 129 dofs) the factor stores 2.81M entries, against
+        2.98M with the free dofs ascending and 5.26M with the default
+        column ordering.
         """
         try:
             return spla.splu(self.stiffness, permc_spec="MMD_AT_PLUS_A",
@@ -154,8 +157,13 @@ class Discretization:
 
     @cached_property
     def a_norm(self):
-        """Infinity norm of the free block of A_h, for backward errors."""
-        return spla.norm(self.stiffness, np.inf)
+        """Infinity norm of the free block of A_h, for backward errors.
+
+        A_h is symmetric, so this is its largest absolute column sum; no
+        column of the SPD block is empty.
+        """
+        a = self.stiffness
+        return np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max()
 
     @cached_property
     def ud_norm2(self):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from c0ip_control import (Mesh, assemble_a_h, assemble_load, assemble_mass,
                           bisect, boundary_demo_spec, build_dofmap,
@@ -396,6 +397,69 @@ class TestFreeBlocks:
         result = free.data.nbytes + free.indices.nbytes + free.indptr.nbytes
         assert peak <= 4.5 * result
 
+    @pytest.mark.parametrize("name", ["nvb_lshape", "square16"])
+    def test_a_norm_is_the_infinity_norm(self, name):
+        ws = discretize(example1_spec(), discrete_setup(name)[0])
+        expected = spla.norm(ws.stiffness, np.inf)
+        assert abs(ws.a_norm - expected) <= 1e-15 * expected
+
+
+def ascending(dm):
+    """``dm`` with its free dofs in ascending order and the column map to
+    match."""
+    free = np.sort(dm.free)
+    cols = np.full(dm.ndof, len(free), dtype=np.int32)
+    cols[free] = np.arange(len(free), dtype=np.int32)
+    return dataclasses.replace(dm, free=free, free_cols=cols)
+
+
+class TestFactorOrder:
+    """The free dofs are numbered in factor order: the operators are those
+    of the ascending order, relabelled bit for bit, and A_h's LU factor
+    stores fewer entries."""
+
+    @staticmethod
+    def assert_same_csc(got, want):
+        got, want = sp.csc_matrix(got), sp.csc_matrix(want)
+        got.sort_indices()
+        want.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+
+    @pytest.mark.parametrize("spec", [example1_spec(), boundary_demo_spec()],
+                             ids=["distributed", "boundary"])
+    @pytest.mark.parametrize("name", ["nvb_lshape", "square16"])
+    def test_operators_are_the_ascending_ones_relabelled(self, name, spec):
+        mesh, dm, geom, cache = discrete_setup(name)
+        ws = discretize(spec, mesh)
+        asc = ascending(dm)
+        # free column k of the factor order is column perm[k] of ascending
+        perm = asc.free_cols[dm.free]
+        assert not np.array_equal(perm, np.arange(dm.nfree))
+        a_asc = assemble_a_h(asc, geom, cache, spec.eta)
+        self.assert_same_csc(ws.stiffness, a_asc[perm][:, perm])
+        self.assert_same_csc(ws.mass, assemble_mass(asc, geom)[perm][:, perm])
+        b_asc, measures = control_coupling(asc, geom, cache, spec.kind)
+        self.assert_same_csc(ws.coupling, b_asc[perm])
+        np.testing.assert_array_equal(ws.measures, measures)
+        for data, load in ((spec.f, ws.load_f), (spec.u_d, ws.load_ud)):
+            np.testing.assert_array_equal(
+                load, assemble_load(asc, geom, data, spec.load_degree)[perm])
+
+    @pytest.mark.parametrize("name", ["square32-ne", "square32-nw",
+                                      "nvb_lshape"])
+    def test_factor_order_fills_less(self, name):
+        if name == "nvb_lshape":
+            mesh = random_nvb_mesh()
+        else:
+            config = RunConfig(levels=4, diagonal=name[-2:])
+            mesh = list(_uniform_square_meshes(config))[-1][1]
+        ws = discretize(example1_spec(), mesh)
+        asc = dataclasses.replace(ws, stiffness=assemble_a_h(
+            ascending(ws.dofmap), ws.geom, ws.cache, ws.spec.eta))
+        assert ws.lu.nnz < asc.lu.nnz
+
 
 class TestMass:
     @pytest.mark.parametrize("name", ["nvb_lshape", "square16"])
@@ -588,6 +652,15 @@ class TestElementGeometry:
         scale = np.abs(expected).max(axis=(1, 2, 3))
         gap = np.abs(geom.hessians - expected).max(axis=(1, 2, 3))
         assert np.all(gap <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("name", ["nvb_lshape", "square16"])
+    def test_hessians_equal_batched_matmul(self, name):
+        # J^{-T} (H_ref J^{-1}) as two batched 2x2 products, bit for bit
+        geom = element_geometry(discrete_setup(name)[0])
+        inv = geom.inv_jac[:, None]
+        expected = np.matmul(inv.transpose(0, 1, 3, 2),
+                             np.matmul(REFERENCE_HESSIANS, inv))
+        np.testing.assert_array_equal(geom.hessians, expected)
 
     def test_shared_geometry_is_read_only(self):
         ws = discretize(example1_spec(), make_unit_square(2))

@@ -1,14 +1,10 @@
 """Quadratic Lagrange basis, dof maps, quadrature, interpolation."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import c0ip_control
 from c0ip_control import (build_dofmap, interpolate, make_lshape,
                           make_unit_square, quadrature)
 from c0ip_control.assembly import element_geometry
@@ -179,15 +175,6 @@ class TestQuadrature:
 
     def test_triangle_degrees_cover_the_stored_rules(self):
         assert {(d + 2) // 2 for d in _TRIANGLE_DEGREES} == set(_GAUSS_JACOBI)
-
-    def test_package_import_does_not_load_scipy_special(self):
-        src = os.path.dirname(os.path.dirname(c0ip_control.__file__))
-        code = ("import sys, c0ip_control.cli; "
-                "print('scipy.special' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("kind, degree", [("triangle", 8), ("edge", 3)])
     def test_rules_are_shared_and_read_only(self, kind, degree):

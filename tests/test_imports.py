@@ -1,8 +1,12 @@
-"""Every name a package module imports is used or re-exported, and every
-name a function binds is read."""
+"""Every name a package module imports is used or re-exported, every
+name a function binds is read, and the command line loads only the SciPy
+subpackages it uses."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -108,3 +112,20 @@ def test_scan_sees_an_unused_local():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
+
+
+# SciPy subpackages that no module of the package uses; each one adds to
+# the import time of every run (``setup_s`` in the benchmark)
+UNUSED_SCIPY = ("scipy.special", "scipy.optimize", "scipy.integrate",
+                "scipy.interpolate", "scipy.stats", "scipy.spatial")
+
+
+def test_cli_import_loads_no_unused_scipy_subpackage():
+    src = os.path.dirname(os.path.dirname(c0ip_control.__file__))
+    code = ("import sys, c0ip_control.cli; "
+            "print(' '.join(m for m in %r if m in sys.modules))"
+            % (UNUSED_SCIPY,))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == []
