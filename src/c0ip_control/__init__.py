@@ -7,7 +7,7 @@ estimators and newest-vertex-bisection adaptivity.
 """
 
 from .mesh import (Mesh, MeshTopologyError, bisect, dorfler_mark,
-                   make_lshape, make_unit_square, mesh_metrics)
+                   make_lshape, make_unit_square)
 from .fem import (DofMap, QuadratureRule, build_dofmap, interpolate,
                   quadrature)
 from .assembly import (assemble_a_h, assemble_load, assemble_mass,

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .estimator import estimate
 from .io import write_csv
-from .mesh import bisect, dorfler_mark, mesh_metrics
+from .mesh import bisect, dorfler_mark
 from .solver import discretize, solve_pdas
 
 __all__ = ["LevelRecord", "AdaptiveHistory", "run_adaptive"]
@@ -17,9 +16,6 @@ __all__ = ["LevelRecord", "AdaptiveHistory", "run_adaptive"]
 class LevelRecord:
     level: int
     ndof: int               # free dofs of the state space
-    ntriangles: int
-    h_max: float
-    min_angle: float
     eta_u: float
     eta_phi: float
     eta_control: float
@@ -28,7 +24,6 @@ class LevelRecord:
     err_phi: float | None
     err_q: float | None
     pdas_iterations: int
-    seconds: float
 
 
 @dataclass
@@ -47,14 +42,15 @@ class AdaptiveHistory:
             for r in self.records])
 
 
-def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=25,
-                 keep_solutions=False):
+def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=60):
     """Adaptive refinement loop driven by Doerfler marking of the estimator.
 
     Stops once the free dof count reaches ``max_dofs``, after
     ``max_levels`` levels, or on a level whose estimator is zero on every
     triangle (an exact discrete solution), whichever comes first; the last
-    level is always recorded. When ``spec.exact`` is
+    level is always recorded. The cap of 60 levels lies well above the
+    levels either domain of the command line takes to reach 50k dofs.
+    Every level's mesh and solution are kept. When ``spec.exact`` is
     available the true errors are recorded alongside the estimator.
     """
     if not 0.0 < theta <= 1.0:
@@ -63,7 +59,6 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=25,
         raise ValueError("stop criterion must be positive")
     history = AdaptiveHistory()
     for level in range(max_levels):
-        t0 = time.perf_counter()
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
         report = estimate(ws, sol)
@@ -72,18 +67,14 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=25,
             case = spec.exact
             err_u, err_phi = case.energy_errors(ws, sol)
             err_q = case.control_error(ws.geom, sol.q)
-        seconds = time.perf_counter() - t0
-        h_max, min_angle = mesh_metrics(mesh)
         history.records.append(LevelRecord(
             level=level, ndof=ws.dofmap.nfree,
-            ntriangles=mesh.num_triangles, h_max=h_max, min_angle=min_angle,
             eta_u=report.eta_u, eta_phi=report.eta_phi,
             eta_control=report.control_term, eta_total=report.eta_total,
             err_u=err_u, err_phi=err_phi, err_q=err_q,
-            pdas_iterations=sol.iterations, seconds=seconds))
+            pdas_iterations=sol.iterations))
         history.meshes.append(mesh)
-        if keep_solutions:
-            history.solutions.append(sol)
+        history.solutions.append(sol)
         if ws.dofmap.nfree >= max_dofs or not report.marking.sum() > 0.0:
             break
         marked = dorfler_mark(report.marking, theta)

@@ -18,8 +18,8 @@ from .io import write_csv, write_mesh_txt, write_vtk
 from .mesh import bisect, make_lshape, make_unit_square
 from .solver import discretize, solve_pdas, solve_variational
 
-__all__ = ["RunConfig", "run_example1", "run_example2", "run_boundary_demo",
-           "run_vd_compare", "main"]
+__all__ = ["RunConfig", "run_example1", "run_adaptive_study",
+           "run_boundary_demo", "run_vd_compare", "main"]
 
 
 @dataclass
@@ -96,32 +96,44 @@ def run_example1(config):
     return rows
 
 
-def run_example2(config, initial_subdivision=2, max_levels=60):
-    """Adaptive L-shape run with f = u_d = 1; exports history and meshes."""
-    spec = example2_spec(config.alpha, config.qmin, config.qmax, config.eta)
-    mesh = make_lshape(initial_subdivision, diagonal=config.diagonal)
+def run_adaptive_study(config):
+    """Adaptive run on ``config.domain``; exports history and meshes.
+
+    The L-shape solves Example 2 (f = u_d = 1) from ``make_lshape(2)`` and
+    names its files ``example2``; the square solves the manufactured
+    Example 1 from ``make_unit_square(4)`` and names them
+    ``adaptive_square``. Both write the history as ``<prefix>.csv``, the
+    first, middle and last levels as ``<prefix>_levelNN.vtk`` and the final
+    mesh as ``<prefix>_final.node``/``.ele``.
+    """
+    if config.domain == "lshape":
+        make_spec, prefix = example2_spec, "example2"
+        mesh = make_lshape(2, diagonal=config.diagonal)
+    else:
+        make_spec, prefix = example1_spec, "adaptive_square"
+        mesh = make_unit_square(4, diagonal=config.diagonal)
+    spec = make_spec(config.alpha, config.qmin, config.qmax, config.eta)
     history = run_adaptive(spec, mesh, theta=config.theta,
-                           max_dofs=config.max_dofs, max_levels=max_levels,
-                           keep_solutions=True)
-    history.to_csv(config.outpath("example2.csv"))
+                           max_dofs=config.max_dofs)
+    history.to_csv(config.outpath(prefix + ".csv"))
     picks = sorted({0, len(history.meshes) // 2, len(history.meshes) - 1})
     for idx in picks:
         m = history.meshes[idx]
         sol = history.solutions[idx]
-        write_vtk(m, config.outpath("example2_level%02d.vtk" % idx),
+        write_vtk(m, config.outpath("%s_level%02d.vtk" % (prefix, idx)),
                   point_data={"u_h": sol.u, "phi_h": sol.phi},
                   cell_data={"q_h": sol.q.values})
     write_mesh_txt(history.meshes[-1],
-                   config.outpath("example2_final.node"),
-                   config.outpath("example2_final.ele"))
+                   config.outpath(prefix + "_final.node"),
+                   config.outpath(prefix + "_final.ele"))
     return history
 
 
-def run_boundary_demo(config, subdivision=8):
+def run_boundary_demo(config):
     """Boundary flux control on the square: KKT report and estimator totals."""
     spec = boundary_demo_spec(config.alpha, config.qmin, config.qmax,
                               config.eta)
-    mesh = make_unit_square(subdivision, diagonal=config.diagonal)
+    mesh = make_unit_square(8, diagonal=config.diagonal)
     ws = discretize(spec, mesh)
     sol = solve_pdas(ws)
     means = ws.coupling.T @ sol.phi[ws.dofmap.free] / ws.measures
@@ -172,6 +184,7 @@ def run_vd_compare(config):
 
 
 def _build_parser():
+    defaults = RunConfig()
     parser = argparse.ArgumentParser(
         prog="plate-control",
         description="Benchmarks for constrained optimal control of a "
@@ -180,24 +193,25 @@ def _build_parser():
                         help="control problem (default: boundary with "
                              "--mode boundary-demo, else distributed)")
     parser.add_argument("--domain", choices=["square", "lshape"],
-                        default="square")
+                        default=defaults.domain)
     parser.add_argument("--mode", choices=["uniform", "adaptive",
                                            "vd-compare", "boundary-demo"],
                         help="study to run (default: uniform, or "
                              "boundary-demo with --problem boundary)")
-    parser.add_argument("--levels", type=int, default=5,
+    parser.add_argument("--levels", type=int, default=defaults.levels,
                         help="mesh levels of the uniform and vd-compare "
                              "studies (h = 1/4, 1/8, ...); --mode adaptive "
                              "ignores it and starts from make_unit_square(4) "
                              "on the square, make_lshape(2) on the L-shape")
-    parser.add_argument("--alpha", type=float, default=1e-3)
-    parser.add_argument("--eta", type=float, default=10.0)
-    parser.add_argument("--qmin", type=float, default=-750.0)
-    parser.add_argument("--qmax", type=float, default=-50.0)
-    parser.add_argument("--theta", type=float, default=0.3)
-    parser.add_argument("--max-dofs", type=int, default=50000)
-    parser.add_argument("--diagonal", choices=["ne", "nw"], default="ne")
-    parser.add_argument("--out", default="out")
+    parser.add_argument("--alpha", type=float, default=defaults.alpha)
+    parser.add_argument("--eta", type=float, default=defaults.eta)
+    parser.add_argument("--qmin", type=float, default=defaults.qmin)
+    parser.add_argument("--qmax", type=float, default=defaults.qmax)
+    parser.add_argument("--theta", type=float, default=defaults.theta)
+    parser.add_argument("--max-dofs", type=int, default=defaults.max_dofs)
+    parser.add_argument("--diagonal", choices=["ne", "nw"],
+                        default=defaults.diagonal)
+    parser.add_argument("--out", default=defaults.out)
     return parser
 
 
@@ -219,14 +233,10 @@ def _study(problem, mode):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    fields = vars(_build_parser().parse_args(argv))
     try:
-        config = RunConfig(domain=args.domain,
-                           mode=_study(args.problem, args.mode),
-                           levels=args.levels, alpha=args.alpha,
-                           eta=args.eta, qmin=args.qmin, qmax=args.qmax,
-                           theta=args.theta, max_dofs=args.max_dofs,
-                           diagonal=args.diagonal, out=args.out)
+        fields["mode"] = _study(fields.pop("problem"), fields["mode"])
+        config = RunConfig(**fields)
         if config.levels < 1:
             raise ValueError("--levels must be at least 1, got %d"
                              % config.levels)
@@ -239,15 +249,7 @@ def main(argv=None):
         elif config.mode == "uniform":
             run_example1(config)
         elif config.mode == "adaptive":
-            if config.domain == "lshape":
-                run_example2(config)
-            else:
-                spec = example1_spec(config.alpha, config.qmin, config.qmax,
-                                     config.eta)
-                mesh = make_unit_square(4, diagonal=config.diagonal)
-                history = run_adaptive(spec, mesh, theta=config.theta,
-                                       max_dofs=config.max_dofs)
-                history.to_csv(config.outpath("adaptive_square.csv"))
+            run_adaptive_study(config)
         elif config.mode == "vd-compare":
             run_vd_compare(config)
     except Exception as exc:  # surface contract violations as exit status

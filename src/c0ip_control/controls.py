@@ -57,9 +57,6 @@ class ControlField:
 class ViReport:
     """Entity-wise KKT sign check and sampled variational-inequality values."""
 
-    multiplier: np.ndarray      # Pi_h(B_h phi) + alpha q per entity
-    at_lower: np.ndarray
-    at_upper: np.ndarray
     violations: np.ndarray      # bool per entity
     vi_lower: float | None      # <m, lower*1 - q>
     vi_upper: float | None      # <m, upper*1 - q>
@@ -98,4 +95,4 @@ def vi_residual(q, means, alpha, tol=1e-10):
 
     vi_lo = vi_value(q.lower) if np.isfinite(q.lower) else None
     vi_hi = vi_value(q.upper) if np.isfinite(q.upper) else None
-    return ViReport(m, at_lower, at_upper, bad, vi_lo, vi_hi)
+    return ViReport(bad, vi_lo, vi_hi)

@@ -18,7 +18,6 @@ __all__ = [
     "make_lshape",
     "bisect",
     "dorfler_mark",
-    "mesh_metrics",
 ]
 
 _GEOM_TOL = 1e-9
@@ -395,8 +394,3 @@ def dorfler_mark(indicators, theta):
     k = int(np.searchsorted(cumulative, target - 1e-12 * total)) + 1
     k = min(k, int(np.count_nonzero(indicators)))
     return np.sort(order[:k])
-
-
-def mesh_metrics(mesh):
-    """Return (max element diameter, global min angle)."""
-    return float(mesh.diameters().max()), mesh.min_angle()

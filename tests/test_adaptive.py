@@ -35,13 +35,13 @@ class TestLoop:
         assert len(history.records) == 5
         dofs = [r.ndof for r in history.records]
         assert all(b > a for a, b in zip(dofs, dofs[1:]))
-        tris = [r.ntriangles for r in history.records]
+        tris = [m.num_triangles for m in history.meshes]
         assert all(b > a for a, b in zip(tris, tris[1:]))
 
     def test_min_angle_preserved(self):
         spec = example2_spec()
         history = run_adaptive(spec, make_lshape(1), theta=0.3, max_levels=6)
-        angles = [r.min_angle for r in history.records]
+        angles = [m.min_angle() for m in history.meshes]
         assert min(angles) >= np.pi / 4.0 - 1e-12
 
     def test_max_dofs_stop(self):
@@ -89,7 +89,7 @@ class TestLoop:
         history = run_adaptive(spec, make_unit_square(2))
         assert len(history.records) == len(history.meshes) == 1
         assert history.records[0].eta_total == 0.0
-        assert history.records[0].ntriangles == 8
+        assert history.meshes[0].num_triangles == 8
 
     def test_exact_errors_recorded_when_available(self):
         from c0ip_control import example1_spec

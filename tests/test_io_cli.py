@@ -12,9 +12,9 @@ from c0ip_control import (Mesh, bisect, clamp, example1_spec, make_lshape,
                           make_unit_square)
 from c0ip_control import cli, solver
 from c0ip_control.assembly import element_geometry
-from c0ip_control.cli import (RunConfig, main, run_boundary_demo,
-                              run_example1, run_example2, run_vd_compare,
-                              _uniform_square_meshes)
+from c0ip_control.cli import (RunConfig, main, run_adaptive_study,
+                              run_boundary_demo, run_example1,
+                              run_vd_compare, _uniform_square_meshes)
 from c0ip_control.fem import quadrature
 from c0ip_control.io import write_csv, write_mesh_txt, write_vtk
 
@@ -162,17 +162,20 @@ class TestDrivers:
         assert header == ("h,err_u,order_u,err_phi,order_phi,"
                           "err_q,order_q")
 
-    def test_example2_small_run(self, tmp_path):
-        config = RunConfig(max_dofs=300, out=str(tmp_path))
-        history = run_example2(config, initial_subdivision=1, max_levels=8)
-        assert (tmp_path / "example2.csv").exists()
-        assert (tmp_path / "example2_final.node").exists()
-        vtks = list(tmp_path.glob("example2_level*.vtk"))
+    @pytest.mark.parametrize("domain", ["lshape", "square"])
+    def test_example2_small_run(self, tmp_path, domain):
+        prefix = {"lshape": "example2", "square": "adaptive_square"}[domain]
+        config = RunConfig(domain=domain, mode="adaptive", max_dofs=300,
+                           out=str(tmp_path))
+        run_adaptive_study(config)
+        assert (tmp_path / (prefix + ".csv")).exists()
+        assert (tmp_path / (prefix + "_final.node")).exists()
+        vtks = list(tmp_path.glob(prefix + "_level*.vtk"))
         assert vtks
 
     def test_boundary_demo(self, tmp_path):
         config = RunConfig(out=str(tmp_path))
-        sol, kkt, report = run_boundary_demo(config, subdivision=4)
+        sol, kkt, report = run_boundary_demo(config)
         assert sol.state_residual <= 1e-10
         assert sol.adjoint_residual <= 1e-10
         assert kkt.satisfied
@@ -244,6 +247,15 @@ class TestCommandLine:
                    "--max-dofs", "200", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "adaptive_square.csv").exists()
+
+    def test_adaptive_square_reaches_max_dofs(self, tmp_path):
+        # the square's run stops at --max-dofs, not at a level cap below it:
+        # 7 000 dofs take 26 levels
+        rc = main(["--mode", "adaptive", "--domain", "square",
+                   "--max-dofs", "7000", "--out", str(tmp_path)])
+        assert rc == 0
+        last = (tmp_path / "adaptive_square.csv").read_text().splitlines()[-1]
+        assert int(last.split(",")[1]) >= 7000
 
     def test_adaptive_square_ignores_levels(self, tmp_path):
         # the square's adaptive run always starts from make_unit_square(4):

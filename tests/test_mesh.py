@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c0ip_control import (Mesh, MeshTopologyError, bisect, dorfler_mark,
-                          make_lshape, make_unit_square, mesh_metrics)
+                          make_lshape, make_unit_square)
 from c0ip_control.mesh import _GEOM_TOL, _orient_refinement_edges
 
 MESH_ARRAYS = ("vertices", "triangles", "level", "parent", "edges",
@@ -458,12 +458,12 @@ class TestDorflerMark:
 
 class TestMeshMetrics:
     def test_unit_square_diameter(self):
-        h_max, min_angle = mesh_metrics(make_unit_square(1))
-        assert abs(h_max - np.sqrt(2.0)) < 1e-14
-        assert abs(min_angle - np.pi / 4.0) < 1e-12
+        mesh = make_unit_square(1)
+        assert abs(mesh.diameters().max() - np.sqrt(2.0)) < 1e-14
+        assert abs(mesh.min_angle() - np.pi / 4.0) < 1e-12
 
     def test_diameter_scaling(self):
-        h_max, _ = mesh_metrics(make_unit_square(4))
+        h_max = make_unit_square(4).diameters().max()
         assert abs(h_max - np.sqrt(2.0) / 4.0) < 1e-14
 
 
