@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .estimator import estimate
 from .io import write_csv
@@ -32,14 +32,13 @@ class AdaptiveHistory:
     meshes: list = field(default_factory=list)
     solutions: list = field(default_factory=list)
 
+    # the fields of LevelRecord, in order
     CSV_COLUMNS = ["level", "N", "eta_u", "eta_phi", "eta_control",
                    "eta_total", "err_u", "err_phi", "err_q", "pdas_iters"]
 
     def to_csv(self, path):
-        write_csv(path, self.CSV_COLUMNS, [
-            [r.level, r.ndof, r.eta_u, r.eta_phi, r.eta_control, r.eta_total,
-             r.err_u, r.err_phi, r.err_q, r.pdas_iterations]
-            for r in self.records])
+        write_csv(path, self.CSV_COLUMNS,
+                  [astuple(r) for r in self.records])
 
 
 def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=60):

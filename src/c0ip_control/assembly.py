@@ -12,10 +12,10 @@ boundary carries no form terms). For P2 the element Hessians and second
 normal derivatives are constant and the normal-derivative jumps are linear
 along each edge, so two-point Gauss integrates every edge term exactly.
 
-The edge traces are sparse operators over all dofs, built once per mesh in
+The edge traces are dense rows on each edge's dofs, built once per mesh in
 ``EdgeTraceCache`` from P2 gradients tabulated at the reference edge Gauss
-points; the norms, the estimator and the boundary control read the same
-operators.
+points; A_h, the boundary control, the norms and the estimator read the same
+rows.
 
 Every term of a_h is a sum of products of traces, so A_h = X^T Y with one
 row of X per trace and Y = G X for a block-diagonal weight G: per triangle
@@ -167,18 +167,29 @@ def _side_normal_derivatives(mesh, geom, edge_idx, tris, normal):
     return gn
 
 
+def _apply_rows(dofs, rows, coeffs):
+    """Rows (n, r, k) on the dofs (n, k) applied to ``coeffs``: (n, r),
+    summed from 0.0 in dof order, as SciPy's CSR product sums, bit for bit.
+    """
+    terms = rows * coeffs[dofs][:, None]
+    out = np.zeros(terms.shape[:2])
+    for k in range(terms.shape[2]):
+        out += terms[:, :, k]
+    return out
+
+
 @dataclass(frozen=True)
 class EdgeTraceCache:
-    """Edge traces of P2 functions as sparse operators over all dofs.
+    """Edge traces of P2 functions as dense rows on each edge's dofs.
 
     Interior arrays are indexed by interior edge; ``normal`` points from
     ``tri1`` to ``tri2``. Boundary arrays use the outward normal of the
-    unique adjacent triangle. Row 2e+g of ``jump`` gives [grad v . n] at
-    Gauss point g of interior edge e; row e of ``mean_d2n`` and ``jump_d2n``
-    the mean and the jump of the (constant) second normal derivative. On
-    boundary edges ``bgrad`` gives dv/dn at the Gauss points and ``bhess``
-    d^2 v/dn^2. Each row of an interior operator holds the 9 dofs of the
-    edge's two triangles, sorted; ``assemble_a_h`` reads them as dense rows.
+    unique adjacent triangle. ``traces`` holds four rows on the 9 ``dofs``
+    of an interior edge's two triangles: the mean of the (constant) second
+    normal derivative, [grad v . n] at the two Gauss points and the jump of
+    the second normal derivative. ``btraces`` holds three rows on the 6
+    ``bdofs`` of a boundary edge's triangle: dv/dn at the two Gauss points
+    and d^2 v/dn^2. Both dof arrays ascend along each edge.
     """
 
     interior: np.ndarray     # interior edge indices
@@ -186,40 +197,51 @@ class EdgeTraceCache:
     tri2: np.ndarray
     normal: np.ndarray       # (nE, 2)
     length: np.ndarray       # (nE,)
-    jump: sp.csr_matrix      # (2 nE, ndof)
-    mean_d2n: sp.csr_matrix  # (nE, ndof)
-    jump_d2n: sp.csr_matrix  # (nE, ndof)
+    dofs: np.ndarray         # (nE, 9)
+    traces: np.ndarray       # (nE, 4, 9)
 
     boundary: np.ndarray     # boundary edge indices
     btri: np.ndarray
     bnormal: np.ndarray
     blength: np.ndarray
-    bgrad: sp.csr_matrix     # (2 nEb, ndof)
-    bhess: sp.csr_matrix     # (nEb, ndof)
+    bdofs: np.ndarray        # (nEb, 6)
+    btraces: np.ndarray      # (nEb, 3, 6)
 
     def jump_values(self, coeffs):
         """[grad v . n] at the two Gauss points of every interior edge."""
-        return (self.jump @ coeffs).reshape(-1, 2)
+        return _apply_rows(self.dofs, self.traces[:, 1:3], coeffs)
 
     def jump_energy(self, coeffs):
         """sum_g w_g [grad v . n]^2 at the Gauss points, per interior edge."""
         return self.jump_values(coeffs) ** 2 @ _EDGE_RULE.weights
 
+    def hessian_jump(self, coeffs):
+        """[d^2 v/dn^2] on every interior edge."""
+        return _apply_rows(self.dofs, self.traces[:, 3:], coeffs)[:, 0]
+
     def boundary_normal_derivative(self, coeffs):
         """d v / dn at the two Gauss points of every boundary edge."""
-        return (self.bgrad @ coeffs).reshape(-1, 2)
+        return _apply_rows(self.bdofs, self.btraces[:, :2], coeffs)
+
+    def boundary_hessian(self, coeffs):
+        """d^2 v/dn^2 on every boundary edge."""
+        return _apply_rows(self.bdofs, self.btraces[:, 2:], coeffs)[:, 0]
 
 
-def _trace_operator(ndof, dofs, local):
-    """CSR operator whose row r is sum_k local[r, k] v[dofs[r, k]]."""
-    n, k = dofs.shape
-    op = sp.csr_matrix((local.ravel(), dofs.astype(np.int32).ravel(),
-                        np.arange(0, n * k + 1, k, dtype=np.int32)),
-                       shape=(n, ndof))
-    # summing the entries of a row on a shared dof leaves the arrays as
-    # views of the k-per-row buffers; the copy keeps only the entries
-    op.sum_duplicates()
-    return op.copy()
+def _trace_blocks(ndof, dofs, local, m):
+    """Rows ``local`` (n, r, k) on the dofs (n, k) merged onto the m
+    distinct dofs of each edge, ascending: (n, m) dofs and (n, r, m) rows.
+
+    ``sum_duplicates`` sorts the entries of each row by dof and adds those
+    on a repeated dof; the copies keep only the merged entries.
+    """
+    n, r, k = local.shape
+    rows = sp.csr_matrix(
+        (local.ravel(), np.repeat(dofs, r, axis=0).ravel(),
+         np.arange(0, n * r * k + 1, k, dtype=np.int32)), shape=(n * r, ndof))
+    rows.sum_duplicates()
+    return (rows.indices.reshape(n, r, m)[:, 0].copy(),
+            rows.data.reshape(n, r, m).copy())
 
 
 def build_edge_cache(mesh, dofmap, geom):
@@ -236,8 +258,8 @@ def build_edge_cache(mesh, dofmap, geom):
         return length, normal
 
     def side_traces(edge_idx, tris, normal):
-        """Normal derivatives (n, 2, 6) at the Gauss points and second
-        normal derivatives (n, 6) of the local basis of ``tris``."""
+        """Rows (n, 3, 6) on the local basis of ``tris``: the normal
+        derivatives at the two Gauss points and the second one."""
         gn = _side_normal_derivatives(mesh, geom, edge_idx, tris, normal)
         hess = geom.hessians[tris]                       # (n, 6, 2, 2)
         n0, n1 = normal[:, None, 0], normal[:, None, 1]
@@ -245,47 +267,41 @@ def build_edge_cache(mesh, dofmap, geom):
         d2n += n0 * hess[..., 0, 1] * n1
         d2n += n1 * hess[..., 1, 0] * n0
         d2n += n1 * hess[..., 1, 1] * n1
-        return gn, d2n
+        return np.concatenate([gn, d2n[:, None]], axis=1)
 
     ndof = dofmap.ndof
-    # the operators index by int32; cast once, before the dofs are copied
+    # the rows index by int32; cast once, before the dofs are copied
     tri_dofs = dofmap.tri_dofs.astype(np.int32)
     interior = mesh.interior_edges
     t1 = mesh.edge_tris[interior, 0]
     t2 = mesh.edge_tris[interior, 1]
     length, normal = edge_data(interior, t1)
-    gn1, d2n1 = side_traces(interior, t1, normal)
-    gn2, d2n2 = side_traces(interior, t2, normal)
-    dofs = np.hstack([tri_dofs[t1], tri_dofs[t2]])
-    jump = _trace_operator(ndof, np.repeat(dofs, 2, axis=0),
-                           np.concatenate([gn1, -gn2], axis=2))
-    mean_d2n = _trace_operator(ndof, dofs, 0.5 * np.hstack([d2n1, d2n2]))
-    jump_d2n = _trace_operator(ndof, dofs, np.hstack([d2n1, -d2n2]))
+    side1 = side_traces(interior, t1, normal)
+    side2 = side_traces(interior, t2, normal)
+    mean = 0.5 * np.concatenate([side1[:, 2:], side2[:, 2:]], axis=2)
+    dofs, traces = _trace_blocks(
+        ndof, np.hstack([tri_dofs[t1], tri_dofs[t2]]),
+        np.concatenate([mean, np.concatenate([side1, -side2], axis=2)],
+                       axis=1), 9)
 
     boundary = mesh.boundary_edges
     bt = mesh.edge_tris[boundary, 0]
-    bdofs = tri_dofs[bt]
     blength, bnormal = edge_data(boundary, bt)
-    bgn, bd2n = side_traces(boundary, bt, bnormal)
-    bgrad = _trace_operator(ndof, np.repeat(bdofs, 2, axis=0), bgn)
-    bhess = _trace_operator(ndof, bdofs, bd2n)
+    bdofs, btraces = _trace_blocks(ndof, tri_dofs[bt],
+                                   side_traces(boundary, bt, bnormal), 6)
 
-    return EdgeTraceCache(interior, t1, t2, normal, length, jump, mean_d2n,
-                          jump_d2n, boundary, bt, bnormal, blength, bgrad,
-                          bhess)
+    return EdgeTraceCache(interior, t1, t2, normal, length, dofs, traces,
+                          boundary, bt, bnormal, blength, bdofs, btraces)
 
 
 def _a_h_rows(geom, cache, eta, tri_dofs, cols):
     """CSR arrays (indptr, indices, xdata, ydata) of X and Y = G X.
 
     Per triangle, four rows of X hold the Hessian components xx, xy, yx, yy
-    of its 6 basis functions; per interior edge, three rows hold S, J_1 and
-    J_2 of ``mean_d2n`` and ``jump`` on the edge's 9 dofs.
+    of its 6 basis functions; per interior edge, three rows hold the
+    first three trace rows S, J_1 and J_2 on the edge's 9 dofs.
     """
     nt, ne = len(geom.area), len(cache.length)
-    edge_dofs = cache.mean_d2n.indices.reshape(ne, 9)
-    assert np.array_equal(cache.jump.indices.reshape(ne, 2, 9),
-                          np.broadcast_to(edge_dofs[:, None], (ne, 2, 9)))
     split = 24 * nt
     indptr = np.concatenate([
         np.arange(0, split, 6, dtype=np.int32),
@@ -300,11 +316,9 @@ def _a_h_rows(geom, cache, eta, tri_dofs, cols):
     np.multiply(geom.area[:, None], xdata[:split].reshape(nt, 24),
                 out=ydata[:split].reshape(nt, 24))
 
-    indices[split:].reshape(ne, 3, 9)[...] = cols[edge_dofs][:, None]
-    s = cache.mean_d2n.data.reshape(ne, 1, 9)
-    jumps = cache.jump.data.reshape(ne, 2, 9)
-    xdata[split:].reshape(ne, 3, 9)[:, :1] = s
-    xdata[split:].reshape(ne, 3, 9)[:, 1:] = jumps
+    indices[split:].reshape(ne, 3, 9)[...] = cols[cache.dofs][:, None]
+    xdata[split:].reshape(ne, 3, 9)[...] = cache.traces[:, :3]
+    s, jumps = cache.traces[:, :1], cache.traces[:, 1:3]
     w = _EDGE_RULE.weights[:, None]
     lw = cache.length[:, None, None] * w                # (nE, 2, 1)
     gy = ydata[split:].reshape(ne, 3, 9)
@@ -434,13 +448,11 @@ def control_coupling(dofmap, geom, cache, kind):
                                 dofmap.free_cols, dofmap.nfree),
                 geom.area.copy())
     if kind == "boundary":
-        nb = len(cache.blength)
-        grads = cache.bgrad.data.reshape(nb, 2, 6)
+        grads = cache.btraces[:, :2]                        # (nEb, 2, 6)
         lw = cache.blength[:, None] * _EDGE_RULE.weights    # (nEb, 2)
         local = lw[:, :1] * grads[:, 0] + lw[:, 1:] * grads[:, 1]
-        return (_coupling_block(cache.bgrad.indices.reshape(nb, 2, 6)[:, 0],
-                                local[:, None], dofmap.free_cols,
-                                dofmap.nfree),
+        return (_coupling_block(cache.bdofs, local[:, None],
+                                dofmap.free_cols, dofmap.nfree),
                 cache.blength.copy())
     raise ValueError("kind must be 'distributed' or 'boundary'")
 

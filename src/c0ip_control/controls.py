@@ -21,13 +21,9 @@ __all__ = [
 
 
 def clamp(values, lower, upper):
-    """min(upper, max(lower, values)); infinite bounds skip that side."""
-    values = np.asarray(values, dtype=float)
-    if np.isfinite(lower):
-        values = np.maximum(values, lower)
-    if np.isfinite(upper):
-        values = np.minimum(values, upper)
-    return values
+    """min(upper, max(lower, values)); an infinite bound leaves its side."""
+    return np.minimum(np.maximum(np.asarray(values, dtype=float), lower),
+                      upper)
 
 
 @dataclass
@@ -48,9 +44,8 @@ class ControlField:
 
     @property
     def admissible(self):
-        lo = self.values >= self.lower - 1e-14 if np.isfinite(self.lower) else True
-        hi = self.values <= self.upper + 1e-14 if np.isfinite(self.upper) else True
-        return bool(np.all(lo & hi))
+        return bool(np.all((self.values >= self.lower - 1e-14)
+                           & (self.values <= self.upper + 1e-14)))
 
 
 @dataclass
@@ -79,10 +74,8 @@ def vi_residual(q, means, alpha, tol=1e-10):
         raise ValueError("control field is not admissible")
     m = means + alpha * q.values
     bound_tol = 1e-12 * max(1.0, np.abs(q.values).max(initial=0.0))
-    at_lower = (np.isfinite(q.lower)
-                & (np.abs(q.values - q.lower) <= bound_tol))
-    at_upper = (np.isfinite(q.upper)
-                & (np.abs(q.values - q.upper) <= bound_tol))
+    at_lower = np.abs(q.values - q.lower) <= bound_tol
+    at_upper = np.abs(q.values - q.upper) <= bound_tol
     interior = ~(at_lower | at_upper)
     scale = max(1.0, np.abs(m).max(initial=0.0))
     bad = np.zeros(len(m), dtype=bool)

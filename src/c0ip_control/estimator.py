@@ -69,13 +69,13 @@ def _volume_residual(mesh, geom, rule, values):
 
 def _edge_terms(cache, coeffs):
     """(hessian jump term, gradient jump term) per interior edge."""
-    hess_term = cache.length ** 2 * (cache.jump_d2n @ coeffs) ** 2
+    hess_term = cache.length ** 2 * cache.hessian_jump(coeffs) ** 2
     return hess_term, cache.jump_energy(coeffs)
 
 
 def _boundary_term(cache, coeffs, offset=None):
     """h_e * int_e (d^2 v/dn^2 - offset)^2 per boundary edge."""
-    d2 = cache.bhess @ coeffs
+    d2 = cache.boundary_hessian(coeffs)
     if offset is not None:
         d2 = d2 - offset
     return cache.blength ** 2 * d2 ** 2

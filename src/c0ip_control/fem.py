@@ -134,18 +134,15 @@ def build_dofmap(mesh):
     return DofMap(ndof, tri_dofs, free, free_cols)
 
 
-def interpolate(mesh, dofmap, field, constrained=False):
+def interpolate(mesh, dofmap, field):
     """Coefficients of the nodal interpolant of ``field(x, y)`` (vectorized
     callable) at the vertices and edge midpoints of ``mesh``, shape
-    (ndof,); ``constrained`` zeroes the boundary dofs."""
+    (ndof,)."""
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
                   + mesh.vertices[mesh.edges[:, 1]])
     coords = np.vstack([mesh.vertices, mids])
     coeffs = np.asarray(field(coords[:, 0], coords[:, 1]), dtype=float)
-    coeffs = np.broadcast_to(coeffs, (dofmap.ndof,)).copy()
-    if constrained:
-        coeffs[dofmap.free_cols == dofmap.nfree] = 0.0
-    return coeffs
+    return np.broadcast_to(coeffs, (dofmap.ndof,)).copy()
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,10 @@ __all__ = [
 
 
 # CG on the reduced control system stops at this relative residual and
-# fails after CG_MAX_ITER steps
+# fails after CG_MAX_ITER steps; PDAS fails after PDAS_MAX_ITER iterations
 CG_RTOL = 1e-13
 CG_MAX_ITER = 200
+PDAS_MAX_ITER = 50
 
 # degree of the triangle rule whose points carry the variational control
 VD_QUAD_DEGREE = 8
@@ -255,8 +256,7 @@ class KktSolution:
 
     ``u`` and ``phi`` are the (ndof,) coefficients of the discrete state
     and adjoint over the ``DofMap`` of the discretization they solve.
-    ``iterations`` counts the PDAS iterations, one ``PdasStep`` each in
-    ``trace``.
+    ``trace`` holds one ``PdasStep`` per PDAS iteration.
     """
 
     u: np.ndarray
@@ -264,10 +264,14 @@ class KktSolution:
     q: ControlField
     active_lower: np.ndarray
     active_upper: np.ndarray
-    iterations: int
     state_residual: float
     adjoint_residual: float
     trace: list = field(default_factory=list)    # PdasStep per iteration
+
+    @property
+    def iterations(self):
+        """Number of PDAS iterations."""
+        return len(self.trace)
 
 
 def _residuals(ws, u_free, phi_free, control_load):
@@ -338,7 +342,7 @@ def _pcg(apply, rhs, x, inv_diag, carried):
                     "%d steps (relative residual %.3e)" % (CG_MAX_ITER, rel))
 
 
-def solve_pdas(ws, max_iter=50):
+def solve_pdas(ws):
     """Primal-dual active set iteration for the coupled optimality system.
 
     Active sets come from the raw (unclamped) control estimate
@@ -350,17 +354,14 @@ def solve_pdas(ws, max_iter=50):
     estimate of that adjoint, so the clamp relation holds exactly.
     Terminates when the active sets repeat; raises ``PdasError`` with the
     cycle's signatures when an earlier active set other than the last one
-    comes back.
+    comes back, or after PDAS_MAX_ITER iterations.
     """
-    return _pdas(ws, ws.coupling, ws.measures, np.zeros(len(ws.measures)),
-                 max_iter)
+    return _pdas(ws, ws.coupling, ws.measures, np.zeros(len(ws.measures)))
 
 
-def _pdas(ws, b_f, d_meas, raw, max_iter):
+def _pdas(ws, b_f, d_meas, raw):
     """``solve_pdas`` for the free rows ``b_f`` (CSC) of a coupling, with
     control measures ``d_meas``, from the raw control ``raw``."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     spec = ws.spec
     m_f = ws.mass
     alpha = spec.alpha
@@ -372,12 +373,9 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
     solution = None
     trace = []
 
-    for it in range(1, max_iter + 1):
-        act_up = (raw >= spec.upper) if np.isfinite(spec.upper) \
-            else np.zeros(nent, dtype=bool)
-        act_lo = (raw <= spec.lower) if np.isfinite(spec.lower) \
-            else np.zeros(nent, dtype=bool)
-        act_lo &= ~act_up
+    for it in range(1, PDAS_MAX_ITER + 1):
+        act_up = raw >= spec.upper
+        act_lo = (raw <= spec.lower) & ~act_up
         sig = (act_up.tobytes(), act_lo.tobytes())
         if seen and sig == seen[-1]:
             u_free, phi_free, qvals = solution
@@ -422,7 +420,8 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
         prev_status = status
     else:
         raise PdasError(
-            "active sets did not stabilize within %d iterations" % max_iter,
+            "active sets did not stabilize within %d iterations"
+            % PDAS_MAX_ITER,
             signatures=seen[-2:])
 
     q = ControlField(qvals, spec.lower, spec.upper, d_meas)
@@ -433,7 +432,6 @@ def _pdas(ws, b_f, d_meas, raw, max_iter):
         q=q,
         active_lower=np.flatnonzero(act_lo),
         active_upper=np.flatnonzero(act_up),
-        iterations=it - 1,
         state_residual=r_state,
         adjoint_residual=r_adj,
         trace=trace,
@@ -466,8 +464,7 @@ def solve_variational(ws, full):
     rule = quadrature("triangle", VD_QUAD_DEGREE)
     n_f, measures = _point_coupling(ws, rule)
     phi_at_points = eval_on_elements(ws.dofmap, full.phi, rule)
-    return _pdas(ws, n_f, measures, -phi_at_points.ravel() / spec.alpha,
-                 max_iter=50)
+    return _pdas(ws, n_f, measures, -phi_at_points.ravel() / spec.alpha)
 
 
 def evaluate_p2(geom, dofmap, coeffs, x, y):

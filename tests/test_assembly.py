@@ -13,8 +13,8 @@ from c0ip_control import (Mesh, assemble_a_h, assemble_load, assemble_mass,
                           build_edge_cache, control_coupling, error_norms,
                           example1_spec, interpolate, make_lshape,
                           make_unit_square)
-from c0ip_control.assembly import (_EDGE_RULE, _side_normal_derivatives,
-                                   element_geometry)
+from c0ip_control.assembly import (_EDGE_RULE, _apply_rows,
+                                   _side_normal_derivatives, element_geometry)
 from c0ip_control.cases import example1_case
 from c0ip_control.cli import RunConfig, _uniform_square_meshes
 from c0ip_control.fem import (REFERENCE_HESSIANS, quadrature, shape_gradients,
@@ -93,9 +93,25 @@ def edge_gauss_points(mesh, edges):
         * d[:, None]
 
 
+# each named trace of the edge cache: its dofs, its block and its rows there
+TRACE_ROWS = {
+    "mean_d2n": ("dofs", "traces", slice(0, 1)),
+    "jump": ("dofs", "traces", slice(1, 3)),
+    "jump_d2n": ("dofs", "traces", slice(3, 4)),
+    "bgrad": ("bdofs", "btraces", slice(0, 2)),
+    "bhess": ("bdofs", "btraces", slice(2, 3)),
+}
+
+
+def trace_rows(cache, name):
+    """(dofs, rows) of the named trace of ``cache``."""
+    dofs, block, rows = TRACE_ROWS[name]
+    return getattr(cache, dofs), getattr(cache, block)[:, rows]
+
+
 def side_traces(mesh, dm, geom, cache):
     """Per-side edge traces of the local P2 basis, the einsum oracle of the
-    cache's trace operators.
+    cache's trace rows.
 
     Returns (gn, d2n, dofs) for side 1 and side 2 of every interior edge
     and for the one side of every boundary edge: normal derivatives
@@ -746,7 +762,7 @@ class TestArrayKernels:
             assert np.abs(got - expected).max() <= 1e-14 * scale
 
     def test_second_normal_derivatives(self, discrete):
-        # every row of the second-normal-derivative operators holds the
+        # every second-normal-derivative row of the edge cache holds the
         # einsum n^T H n of its side(s), summed on the shared dofs
         mesh, dm, geom, cache = discrete
         (_, d2n1, dofs1), (_, d2n2, dofs2), (_, bd2n, bdofs) = side_traces(
@@ -765,12 +781,15 @@ class TestArrayKernels:
             "bhess": rows([(bdofs, bd2n)]),
         }
         for name, dense in expected.items():
-            assert np.array_equal(getattr(cache, name).toarray(), dense), name
+            dofs, rows = trace_rows(cache, name)
+            got = np.zeros((len(dofs), dm.ndof))
+            got[np.arange(len(dofs))[:, None], dofs] = rows[:, 0]
+            assert np.array_equal(got, dense), name
 
 
 class TestTraceOperators:
-    """The sparse trace operators of the edge cache applied to random
-    coefficients equal the per-side einsum oracle."""
+    """The trace rows of the edge cache applied to random coefficients
+    equal the per-side einsum oracle."""
 
     @pytest.fixture(scope="class", params=["nvb_lshape", "square16"])
     def traces(self, request):
@@ -795,15 +814,33 @@ class TestTraceOperators:
                                       "bgrad", "bhess"])
     def test_operator_matches_oracle(self, traces, name):
         cache, coeffs, expected = traces
-        got = getattr(cache, name) @ coeffs
+        got = _apply_rows(*trace_rows(cache, name), coeffs).ravel()
         assert got.shape == expected[name].shape
         scale = np.abs(expected[name]).max()
         assert np.abs(got - expected[name]).max() <= 1e-14 * scale
 
     def test_methods_are_the_operators(self, traces):
-        cache, coeffs, expected = traces
-        np.testing.assert_array_equal(cache.jump_values(coeffs).ravel(),
-                                      cache.jump @ coeffs)
-        np.testing.assert_array_equal(
-            cache.boundary_normal_derivative(coeffs).ravel(),
-            cache.bgrad @ coeffs)
+        cache, coeffs, _ = traces
+        for method, name in ((cache.jump_values, "jump"),
+                             (cache.hessian_jump, "jump_d2n"),
+                             (cache.boundary_normal_derivative, "bgrad"),
+                             (cache.boundary_hessian, "bhess")):
+            np.testing.assert_array_equal(
+                method(coeffs).ravel(),
+                _apply_rows(*trace_rows(cache, name), coeffs).ravel())
+
+    def test_blocks_are_csr_products(self, traces):
+        # the rows, on ascending dofs that own their memory, applied to the
+        # coefficients equal SciPy's CSR product bit for bit
+        cache, coeffs, _ = traces
+        for dofs, block in ((cache.dofs, cache.traces),
+                            (cache.bdofs, cache.btraces)):
+            assert np.all(np.diff(dofs, axis=1) > 0)
+            for arr in (dofs, block):
+                assert arr.base is None or arr.base.nbytes == arr.nbytes
+            n, r, k = block.shape
+            op = sp.csr_matrix(
+                (block.ravel(), np.repeat(dofs[:, None], r, axis=1).ravel(),
+                 np.arange(0, n * r * k + 1, k)), shape=(n * r, len(coeffs)))
+            assert np.array_equal(_apply_rows(dofs, block, coeffs).ravel(),
+                                  op @ coeffs)

@@ -103,19 +103,16 @@ class TestInterpolation:
                            pts[:, 1])
         assert np.max(np.abs(vals - quad(pts[:, 0], pts[:, 1]))) < 1e-12
 
-    def test_constrained_zeroes_boundary(self):
+    def test_constrained_dofs_are_boundary_dofs(self):
         mesh = make_unit_square(2)
         dm = build_dofmap(mesh)
-        v = interpolate(mesh, dm, lambda x, y: 1.0 + x, constrained=True)
+        v = interpolate(mesh, dm, lambda x, y: 1.0 + x)
         x, y = dof_coordinates(mesh, dm)
         on_boundary = (np.isclose(x, 0.0) | np.isclose(x, 1.0)
                        | np.isclose(y, 0.0) | np.isclose(y, 1.0))
-        # the constrained dofs are the boundary dofs: zeroed there, the
-        # nodal values elsewhere
         np.testing.assert_array_equal(on_boundary,
                                       dm.free_cols == dm.nfree)
-        assert np.all(v[on_boundary] == 0.0)
-        np.testing.assert_array_equal(v[~on_boundary], 1.0 + x[~on_boundary])
+        np.testing.assert_array_equal(v, 1.0 + x)
 
 
 class TestQuadrature:
