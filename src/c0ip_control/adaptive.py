@@ -11,6 +11,10 @@ from .solver import discretize, solve_pdas
 
 __all__ = ["LevelRecord", "AdaptiveHistory", "run_adaptive"]
 
+# level cap of run_adaptive, well above the levels either domain of the
+# command line takes to reach 50k dofs
+MAX_LEVELS = 60
+
 
 @dataclass
 class LevelRecord:
@@ -41,23 +45,22 @@ class AdaptiveHistory:
                   [astuple(r) for r in self.records])
 
 
-def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000, max_levels=60):
+def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000):
     """Adaptive refinement loop driven by Doerfler marking of the estimator.
 
-    Stops once the free dof count reaches ``max_dofs``, after
-    ``max_levels`` levels, or on a level whose estimator is zero on every
-    triangle (an exact discrete solution), whichever comes first; the last
-    level is always recorded. The cap of 60 levels lies well above the
-    levels either domain of the command line takes to reach 50k dofs.
-    Every level's mesh and solution are kept. When ``spec.exact`` is
-    available the true errors are recorded alongside the estimator.
+    Stops once the free dof count reaches ``max_dofs``, after MAX_LEVELS
+    levels, or on a level whose estimator is zero on every triangle (an
+    exact discrete solution), whichever comes first; the last level is
+    always recorded. Every level's mesh and solution are kept. When
+    ``spec.exact`` is available the true errors are recorded alongside the
+    estimator.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    if max_dofs < 1 or max_levels < 1:
+    if max_dofs < 1:
         raise ValueError("stop criterion must be positive")
     history = AdaptiveHistory()
-    for level in range(max_levels):
+    for level in range(MAX_LEVELS):
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
         report = estimate(ws, sol)

@@ -189,7 +189,8 @@ class EdgeTraceCache:
     normal derivative, [grad v . n] at the two Gauss points and the jump of
     the second normal derivative. ``btraces`` holds three rows on the 6
     ``bdofs`` of a boundary edge's triangle: dv/dn at the two Gauss points
-    and d^2 v/dn^2. Both dof arrays ascend along each edge.
+    and d^2 v/dn^2. Both dof arrays ascend along each edge. The two methods
+    apply a whole block to a field, so a reader evaluates each field once.
     """
 
     interior: np.ndarray     # interior edge indices
@@ -207,25 +208,13 @@ class EdgeTraceCache:
     bdofs: np.ndarray        # (nEb, 6)
     btraces: np.ndarray      # (nEb, 3, 6)
 
-    def jump_values(self, coeffs):
-        """[grad v . n] at the two Gauss points of every interior edge."""
-        return _apply_rows(self.dofs, self.traces[:, 1:3], coeffs)
+    def interior_traces(self, coeffs):
+        """The four ``traces`` rows applied to ``coeffs``: (nE, 4)."""
+        return _apply_rows(self.dofs, self.traces, coeffs)
 
-    def jump_energy(self, coeffs):
-        """sum_g w_g [grad v . n]^2 at the Gauss points, per interior edge."""
-        return self.jump_values(coeffs) ** 2 @ _EDGE_RULE.weights
-
-    def hessian_jump(self, coeffs):
-        """[d^2 v/dn^2] on every interior edge."""
-        return _apply_rows(self.dofs, self.traces[:, 3:], coeffs)[:, 0]
-
-    def boundary_normal_derivative(self, coeffs):
-        """d v / dn at the two Gauss points of every boundary edge."""
-        return _apply_rows(self.bdofs, self.btraces[:, :2], coeffs)
-
-    def boundary_hessian(self, coeffs):
-        """d^2 v/dn^2 on every boundary edge."""
-        return _apply_rows(self.bdofs, self.btraces[:, 2:], coeffs)[:, 0]
+    def boundary_traces(self, coeffs):
+        """The three ``btraces`` rows applied to ``coeffs``: (nEb, 3)."""
+        return _apply_rows(self.bdofs, self.btraces, coeffs)
 
 
 def _trace_blocks(ndof, dofs, local, m):
@@ -487,5 +476,6 @@ def error_norms(coeffs, dofmap, exact_hessian, geom, cache, eta):
     dyy = hyy - vh[:, None, 1, 1]
     misfit = np.einsum("q,tq->t", rule.weights,
                        dxx ** 2 + 2.0 * dxy ** 2 + dyy ** 2) * geom.det
-    pen = float(eta * cache.jump_energy(coeffs).sum())
+    jumps = _apply_rows(cache.dofs, cache.traces[:, 1:3], coeffs)
+    pen = float(eta * (jumps ** 2 @ _EDGE_RULE.weights).sum())
     return np.sqrt(float(misfit.sum()) + pen)

@@ -19,6 +19,9 @@ __all__ = [
     "vi_residual",
 ]
 
+# relative tolerance of vi_residual's sign checks
+VI_TOL = 1e-10
+
 
 def clamp(values, lower, upper):
     """min(upper, max(lower, values)); an infinite bound leaves its side."""
@@ -61,14 +64,15 @@ class ViReport:
         return not bool(self.violations.any())
 
 
-def vi_residual(q, means, alpha, tol=1e-10):
+def vi_residual(q, means, alpha):
     """Check the discrete first-order conditions for a control field.
 
     ``means`` holds Pi_h(B_h phi), one value per control entity. With
     m = Pi_h(B_h phi) + alpha q the conditions are m >= 0 where q sits
-    at the lower bound, m <= 0 at the upper bound and |m| <= tol in between.
-    The global inequality <m, p - q> >= 0 is sampled at the two constant
-    admissible controls p = lower and p = upper (skipped if infinite).
+    at the lower bound, m <= 0 at the upper bound and |m| <= VI_TOL in
+    between, each relative to max(1, max |m|). The global inequality
+    <m, p - q> >= 0 is sampled at the two constant admissible controls
+    p = lower and p = upper (skipped if infinite).
     """
     if not q.admissible:
         raise ValueError("control field is not admissible")
@@ -79,9 +83,9 @@ def vi_residual(q, means, alpha, tol=1e-10):
     interior = ~(at_lower | at_upper)
     scale = max(1.0, np.abs(m).max(initial=0.0))
     bad = np.zeros(len(m), dtype=bool)
-    bad[at_lower] = m[at_lower] < -tol * scale
-    bad[at_upper] = m[at_upper] > tol * scale
-    bad[interior] = np.abs(m[interior]) > tol * scale
+    bad[at_lower] = m[at_lower] < -VI_TOL * scale
+    bad[at_upper] = m[at_upper] > VI_TOL * scale
+    bad[interior] = np.abs(m[interior]) > VI_TOL * scale
 
     def vi_value(p_const):
         return float(np.sum(q.measures * m * (p_const - q.values)))

@@ -67,20 +67,6 @@ def _volume_residual(mesh, geom, rule, values):
     return h2 * integral
 
 
-def _edge_terms(cache, coeffs):
-    """(hessian jump term, gradient jump term) per interior edge."""
-    hess_term = cache.length ** 2 * cache.hessian_jump(coeffs) ** 2
-    return hess_term, cache.jump_energy(coeffs)
-
-
-def _boundary_term(cache, coeffs, offset=None):
-    """h_e * int_e (d^2 v/dn^2 - offset)^2 per boundary edge."""
-    d2 = cache.boundary_hessian(coeffs)
-    if offset is not None:
-        d2 = d2 - offset
-    return cache.blength ** 2 * d2 ** 2
-
-
 def _control_consistency(ws, sol):
     """|| (B_h phi_h + alpha q_h) - Pi_h(B_h phi_h + alpha q_h) ||_Q.
 
@@ -99,7 +85,7 @@ def _control_consistency(ws, sol):
         defect = sq_integral - geom.area * mean ** 2
         return float(np.sqrt(max(defect.sum(), 0.0)))
     cache = ws.cache
-    gvals = cache.boundary_normal_derivative(phi)      # (nEb, 2)
+    gvals = cache.boundary_traces(phi)[:, :2]          # (nEb, 2)
     mean = gvals @ _EDGE_W
     defect = cache.blength * np.einsum(
         "g,eg->e", _EDGE_W, (gvals - mean[:, None]) ** 2)
@@ -124,11 +110,15 @@ def estimate(ws, sol):
     uhvals = eval_on_elements(dofmap, sol.u, rule)
     volume_phi = _volume_residual(mesh, geom, rule, uhvals - udvals)
 
-    hess_u, grad_u = _edge_terms(cache, sol.u)
-    hess_phi, grad_phi = _edge_terms(cache, sol.phi)
-    offset = sol.q.values if spec.kind == "boundary" else None
-    boundary_u = _boundary_term(cache, sol.u, offset)
-    boundary_phi = _boundary_term(cache, sol.phi)
+    t_u, t_phi = (cache.interior_traces(v) for v in (sol.u, sol.phi))
+    hess_u, hess_phi = (cache.length ** 2 * t[:, 3] ** 2 for t in (t_u, t_phi))
+    grad_u, grad_phi = (t[:, 1:3] ** 2 @ _EDGE_W for t in (t_u, t_phi))
+    d2_u = cache.boundary_traces(sol.u)[:, 2]
+    if spec.kind == "boundary":
+        d2_u = d2_u - sol.q.values
+    d2_phi = cache.boundary_traces(sol.phi)[:, 2]
+    boundary_u, boundary_phi = (cache.blength ** 2 * d2 ** 2
+                                for d2 in (d2_u, d2_phi))
 
     control = _control_consistency(ws, sol)
 

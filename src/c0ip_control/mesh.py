@@ -263,7 +263,10 @@ def bisect(mesh, marked):
     triangles ``nt + 2s`` and ``nt + 2s + 1``; the new mesh keeps the
     unsplit triangles in the order of their ids.
     """
-    marked = np.unique(np.asarray(list(marked), dtype=int))
+    marked = np.asarray(list(marked))
+    if marked.size and not np.issubdtype(marked.dtype, np.integer):
+        raise ValueError("marked must hold integer triangle indices")
+    marked = np.unique(marked.astype(int))
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.num_triangles):
         raise ValueError("marked set contains invalid triangle indices")
     if marked.size == 0:
@@ -381,6 +384,8 @@ def dorfler_mark(indicators, theta):
     indicators = np.asarray(indicators, dtype=float)
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
+    if not np.all(np.isfinite(indicators)):
+        raise ValueError("indicators must be finite")
     if np.any(indicators < 0.0):
         raise ValueError("indicators must be nonnegative")
     top = indicators.max(initial=0.0)

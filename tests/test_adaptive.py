@@ -9,7 +9,7 @@ import pytest
 import c0ip_control
 from c0ip_control import (bisect, dorfler_mark, estimate, example2_spec,
                           make_lshape, make_unit_square, run_adaptive)
-from c0ip_control import assembly
+from c0ip_control import adaptive, assembly
 from c0ip_control.adaptive import AdaptiveHistory
 from c0ip_control.solver import ProblemSpec, discretize, solve_pdas
 
@@ -29,25 +29,27 @@ class TestValidation:
 
 
 class TestLoop:
-    def test_history_grows_and_refines(self):
+    def test_history_grows_and_refines(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "MAX_LEVELS", 5)
         spec = example2_spec()
-        history = run_adaptive(spec, make_lshape(1), theta=0.3, max_levels=5)
+        history = run_adaptive(spec, make_lshape(1), theta=0.3)
         assert len(history.records) == 5
         dofs = [r.ndof for r in history.records]
         assert all(b > a for a, b in zip(dofs, dofs[1:]))
         tris = [m.num_triangles for m in history.meshes]
         assert all(b > a for a, b in zip(tris, tris[1:]))
 
-    def test_min_angle_preserved(self):
+    def test_min_angle_preserved(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "MAX_LEVELS", 6)
         spec = example2_spec()
-        history = run_adaptive(spec, make_lshape(1), theta=0.3, max_levels=6)
+        history = run_adaptive(spec, make_lshape(1), theta=0.3)
         angles = [m.min_angle() for m in history.meshes]
         assert min(angles) >= np.pi / 4.0 - 1e-12
 
     def test_max_dofs_stop(self):
         spec = example2_spec()
         history = run_adaptive(spec, make_lshape(1), theta=0.5,
-                               max_dofs=400, max_levels=50)
+                               max_dofs=400)
         assert history.records[-1].ndof >= 400
         assert history.records[-2].ndof < 400
 
@@ -91,26 +93,26 @@ class TestLoop:
         assert history.records[0].eta_total == 0.0
         assert history.meshes[0].num_triangles == 8
 
-    def test_exact_errors_recorded_when_available(self):
+    def test_exact_errors_recorded_when_available(self, monkeypatch):
         from c0ip_control import example1_spec
+        monkeypatch.setattr(adaptive, "MAX_LEVELS", 3)
         spec = example1_spec()
-        history = run_adaptive(spec, make_unit_square(2), theta=0.5,
-                               max_levels=3)
+        history = run_adaptive(spec, make_unit_square(2), theta=0.5)
         for r in history.records:
             assert r.err_u is not None and r.err_u > 0.0
             assert r.err_q is not None and r.err_q > 0.0
 
 
 class TestDeterminism:
-    def test_identical_runs_identical_csv(self, tmp_path):
+    def test_identical_runs_identical_csv(self, tmp_path, monkeypatch):
         # the history CSV holds no wall-clock data, so two runs write the
         # same bytes
+        monkeypatch.setattr(adaptive, "MAX_LEVELS", 4)
         assert "seconds" not in AdaptiveHistory.CSV_COLUMNS
         spec = example2_spec()
         paths = []
         for tag in ("a", "b"):
-            history = run_adaptive(spec, make_lshape(1), theta=0.3,
-                                   max_levels=4)
+            history = run_adaptive(spec, make_lshape(1), theta=0.3)
             path = tmp_path / ("history_%s.csv" % tag)
             history.to_csv(str(path))
             paths.append(path)

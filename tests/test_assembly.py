@@ -575,7 +575,8 @@ def zero_hessian(x, y):
 
 class TestNorms:
     """The energy norm of v is its energy error against the zero field; its
-    penalty part is eta * sum(cache.jump_energy(v))."""
+    penalty part is eta times the sum over interior edges of
+    sum_g w_g [grad v . n]^2, from rows 1:3 of cache.interior_traces(v)."""
 
     def test_affine_has_zero_energy(self):
         mesh = make_unit_square(2)
@@ -589,7 +590,8 @@ class TestNorms:
         dm, geom, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: x * x)
         norm = error_norms(v, dm, zero_hessian, geom, cache, 10.0)
-        pen = 10.0 * cache.jump_energy(v).sum()
+        pen = 10.0 * (cache.interior_traces(v)[:, 1:3] ** 2
+                      @ _EDGE_RULE.weights).sum()
         elem = norm ** 2 - pen
         assert pen < 1e-12
         assert abs(elem - 4.0) < 1e-13       # int |D^2 x^2|^2 = 4
@@ -602,7 +604,8 @@ class TestNorms:
         rng = np.random.default_rng(5)
         v = rng.standard_normal(dm.ndof)
         eta = 10.0
-        pen = eta * cache.jump_energy(v).sum()
+        pen = eta * (cache.interior_traces(v)[:, 1:3] ** 2
+                     @ _EDGE_RULE.weights).sum()
 
         gauss = quadrature("edge", 3)
         total = 0.0
@@ -820,14 +823,20 @@ class TestTraceOperators:
         assert np.abs(got - expected[name]).max() <= 1e-14 * scale
 
     def test_methods_are_the_operators(self, traces):
+        # each method applies its whole block, so every row it returns is
+        # that row applied alone, bit for bit
         cache, coeffs, _ = traces
-        for method, name in ((cache.jump_values, "jump"),
-                             (cache.hessian_jump, "jump_d2n"),
-                             (cache.boundary_normal_derivative, "bgrad"),
-                             (cache.boundary_hessian, "bhess")):
+        for method, dofs, block in (
+                (cache.interior_traces, cache.dofs, cache.traces),
+                (cache.boundary_traces, cache.bdofs, cache.btraces)):
+            np.testing.assert_array_equal(method(coeffs),
+                                          _apply_rows(dofs, block, coeffs))
+        for name, (_, block, rows) in TRACE_ROWS.items():
+            method = (cache.interior_traces if block == "traces"
+                      else cache.boundary_traces)
             np.testing.assert_array_equal(
-                method(coeffs).ravel(),
-                _apply_rows(*trace_rows(cache, name), coeffs).ravel())
+                method(coeffs)[:, rows],
+                _apply_rows(*trace_rows(cache, name), coeffs))
 
     def test_blocks_are_csr_products(self, traces):
         # the rows, on ascending dofs that own their memory, applied to the

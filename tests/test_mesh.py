@@ -1,5 +1,7 @@
 """Mesh construction, newest-vertex bisection, and marking."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -401,6 +403,16 @@ class TestBisect:
         with pytest.raises(ValueError):
             bisect(mesh, [-1])
 
+    def test_non_integer_marks_rejected(self):
+        # cast to ints, a boolean mask or a float would name triangles the
+        # caller did not mean
+        mesh = make_unit_square(2)
+        mask = np.zeros(mesh.num_triangles, dtype=bool)
+        mask[5] = True
+        for marked in (mask, [0.7]):
+            with pytest.raises(ValueError, match="integer"):
+                bisect(mesh, marked)
+
     def test_levels_increase(self):
         mesh = make_unit_square(1)
         fine = bisect(mesh, range(mesh.num_triangles))
@@ -454,6 +466,15 @@ class TestDorflerMark:
             dorfler_mark([1.0, -2.0], 0.5)
         with pytest.raises(ValueError):
             dorfler_mark([0.0, 0.0], 0.5)
+
+    @pytest.mark.parametrize("ind", [[1.0, np.nan, 2.0], [np.inf, 1.0]])
+    def test_non_finite_indicators_rejected(self, ind):
+        # NaN slips past the sign check and inf past the rounding; both are
+        # rejected before any arithmetic can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                dorfler_mark(ind, 0.5)
 
 
 class TestMeshMetrics:
