@@ -51,7 +51,8 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000):
     Stops once the free dof count reaches ``max_dofs``, after MAX_LEVELS
     levels, or on a level whose estimator is zero on every triangle (an
     exact discrete solution), whichever comes first; the last level is
-    always recorded. Every level's mesh and solution are kept. When
+    always recorded. An estimator that is not finite raises ``dorfler_mark``'s
+    ``ValueError``. Every level's mesh and solution are kept. When
     ``spec.exact`` is available the true errors are recorded alongside the
     estimator.
     """
@@ -77,7 +78,7 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000):
             pdas_iterations=sol.iterations))
         history.meshes.append(mesh)
         history.solutions.append(sol)
-        if ws.dofmap.nfree >= max_dofs or not report.marking.sum() > 0.0:
+        if ws.dofmap.nfree >= max_dofs or report.marking.sum() == 0.0:
             break
         marked = dorfler_mark(report.marking, theta)
         mesh = bisect(mesh, marked)

@@ -150,14 +150,11 @@ _EDGE_GRADIENTS = _edge_gradient_table()
 # multiply-adds: they sum the same products in the same order as einsum, so
 # the results are bitwise equal, without einsum's per-call overhead.
 
-def _side_normal_derivatives(mesh, geom, edge_idx, tris, normal):
+def _side_normal_derivatives(geom, tris, p, q, normal):
     """Normal derivatives (n, 2, 6) of the local basis of ``tris`` at the
     Gauss points of the edges, which run from their first to their second
-    vertex: grad v . n is the reference gradient dotted with J^-1 n."""
-    corners = mesh.triangles[tris]
-    ends = mesh.edges[edge_idx]
-    p = np.argmax(corners == ends[:, :1], axis=1)
-    q = np.argmax(corners == ends[:, 1:], axis=1)
+    vertex, at local positions p and q of ``tris``: grad v . n is the
+    reference gradient dotted with J^-1 n."""
     gref = _EDGE_GRADIENTS[p, q]                       # (n, 2, 6, 2)
     inv = geom.inv_jac[tris]
     m = inv[:, :, 0] * normal[:, None, 0]
@@ -182,28 +179,27 @@ def _apply_rows(dofs, rows, coeffs):
 class EdgeTraceCache:
     """Edge traces of P2 functions as dense rows on each edge's dofs.
 
-    Interior arrays are indexed by interior edge; ``normal`` points from
-    ``tri1`` to ``tri2``. Boundary arrays use the outward normal of the
-    unique adjacent triangle. ``traces`` holds four rows on the 9 ``dofs``
-    of an interior edge's two triangles: the mean of the (constant) second
-    normal derivative, [grad v . n] at the two Gauss points and the jump of
-    the second normal derivative. ``btraces`` holds three rows on the 6
-    ``bdofs`` of a boundary edge's triangle: dv/dn at the two Gauss points
-    and d^2 v/dn^2. Both dof arrays ascend along each edge. The two methods
-    apply a whole block to a field, so a reader evaluates each field once.
+    Interior arrays follow ``mesh.interior_edges``, and their normal points
+    from ``tri1`` to ``tri2``; boundary arrays follow
+    ``mesh.boundary_edges`` and use the outward normal of the adjacent
+    triangle ``btri``. Each normal's sign comes from the counterclockwise
+    order of ``tri1`` (``btri``). ``traces`` holds four rows on the 9
+    ``dofs`` of an interior edge's two triangles: the mean of the (constant)
+    second normal derivative, [grad v . n] at the two Gauss points and the
+    jump of the second normal derivative. ``btraces`` holds three rows on
+    the 6 ``bdofs`` of a boundary edge's triangle: dv/dn at the two Gauss
+    points and d^2 v/dn^2. Both dof arrays ascend along each edge. The two
+    methods apply a whole block to a field, so a reader evaluates each
+    field once.
     """
 
-    interior: np.ndarray     # interior edge indices
     tri1: np.ndarray
     tri2: np.ndarray
-    normal: np.ndarray       # (nE, 2)
     length: np.ndarray       # (nE,)
     dofs: np.ndarray         # (nE, 9)
     traces: np.ndarray       # (nE, 4, 9)
 
-    boundary: np.ndarray     # boundary edge indices
     btri: np.ndarray
-    bnormal: np.ndarray
     blength: np.ndarray
     bdofs: np.ndarray        # (nEb, 6)
     btraces: np.ndarray      # (nEb, 3, 6)
@@ -234,22 +230,29 @@ def _trace_blocks(ndof, dofs, local, m):
 
 
 def build_edge_cache(mesh, dofmap, geom):
-    def edge_data(edge_idx, tris):
+    def local_ends(edge_idx, tris):
+        """Local positions (p, q) in ``tris`` of the edges' first and
+        second vertex."""
+        corners = mesh.triangles[tris]
+        ends = mesh.edges[edge_idx]
+        return (np.argmax(corners == ends[:, :1], axis=1),
+                np.argmax(corners == ends[:, 1:], axis=1))
+
+    def edge_data(edge_idx, p, q):
         pe = mesh.vertices[mesh.edges[edge_idx]]
         d = pe[:, 1] - pe[:, 0]
         length = np.hypot(d[:, 0], d[:, 1])
         normal = np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
-        # orient outward from the first triangle
-        cent = mesh.vertices[mesh.triangles[tris]].mean(axis=1)
-        mid = pe.mean(axis=1)
-        flip = np.sum(normal * (mid - cent), axis=1) < 0.0
-        normal[flip] *= -1.0
+        # (d_y, -d_x) lies right of the edge, so it points out of the
+        # counterclockwise triangle that runs along the edge from its
+        # first to its second vertex, q = p + 1 (mod 3); flip the others
+        normal[q != (p + 1) % 3] *= -1.0
         return length, normal
 
-    def side_traces(edge_idx, tris, normal):
+    def side_traces(tris, p, q, normal):
         """Rows (n, 3, 6) on the local basis of ``tris``: the normal
         derivatives at the two Gauss points and the second one."""
-        gn = _side_normal_derivatives(mesh, geom, edge_idx, tris, normal)
+        gn = _side_normal_derivatives(geom, tris, p, q, normal)
         hess = geom.hessians[tris]                       # (n, 6, 2, 2)
         n0, n1 = normal[:, None, 0], normal[:, None, 1]
         d2n = n0 * hess[..., 0, 0] * n0
@@ -264,9 +267,10 @@ def build_edge_cache(mesh, dofmap, geom):
     interior = mesh.interior_edges
     t1 = mesh.edge_tris[interior, 0]
     t2 = mesh.edge_tris[interior, 1]
-    length, normal = edge_data(interior, t1)
-    side1 = side_traces(interior, t1, normal)
-    side2 = side_traces(interior, t2, normal)
+    ends1 = local_ends(interior, t1)
+    length, normal = edge_data(interior, *ends1)
+    side1 = side_traces(t1, *ends1, normal)
+    side2 = side_traces(t2, *local_ends(interior, t2), normal)
     mean = 0.5 * np.concatenate([side1[:, 2:], side2[:, 2:]], axis=2)
     dofs, traces = _trace_blocks(
         ndof, np.hstack([tri_dofs[t1], tri_dofs[t2]]),
@@ -275,12 +279,13 @@ def build_edge_cache(mesh, dofmap, geom):
 
     boundary = mesh.boundary_edges
     bt = mesh.edge_tris[boundary, 0]
-    blength, bnormal = edge_data(boundary, bt)
+    ends = local_ends(boundary, bt)
+    blength, bnormal = edge_data(boundary, *ends)
     bdofs, btraces = _trace_blocks(ndof, tri_dofs[bt],
-                                   side_traces(boundary, bt, bnormal), 6)
+                                   side_traces(bt, *ends, bnormal), 6)
 
-    return EdgeTraceCache(interior, t1, t2, normal, length, dofs, traces,
-                          boundary, bt, bnormal, blength, bdofs, btraces)
+    return EdgeTraceCache(t1, t2, length, dofs, traces,
+                          bt, blength, bdofs, btraces)
 
 
 def _a_h_rows(geom, cache, eta, tri_dofs, cols):

@@ -109,9 +109,12 @@ def run_adaptive_study(config):
     if config.domain == "lshape":
         make_spec, prefix = example2_spec, "example2"
         mesh = make_lshape(2, diagonal=config.diagonal)
-    else:
+    elif config.domain == "square":
         make_spec, prefix = example1_spec, "adaptive_square"
         mesh = make_unit_square(4, diagonal=config.diagonal)
+    else:
+        raise ValueError("domain must be 'square' or 'lshape', got %r"
+                         % (config.domain,))
     spec = make_spec(config.alpha, config.qmin, config.qmax, config.eta)
     history = run_adaptive(spec, mesh, theta=config.theta,
                            max_dofs=config.max_dofs)

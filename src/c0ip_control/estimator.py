@@ -67,15 +67,15 @@ def _volume_residual(mesh, geom, rule, values):
     return h2 * integral
 
 
-def _control_consistency(ws, sol):
+def _control_consistency(ws, phi, gvals):
     """|| (B_h phi_h + alpha q_h) - Pi_h(B_h phi_h + alpha q_h) ||_Q.
 
     The piecewise-constant alpha q_h drops out of the fluctuation, so this
     is the projection defect of B_h phi_h alone. The triangle means are
-    the coupling's B^T phi / |T|; the edge means are taken from the same
-    Gauss-point values as the squares.
+    the coupling's B^T phi / |T|; on the boundary, ``gvals`` (nEb, 2) holds
+    dphi_h/dn at the edge Gauss points, and the edge means are taken from
+    the same values as the squares.
     """
-    phi = sol.phi
     if ws.spec.kind == "distributed":
         geom = ws.geom
         rule = quadrature("triangle", 4)
@@ -84,10 +84,8 @@ def _control_consistency(ws, sol):
         mean = ws.coupling.T @ phi[ws.dofmap.free] / ws.measures
         defect = sq_integral - geom.area * mean ** 2
         return float(np.sqrt(max(defect.sum(), 0.0)))
-    cache = ws.cache
-    gvals = cache.boundary_traces(phi)[:, :2]          # (nEb, 2)
     mean = gvals @ _EDGE_W
-    defect = cache.blength * np.einsum(
+    defect = ws.cache.blength * np.einsum(
         "g,eg->e", _EDGE_W, (gvals - mean[:, None]) ** 2)
     return float(np.sqrt(max(defect.sum(), 0.0)))
 
@@ -116,11 +114,11 @@ def estimate(ws, sol):
     d2_u = cache.boundary_traces(sol.u)[:, 2]
     if spec.kind == "boundary":
         d2_u = d2_u - sol.q.values
-    d2_phi = cache.boundary_traces(sol.phi)[:, 2]
+    b_phi = cache.boundary_traces(sol.phi)
     boundary_u, boundary_phi = (cache.blength ** 2 * d2 ** 2
-                                for d2 in (d2_u, d2_phi))
+                                for d2 in (d2_u, b_phi[:, 2]))
 
-    control = _control_consistency(ws, sol)
+    control = _control_consistency(ws, sol.phi, b_phi[:, :2])
 
     marking = volume_u + volume_phi
     edge_sq = 0.5 * (hess_u + grad_u + hess_phi + grad_phi)

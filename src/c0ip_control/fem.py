@@ -176,6 +176,7 @@ _GAUSS_JACOBI = {
 _TRIANGLE_DEGREES = (1, 2, 4, 6, 8)
 
 
+@lru_cache(maxsize=None)
 def quadrature(kind, degree):
     """Quadrature on the reference triangle or the reference edge [0, 1].
 
@@ -183,11 +184,6 @@ def quadrature(kind, degree):
     Gauss-Legendre points, exact for total degree <= ``degree``. Each rule
     is computed once and shared, so its arrays are read-only.
     """
-    return _rule(kind, degree)
-
-
-@lru_cache(maxsize=None)
-def _rule(kind, degree):
     if kind == "triangle":
         if degree not in _TRIANGLE_DEGREES:
             raise ValueError("unsupported triangle degree %r" % (degree,))

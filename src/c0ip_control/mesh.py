@@ -20,8 +20,6 @@ __all__ = [
     "dorfler_mark",
 ]
 
-_GEOM_TOL = 1e-9
-
 
 class MeshTopologyError(RuntimeError):
     """Raised when refinement closure cannot terminate (broken topology)."""
@@ -155,28 +153,12 @@ class Mesh:
         return float(np.min(angles))
 
 
-def _orient_refinement_edges(vertices, triangles):
-    """Rotate each triple so the longest edge is opposite local vertex 0.
-
-    Ties are broken by the smallest global index of the opposite vertex.
-    Cyclic rotation preserves orientation.
-    """
-    triangles = np.asarray(triangles, dtype=int)
-    p = vertices[triangles]
-    lens = np.stack([
-        np.linalg.norm(p[:, 1] - p[:, 2], axis=1),
-        np.linalg.norm(p[:, 2] - p[:, 0], axis=1),
-        np.linalg.norm(p[:, 0] - p[:, 1], axis=1),
-    ], axis=1)
-    longest = lens >= lens.max(axis=1, keepdims=True) - _GEOM_TOL
-    k = np.argmin(np.where(longest, triangles, np.iinfo(int).max), axis=1)
-    return triangles[np.arange(len(triangles))[:, None],
-                     (k[:, None] + np.arange(3)) % 3]
-
-
 def _split_cells(p00, p10, p01, p11, diagonal):
     """Two counterclockwise triangles per cell, cell by cell, from the
-    vertex ids of the cells' corners (p10 is the corner right of p00)."""
+    vertex ids of the cells' corners (p10 is the corner right of p00).
+
+    Each triangle starts at the corner opposite the cell diagonal, so its
+    longest edge, the refinement edge, is opposite local vertex 0."""
     if diagonal == "ne":
         pair = [(p10, p11, p00), (p01, p00, p11)]
     else:
@@ -207,7 +189,7 @@ def make_unit_square(n, diagonal="ne"):
     i, j = _cell_grid(n)
     p00 = i * (n + 1) + j
     triangles = _split_cells(p00, p00 + n + 1, p00 + 1, p00 + n + 2, diagonal)
-    return Mesh(vertices, _orient_refinement_edges(vertices, triangles))
+    return Mesh(vertices, triangles)
 
 
 def make_lshape(n, diagonal="ne"):
@@ -235,7 +217,7 @@ def make_lshape(n, diagonal="ne"):
     rank[np.argsort(first)] = np.arange(len(first))
     vertices = corners[np.sort(first)]
     triangles = _split_cells(*rank[inverse.ravel()].reshape(-1, 4).T, diagonal)
-    return Mesh(vertices, _orient_refinement_edges(vertices, triangles))
+    return Mesh(vertices, triangles)
 
 
 def bisect(mesh, marked):

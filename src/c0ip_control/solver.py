@@ -370,7 +370,6 @@ def _pdas(ws, b_f, d_meas, raw):
 
     prev_status = np.zeros(nent, dtype=np.int8)
     seen = []
-    solution = None
     trace = []
 
     for it in range(1, PDAS_MAX_ITER + 1):
@@ -378,7 +377,6 @@ def _pdas(ws, b_f, d_meas, raw):
         act_lo = (raw <= spec.lower) & ~act_up
         sig = (act_up.tobytes(), act_lo.tobytes())
         if seen and sig == seen[-1]:
-            u_free, phi_free, qvals = solution
             break
         if sig in seen:
             cycle = seen[seen.index(sig):]
@@ -410,7 +408,6 @@ def _pdas(ws, b_f, d_meas, raw):
         raw = -(b_f.T @ phi_free) / (alpha * d_meas)
         q_in = raw[inactive]
         qvals[inactive] = q_in
-        solution = (u_free, phi_free, qvals)
         status = act_up.astype(np.int8) - act_lo.astype(np.int8)
         trace.append(PdasStep(
             int(inactive.sum()), int(np.count_nonzero(status != prev_status)),

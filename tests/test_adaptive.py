@@ -93,6 +93,20 @@ class TestLoop:
         assert history.records[0].eta_total == 0.0
         assert history.meshes[0].num_triangles == 8
 
+    def test_nan_estimator_raises(self, monkeypatch):
+        # NaN is not > 0, but neither is it 0: the run must not stop as if
+        # the discrete solution were exact
+        original = adaptive.estimate
+
+        def nan_estimate(ws, sol):
+            report = original(ws, sol)
+            report.marking[0] = np.nan
+            return report
+
+        monkeypatch.setattr(adaptive, "estimate", nan_estimate)
+        with pytest.raises(ValueError, match="finite"):
+            run_adaptive(example2_spec(), make_lshape(1))
+
     def test_exact_errors_recorded_when_available(self, monkeypatch):
         from c0ip_control import example1_spec
         monkeypatch.setattr(adaptive, "MAX_LEVELS", 3)

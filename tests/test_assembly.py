@@ -93,6 +93,38 @@ def edge_gauss_points(mesh, edges):
         * d[:, None]
 
 
+def centroid_normals(mesh, edges, tris):
+    """Unit normals of ``edges`` that point out of ``tris``, oriented by
+    the side of the edge on which the triangle's centroid lies: the oracle
+    of the cache's counterclockwise rule."""
+    pe = mesh.vertices[mesh.edges[edges]]
+    d = pe[:, 1] - pe[:, 0]
+    normal = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0],
+                                                             d[:, 1])[:, None]
+    cent = mesh.vertices[mesh.triangles[tris]].mean(axis=1)
+    normal[np.sum(normal * (pe.mean(axis=1) - cent), axis=1) < 0.0] *= -1.0
+    return normal
+
+
+def local_ends(mesh, edges, tris):
+    """Local positions (p, q) in ``tris`` of the first and second vertex
+    of ``edges``, one triangle at a time."""
+    tri_list = mesh.triangles[tris].tolist()
+    pairs = [(tri.index(a), tri.index(b))
+             for tri, (a, b) in zip(tri_list, mesh.edges[edges].tolist())]
+    return tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)
+
+
+def edge_sides(mesh, cache):
+    """(edges, tris, normal) for side 1 and side 2 of the interior edges
+    and for the one side of the boundary edges, with oracle normals."""
+    interior, boundary = mesh.interior_edges, mesh.boundary_edges
+    normal = centroid_normals(mesh, interior, cache.tri1)
+    return ((interior, cache.tri1, normal), (interior, cache.tri2, normal),
+            (boundary, cache.btri, centroid_normals(mesh, boundary,
+                                                    cache.btri)))
+
+
 # each named trace of the edge cache: its dofs, its block and its rows there
 TRACE_ROWS = {
     "mean_d2n": ("dofs", "traces", slice(0, 1)),
@@ -127,9 +159,7 @@ def side_traces(mesh, dm, geom, cache):
         d2n = np.einsum("ea,eiab,eb->ei", normal, geom.hessians[tris], normal)
         return gn, d2n, dm.tri_dofs[tris]
 
-    return (side(cache.interior, cache.tri1, cache.normal),
-            side(cache.interior, cache.tri2, cache.normal),
-            side(cache.boundary, cache.btri, cache.bnormal))
+    return tuple(side(*s) for s in edge_sides(mesh, cache))
 
 
 def stiffness(mesh, eta):
@@ -267,8 +297,9 @@ class TestStiffness:
 
     def test_one_triangle_is_the_element_term(self):
         # no interior edge, so A_h is the Hessian term of the one element
-        dm, geom, cache = discrete_parts(reference_triangle_mesh())
-        assert len(cache.interior) == 0
+        mesh = reference_triangle_mesh()
+        dm, geom, cache = discrete_parts(mesh)
+        assert len(mesh.interior_edges) == len(cache.tri1) == 0
         k_el = np.einsum("ikl,jkl->ij", geom.hessians[0], geom.hessians[0])
         expected = np.zeros((dm.ndof, dm.ndof))
         expected[np.ix_(dm.tri_dofs[0], dm.tri_dofs[0])] = geom.area[0] * k_el
@@ -653,12 +684,18 @@ class TestNorms:
         assert abs(e_energy ** 2 - SIN3_H2_SQ) < 1e-6 * SIN3_H2_SQ
 
     def test_edge_cache_boundary_normals_point_outward(self):
+        # dv/dn of v = x (exact in P2) is n_x: +1 on x = 1, -1 on x = 0
+        # and 0 on y = 0 and y = 1, at both Gauss points
         mesh = make_unit_square(2)
-        _, _, cache = discrete_parts(mesh)
-        mids = 0.5 * (mesh.vertices[mesh.edges[cache.boundary, 0]]
-                      + mesh.vertices[mesh.edges[cache.boundary, 1]])
-        outward = np.sum(cache.bnormal * (mids - 0.5), axis=1)
-        assert np.all(outward > 0.0)
+        dm, _, cache = discrete_parts(mesh)
+        v = interpolate(mesh, dm, lambda x, y: x + 0.0 * y)
+        dvdn = cache.boundary_traces(v)[:, :2]
+        mids = mesh.vertices[mesh.edges[mesh.boundary_edges]].mean(axis=1)
+        x, y = mids.T
+        assert np.all((x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0))
+        expected = np.select([x == 1.0, x == 0.0], [1.0, -1.0], 0.0)
+        np.testing.assert_allclose(dvdn, np.column_stack([expected] * 2),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestElementGeometry:
@@ -752,15 +789,13 @@ class TestArrayKernels:
         # gradients at the pulled-back physical Gauss points, on both sides
         # of the interior edges and on the boundary side
         mesh, _, geom, cache = discrete
-        for edges, tris, normal in ((cache.interior, cache.tri1, cache.normal),
-                                    (cache.interior, cache.tri2, cache.normal),
-                                    (cache.boundary, cache.btri,
-                                     cache.bnormal)):
+        for edges, tris, normal in edge_sides(mesh, cache):
             phys = edge_gauss_points(mesh, edges)
             ref = reference_coords(geom, tris, phys)
             expected = np.einsum("egia,ea->egi",
                                  physical_gradients(geom, tris, ref), normal)
-            got = _side_normal_derivatives(mesh, geom, edges, tris, normal)
+            got = _side_normal_derivatives(
+                geom, tris, *local_ends(mesh, edges, tris), normal)
             scale = np.abs(expected).max()
             assert np.abs(got - expected).max() <= 1e-14 * scale
 

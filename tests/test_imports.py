@@ -1,6 +1,7 @@
 """Every name a package module imports is used or re-exported, every
-name a function binds is read, and the command line loads only the SciPy
-subpackages it uses."""
+name a function binds is read, every private module-level name is
+referenced, and the command line loads only the SciPy subpackages it
+uses."""
 
 import ast
 import os
@@ -112,6 +113,63 @@ def test_scan_sees_an_unused_local():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
+
+
+def dead_private_names(sources):
+    """Module-level private functions, classes and constants of the
+    ``sources`` (module name -> source) that no module references, as
+    (module, line, name); dunder names are exempt."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.extend((module, node.lineno, name) for name in names
+                           if name.startswith("_")
+                           and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(entry for entry in defined if entry[2] not in used)
+
+
+def test_scan_sees_a_dead_private_name():
+    sources = {
+        "mesh": ("_GEOM_TOL = 1e-9\n"
+                 "_SCALE, __tag__ = 2.0, 'x'\n"
+                 "def _orient(t):\n"
+                 "    return t\n"
+                 "class _Cache:\n"
+                 "    pass\n"
+                 "def _split(n):\n"
+                 "    return n * _SCALE\n"
+                 "def make(n):\n"
+                 "    return _split(n)\n"),
+        "fem": ("from .mesh import _Cache\n"
+                "_TABLE = {}\n"
+                "def rule(m):\n"
+                "    return m._TABLE\n"),
+    }
+    assert dead_private_names(sources) == [("mesh", 1, "_GEOM_TOL"),
+                                           ("mesh", 3, "_orient")]
+
+
+def test_no_dead_private_names():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert dead_private_names(sources) == []
 
 
 # SciPy subpackages that no module of the package uses; each one adds to

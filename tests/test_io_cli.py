@@ -10,7 +10,7 @@ import pytest
 import c0ip_control
 from c0ip_control import (Mesh, bisect, clamp, example1_spec, make_lshape,
                           make_unit_square)
-from c0ip_control import cli, solver
+from c0ip_control import adaptive, cli, solver
 from c0ip_control.assembly import element_geometry
 from c0ip_control.cli import (RunConfig, main, run_adaptive_study,
                               run_boundary_demo, run_example1,
@@ -173,6 +173,13 @@ class TestDrivers:
         vtks = list(tmp_path.glob(prefix + "_level*.vtk"))
         assert vtks
 
+    def test_unknown_domain_rejected(self, tmp_path):
+        config = RunConfig(domain="L-shape", mode="adaptive", max_dofs=300,
+                           out=str(tmp_path))
+        with pytest.raises(ValueError, match="L-shape"):
+            run_adaptive_study(config)
+        assert not list(tmp_path.iterdir())
+
     def test_boundary_demo(self, tmp_path):
         config = RunConfig(out=str(tmp_path))
         sol, kkt, report = run_boundary_demo(config)
@@ -247,6 +254,21 @@ class TestCommandLine:
                    "--max-dofs", "200", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "adaptive_square.csv").exists()
+
+    def test_adaptive_nan_estimator_exits_one(self, tmp_path, capsys,
+                                              monkeypatch):
+        original = adaptive.estimate
+
+        def nan_estimate(ws, sol):
+            report = original(ws, sol)
+            report.marking[0] = np.nan
+            return report
+
+        monkeypatch.setattr(adaptive, "estimate", nan_estimate)
+        rc = main(["--mode", "adaptive", "--max-dofs", "200",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_adaptive_square_reaches_max_dofs(self, tmp_path):
         # the square's run stops at --max-dofs, not at a level cap below it:
