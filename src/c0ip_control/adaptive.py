@@ -35,6 +35,8 @@ class AdaptiveHistory:
     records: list = field(default_factory=list)
     meshes: list = field(default_factory=list)
     solutions: list = field(default_factory=list)
+    # why the loop stopped: "max_dofs", "max_levels" or "zero_estimator"
+    stop_reason: str | None = None
 
     # the fields of LevelRecord, in order
     CSV_COLUMNS = ["level", "N", "eta_u", "eta_phi", "eta_control",
@@ -51,7 +53,8 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000):
     Stops once the free dof count reaches ``max_dofs``, after MAX_LEVELS
     levels, or on a level whose estimator is zero on every triangle (an
     exact discrete solution), whichever comes first; the last level is
-    always recorded. An estimator that is not finite raises ``dorfler_mark``'s
+    always recorded, and ``stop_reason`` names the criterion that ended the
+    loop. An estimator that is not finite raises ``dorfler_mark``'s
     ``ValueError``. Every level's mesh and solution are kept. When
     ``spec.exact`` is available the true errors are recorded alongside the
     estimator.
@@ -78,8 +81,14 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000):
             pdas_iterations=sol.iterations))
         history.meshes.append(mesh)
         history.solutions.append(sol)
-        if ws.dofmap.nfree >= max_dofs or report.marking.sum() == 0.0:
+        if ws.dofmap.nfree >= max_dofs:
+            history.stop_reason = "max_dofs"
+            break
+        if report.marking.sum() == 0.0:
+            history.stop_reason = "zero_estimator"
             break
         marked = dorfler_mark(report.marking, theta)
         mesh = bisect(mesh, marked)
+    else:
+        history.stop_reason = "max_levels"
     return history

@@ -401,12 +401,17 @@ def assemble_mass(dofmap, geom):
 
 def assemble_load(dofmap, geom, f, degree):
     """Load vector F_i = int f v_i on the free dofs, with a
-    degree-``degree`` triangle rule."""
+    degree-``degree`` triangle rule.
+
+    ``f`` is a vectorized callable of (x, y), or its (nt, nq) values at
+    the rule's points (``ElementGeometry.quad_points``).
+    """
     rule = quadrature("triangle", degree)
-    x, y = geom.quad_points(rule)
-    fvals = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
+    if callable(f):
+        x, y = geom.quad_points(rule)
+        f = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
     vals = shape_values(rule.points)
-    local = np.einsum("q,tq,qi->ti", rule.weights, fvals, vals)
+    local = np.einsum("q,tq,qi->ti", rule.weights, f, vals)
     local *= geom.det[:, None]
     # sums in element order, as np.add.at does; bin nfree collects the
     # constrained dofs
@@ -415,15 +420,14 @@ def assemble_load(dofmap, geom, f, degree):
 
 
 def _coupling_block(dofs, local, cols, n):
-    """n x (ne m) CSC matrix with local[e, k, j] at row cols[dofs[e, j]]
-    and column e m + k, dropping the rows that map to n."""
-    ne, m, _ = local.shape
-    rows = np.broadcast_to(cols[dofs][:, None], local.shape)
+    """n x ne CSC matrix with local[e, j] at row cols[dofs[e, j]] and
+    column e, dropping the rows that map to n."""
+    rows = cols[dofs]
     keep = rows < n
-    indptr = np.zeros(ne * m + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=2).ravel(), out=indptr[1:])
+    indptr = np.zeros(len(local) + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
     return sp.csc_matrix((local[keep], rows[keep], indptr),
-                         shape=(n, ne * m))
+                         shape=(n, len(local)))
 
 
 def control_coupling(dofmap, geom, cache, kind):
@@ -438,15 +442,15 @@ def control_coupling(dofmap, geom, cache, kind):
         rule = quadrature("triangle", 2)
         vals = np.einsum("q,qi->i", rule.weights, shape_values(rule.points))
         local = geom.det[:, None] * vals            # (nt, 6)
-        return (_coupling_block(dofmap.tri_dofs, local[:, None],
-                                dofmap.free_cols, dofmap.nfree),
+        return (_coupling_block(dofmap.tri_dofs, local, dofmap.free_cols,
+                                dofmap.nfree),
                 geom.area.copy())
     if kind == "boundary":
         grads = cache.btraces[:, :2]                        # (nEb, 2, 6)
         lw = cache.blength[:, None] * _EDGE_RULE.weights    # (nEb, 2)
         local = lw[:, :1] * grads[:, 0] + lw[:, 1:] * grads[:, 1]
-        return (_coupling_block(cache.bdofs, local[:, None],
-                                dofmap.free_cols, dofmap.nfree),
+        return (_coupling_block(cache.bdofs, local, dofmap.free_cols,
+                                dofmap.nfree),
                 cache.blength.copy())
     raise ValueError("kind must be 'distributed' or 'boundary'")
 
@@ -463,9 +467,12 @@ def eval_on_elements(dofmap, coeffs, rule):
 
 
 def error_norms(coeffs, dofmap, exact_hessian, geom, cache, eta):
-    """Energy error of the P2 function with coefficients ``coeffs`` over
-    ``dofmap`` against a smooth exact field.
+    """Energy errors of P2 functions over ``dofmap`` against one smooth
+    exact field.
 
+    ``coeffs`` is one (ndof,) coefficient array, which gives one norm, or
+    a sequence of them, which gives a list of norms in their order; the
+    exact Hessian is evaluated once for all of them.
     ``exact_hessian(x, y)`` must return the tuple (w_xx, w_xy, w_yy). The
     exact field has no normal-derivative jumps, so the penalty part of the
     energy error is that of the P2 function alone.
@@ -475,12 +482,16 @@ def error_norms(coeffs, dofmap, exact_hessian, geom, cache, eta):
 
     hxx, hxy, hyy = (np.broadcast_to(np.asarray(h, dtype=float), x.shape)
                      for h in exact_hessian(x, y))
-    vh = broken_hessians(geom, dofmap, coeffs)
-    dxx = hxx - vh[:, None, 0, 0]
-    dxy = hxy - vh[:, None, 0, 1]
-    dyy = hyy - vh[:, None, 1, 1]
-    misfit = np.einsum("q,tq->t", rule.weights,
-                       dxx ** 2 + 2.0 * dxy ** 2 + dyy ** 2) * geom.det
-    jumps = _apply_rows(cache.dofs, cache.traces[:, 1:3], coeffs)
-    pen = float(eta * (jumps ** 2 @ _EDGE_RULE.weights).sum())
-    return np.sqrt(float(misfit.sum()) + pen)
+    single = isinstance(coeffs, np.ndarray) and coeffs.ndim == 1
+    norms = []
+    for v in ([coeffs] if single else coeffs):
+        vh = broken_hessians(geom, dofmap, v)
+        dxx = hxx - vh[:, None, 0, 0]
+        dxy = hxy - vh[:, None, 0, 1]
+        dyy = hyy - vh[:, None, 1, 1]
+        misfit = np.einsum("q,tq->t", rule.weights,
+                           dxx ** 2 + 2.0 * dxy ** 2 + dyy ** 2) * geom.det
+        jumps = _apply_rows(cache.dofs, cache.traces[:, 1:3], v)
+        pen = float(eta * (jumps ** 2 @ _EDGE_RULE.weights).sum())
+        norms.append(np.sqrt(float(misfit.sum()) + pen))
+    return norms[0] if single else norms

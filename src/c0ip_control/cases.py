@@ -128,11 +128,23 @@ class ManufacturedCase:
     lower: float
     upper: float
 
-    def energy_errors(self, ws, sol):
-        """(||u - u_h||_h, ||phi - phi_h||_h) of a solution on ``ws``."""
-        args = ws.geom, ws.cache, ws.spec.eta
-        return (error_norms(sol.u, ws.dofmap, self.u_hess, *args),
-                error_norms(sol.phi, ws.dofmap, self.phi_hess, *args))
+    def energy_errors(self, ws, *solutions):
+        """(||u - u_h||_h, ||phi - phi_h||_h) of each solution on ``ws`` in
+        turn, a tuple of two norms per solution.
+
+        Each distinct exact Hessian is evaluated once for all solutions;
+        when ``phi_hess`` is ``u_hess`` that is one evaluation.
+        """
+        def norms(coeffs, hess):
+            return error_norms(coeffs, ws.dofmap, hess, ws.geom, ws.cache,
+                               ws.spec.eta)
+
+        if self.phi_hess is self.u_hess:
+            return tuple(norms([c for sol in solutions
+                                for c in (sol.u, sol.phi)], self.u_hess))
+        e_u = norms([sol.u for sol in solutions], self.u_hess)
+        e_phi = norms([sol.phi for sol in solutions], self.phi_hess)
+        return tuple(e for pair in zip(e_u, e_phi) for e in pair)
 
     def control_error(self, geom, q_h):
         """||q - q_h||_{0,Omega} for a piecewise-constant control field.

@@ -174,8 +174,7 @@ def run_vd_compare(config):
         sol = solve_pdas(ws)
         vd = solve_variational(ws, sol)
         del ws.lu   # the error norms need no factor; free it first
-        eu, ephi = case.energy_errors(ws, sol)
-        eu_vd, ephi_vd = case.energy_errors(ws, vd)
+        eu, ephi, eu_vd, ephi_vd = case.energy_errors(ws, sol, vd)
         per_triangle = len(vd.q.values) // len(sol.q.values)
         diff = vd.q.values - np.repeat(sol.q.values, per_triangle)
         qdist = float(np.sqrt(np.sum(vd.q.measures * diff ** 2)))

@@ -13,8 +13,13 @@ an SPD system solved by conjugate gradients preconditioned with alpha D_I.
 It serves both discretizations: the piecewise-constant control (D holds
 triangle areas or edge lengths) and the variational one, whose control
 clamp(-phi_h/alpha) lives at the points x_k of a degree-8 rule, with
-B[i, (t, k)] = w_k det_t v_i(x_k) and D = w_k det_t. Every solve with A uses
-one sparse LU factor of A per discretization.
+B[i, (t, k)] = w_k det_t v_i(x_k) and D = w_k det_t. The iteration reads B
+only through the products B x and B^T y, B_I through them on controls that
+are zero off the inactive set: the piecewise-constant control multiplies by
+the CSC coupling of the discretization, and the variational one applies its
+point coupling element by element from the local values w_k det_t v_i(x_k),
+without assembling it. Every solve with A uses one sparse LU factor of A
+per discretization.
 
 Each CG step applies the reduced Hessian to its direction p through
 A^-1 B_I p and A^-1 M A^-1 B_I p, the changes of the state and adjoint
@@ -38,9 +43,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (_coupling_block, assemble_a_h, assemble_load,
-                       assemble_mass, build_edge_cache, control_coupling,
-                       element_geometry, eval_on_elements)
+from .assembly import (assemble_a_h, assemble_load, assemble_mass,
+                       build_edge_cache, control_coupling, element_geometry,
+                       eval_on_elements)
 from .controls import ControlField
 from .fem import build_dofmap, quadrature, shape_values
 
@@ -131,6 +136,7 @@ class Discretization:
     measures: np.ndarray
     load_f: np.ndarray         # int f v_i over the free dofs
     load_ud: np.ndarray        # int u_d v_i over the free dofs
+    ud_norm2: float            # int u_d^2 dx with the rule of ``load_ud``
 
     def full_coeffs(self, free_vec):
         out = np.zeros(self.dofmap.ndof)
@@ -166,16 +172,6 @@ class Discretization:
         a = self.stiffness
         return np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max()
 
-    @cached_property
-    def ud_norm2(self):
-        """int u_d^2 dx with the quadrature rule of ``load_ud``."""
-        rule = quadrature("triangle", self.spec.load_degree)
-        x, y = self.geom.quad_points(rule)
-        ud = np.broadcast_to(np.asarray(self.spec.u_d(x, y), dtype=float),
-                             x.shape)
-        return float(np.einsum("q,tq->", rule.weights,
-                               ud ** 2 * self.geom.det[:, None]))
-
 
 def discretize(spec, mesh):
     dofmap = build_dofmap(mesh)
@@ -185,9 +181,15 @@ def discretize(spec, mesh):
     m_free = assemble_mass(dofmap, geom)
     bmat, measures = control_coupling(dofmap, geom, cache, spec.kind)
     load_f = assemble_load(dofmap, geom, spec.f, spec.load_degree)
-    load_ud = assemble_load(dofmap, geom, spec.u_d, spec.load_degree)
+    # u_d at the load rule's points gives both its load and int u_d^2
+    rule = quadrature("triangle", spec.load_degree)
+    x, y = geom.quad_points(rule)
+    ud = np.broadcast_to(np.asarray(spec.u_d(x, y), dtype=float), x.shape)
+    load_ud = assemble_load(dofmap, geom, ud, spec.load_degree)
+    ud_norm2 = float(np.einsum("q,tq->", rule.weights,
+                               ud ** 2 * geom.det[:, None]))
     return Discretization(spec, mesh, dofmap, geom, cache, a_free, m_free,
-                          bmat, measures, load_f, load_ud)
+                          bmat, measures, load_f, load_ud, ud_norm2)
 
 
 def backward_error(op_norm, x, residual, rhs):
@@ -356,12 +358,19 @@ def solve_pdas(ws):
     cycle's signatures when an earlier active set other than the last one
     comes back, or after PDAS_MAX_ITER iterations.
     """
-    return _pdas(ws, ws.coupling, ws.measures, np.zeros(len(ws.measures)))
+    b_f = ws.coupling
+    return _pdas(ws, b_f.__matmul__, b_f.T.__matmul__, ws.measures,
+                 np.zeros(len(ws.measures)))
 
 
-def _pdas(ws, b_f, d_meas, raw):
-    """``solve_pdas`` for the free rows ``b_f`` (CSC) of a coupling, with
-    control measures ``d_meas``, from the raw control ``raw``."""
+def _pdas(ws, apply_b, apply_bt, d_meas, raw):
+    """``solve_pdas`` for a coupling B with control measures ``d_meas``,
+    from the raw control ``raw``.
+
+    B is read only through ``apply_b(x)``, B x on the free dofs, and
+    ``apply_bt(y)``, B^T y on the controls; the reduced Hessian applies
+    them to full-length controls that are zero off the inactive set.
+    """
     spec = ws.spec
     m_f = ws.mass
     alpha = spec.alpha
@@ -389,23 +398,24 @@ def _pdas(ws, b_f, d_meas, raw):
         qvals = np.zeros(nent)
         qvals[act_up] = spec.upper
         qvals[act_lo] = spec.lower
-        u_free = lu.solve(ws.load_f + b_f @ qvals)
+        u_free = lu.solve(ws.load_f + apply_b(qvals))
         phi_free = lu.solve(m_f @ u_free - ws.load_ud)
         cg_steps, cg_res = 0, 0.0
         if inactive.any():
-            b_in = b_f[:, inactive]
             alpha_d = alpha * d_meas[inactive]
+            x_full = np.zeros(nent)
 
             def reduced_hessian(x):
-                du = lu.solve(b_in @ x)
+                x_full[inactive] = x
+                du = lu.solve(apply_b(x_full))
                 dphi = lu.solve(m_f @ du)
-                return alpha_d * x + b_in.T @ dphi, (du, dphi)
+                return alpha_d * x + apply_bt(dphi)[inactive], (du, dphi)
 
             _, (u_free, phi_free), cg_steps, cg_res = _pcg(
-                reduced_hessian, -(b_in.T @ phi_free), raw[inactive],
-                1.0 / alpha_d, (u_free, phi_free))
+                reduced_hessian, -apply_bt(phi_free)[inactive],
+                raw[inactive], 1.0 / alpha_d, (u_free, phi_free))
 
-        raw = -(b_f.T @ phi_free) / (alpha * d_meas)
+        raw = -apply_bt(phi_free) / (alpha * d_meas)
         q_in = raw[inactive]
         qvals[inactive] = q_in
         status = act_up.astype(np.int8) - act_lo.astype(np.int8)
@@ -422,7 +432,7 @@ def _pdas(ws, b_f, d_meas, raw):
             signatures=seen[-2:])
 
     q = ControlField(qvals, spec.lower, spec.upper, d_meas)
-    r_state, r_adj = _residuals(ws, u_free, phi_free, b_f @ qvals)
+    r_state, r_adj = _residuals(ws, u_free, phi_free, apply_b(qvals))
     return KktSolution(
         u=ws.full_coeffs(u_free),
         phi=ws.full_coeffs(phi_free),
@@ -435,14 +445,29 @@ def _pdas(ws, b_f, d_meas, raw):
     )
 
 
-def _point_coupling(ws, rule):
-    """Free rows of N[i, (t, k)] = w_k det_t v_i(x_k) in CSC, column
-    t * nq + k, and the point measures w_k det_t, for ``rule``'s points."""
+def _point_kernel(ws, rule):
+    """N x and N^T y for the point coupling N[i, (t, k)] = w_k det_t
+    v_i(x_k) at ``rule``'s points, column t * nq + k, applied element by
+    element from its local values; and the point measures w_k det_t."""
     dofmap = ws.dofmap
+    nt, nq = len(dofmap.tri_dofs), len(rule.weights)
     measures = ws.geom.det[:, None] * rule.weights           # (nt, nq)
-    values = measures[:, :, None] * shape_values(rule.points)
-    return (_coupling_block(dofmap.tri_dofs, values, dofmap.free_cols,
-                            dofmap.nfree), measures.ravel())
+    local = measures[:, :, None] * shape_values(rule.points)  # (nt, nq, 6)
+    # row nfree stands for the constrained dofs: N x drops its bin, and
+    # N^T y reads 0 there
+    rows = dofmap.free_cols[dofmap.tri_dofs]
+    y_ext = np.zeros(dofmap.nfree + 1)
+
+    def apply_n(x):
+        vals = np.einsum("tk,tkj->tj", x.reshape(nt, nq), local)
+        return np.bincount(rows.ravel(), vals.ravel(),
+                           minlength=dofmap.nfree + 1)[:-1]
+
+    def apply_nt(y):
+        y_ext[:-1] = y
+        return np.einsum("tkj,tj->tk", local, y_ext[rows]).ravel()
+
+    return apply_n, apply_nt, measures.ravel()
 
 
 def solve_variational(ws, full):
@@ -459,9 +484,10 @@ def solve_variational(ws, full):
     if spec.kind != "distributed":
         raise ValueError("variational discretization: distributed kind only")
     rule = quadrature("triangle", VD_QUAD_DEGREE)
-    n_f, measures = _point_coupling(ws, rule)
+    apply_n, apply_nt, measures = _point_kernel(ws, rule)
     phi_at_points = eval_on_elements(ws.dofmap, full.phi, rule)
-    return _pdas(ws, n_f, measures, -phi_at_points.ravel() / spec.alpha)
+    return _pdas(ws, apply_n, apply_nt, measures,
+                 -phi_at_points.ravel() / spec.alpha)
 
 
 def evaluate_p2(geom, dofmap, coeffs, x, y):

@@ -117,6 +117,29 @@ class TestLoop:
             assert r.err_q is not None and r.err_q > 0.0
 
 
+class TestStopReason:
+    def test_max_dofs(self):
+        history = run_adaptive(example2_spec(), make_lshape(1), theta=0.5,
+                               max_dofs=400)
+        assert history.stop_reason == "max_dofs"
+        assert history.records[-1].ndof >= 400
+
+    def test_max_levels(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "MAX_LEVELS", 2)
+        history = run_adaptive(example2_spec(), make_lshape(1), theta=0.5)
+        assert history.stop_reason == "max_levels"
+        assert len(history.records) == 2
+
+    def test_zero_estimator(self):
+        def zero(x, y):
+            return np.zeros_like(x)
+
+        spec = ProblemSpec("distributed", zero, zero, lower=-1.0, upper=1.0)
+        history = run_adaptive(spec, make_unit_square(2), max_dofs=10 ** 6)
+        assert history.stop_reason == "zero_estimator"
+        assert len(history.records) == 1
+
+
 class TestDeterminism:
     def test_identical_runs_identical_csv(self, tmp_path, monkeypatch):
         # the history CSV holds no wall-clock data, so two runs write the

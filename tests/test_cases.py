@@ -11,13 +11,13 @@ from c0ip_control import (assemble_load, biharmonic_sin3, bisect,
                           boundary_demo_spec, error_norms, estimate,
                           example1_case, example1_spec, example2_spec,
                           g_sin3, make_lshape, make_unit_square)
-from c0ip_control import cases
+from c0ip_control import cases, cli
 from c0ip_control.assembly import element_geometry
 from c0ip_control.cases import _sin3_derivatives
 from c0ip_control.cli import RunConfig, run_example1, run_vd_compare
 from c0ip_control.controls import ControlField, clamp
 from c0ip_control.fem import quadrature
-from c0ip_control.solver import discretize, solve_pdas
+from c0ip_control.solver import discretize, solve_pdas, solve_variational
 
 
 def biharmonic_fd(f, x, y, h=0.04):
@@ -138,7 +138,7 @@ class TestTrigMemo:
             assert np.array_equal(
                 assemble_load(dm, geom, data, spec.load_degree), want)
             assert cases._TRIG_MEMO["base"] is x.base
-        assert ws.ud_norm2 == dataclasses.replace(ws, spec=plain).ud_norm2
+        assert ws.ud_norm2 == discretize(plain, ws.mesh).ud_norm2
 
     def test_error_norms(self, solved):
         ws, sol, _ = solved
@@ -220,6 +220,62 @@ class TestTrigMemo:
         # points of the error norms and the control error, on each of the
         # 3 levels
         assert calls == {"sin": 12, "cos": 12}
+
+
+def _counted(func, calls, key):
+    def wrapper(x, y):
+        calls[key] += 1
+        return func(x, y)
+    return wrapper
+
+
+class TestOneHessianEvaluation:
+    """Each distinct exact Hessian is evaluated once per level, and every
+    error equals that of a one-array ``error_norms`` call, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        ws = discretize(example1_spec(), make_unit_square(8))
+        sol = solve_pdas(ws)
+        return ws, sol, solve_variational(ws, sol)
+
+    @pytest.mark.parametrize("study", [run_example1, run_vd_compare])
+    def test_once_per_level(self, tmp_path, monkeypatch, study):
+        calls = {"hess": 0}
+
+        def counting_spec(*args):
+            spec = example1_spec(*args)
+            hess = _counted(spec.exact.u_hess, calls, "hess")
+            spec.exact = dataclasses.replace(spec.exact, u_hess=hess,
+                                             phi_hess=hess)
+            return spec
+
+        monkeypatch.setattr(cli, "example1_spec", counting_spec)
+        study(RunConfig(levels=3, out=str(tmp_path)))
+        assert calls == {"hess": 3}
+
+    def test_errors_equal_one_array_calls(self, solved):
+        ws, sol, vd = solved
+        case = ws.spec.exact
+        fields = [sol.u, sol.phi, vd.u, vd.phi]
+        want = [error_norms(v, ws.dofmap, case.u_hess, ws.geom, ws.cache,
+                            ws.spec.eta) for v in fields]
+        assert error_norms(fields, ws.dofmap, case.u_hess, ws.geom,
+                           ws.cache, ws.spec.eta) == want
+        assert case.energy_errors(ws, sol, vd) == tuple(want)
+        assert case.energy_errors(ws, vd) == tuple(want[2:])
+
+    def test_distinct_hessians_once_each(self, solved):
+        ws, sol, vd = solved
+        case = ws.spec.exact
+        calls = {"u": 0, "phi": 0}
+        # phi_hess is a second callable with the same values
+        split = dataclasses.replace(
+            case, u_hess=_counted(case.u_hess, calls, "u"),
+            phi_hess=_counted(_writable(case.u_hess), calls, "phi"))
+        assert split.energy_errors(ws, sol, vd) == case.energy_errors(
+            ws, sol, vd)
+        assert calls == {"u": 1, "phi": 1}
 
 
 class TestBiharmonic:

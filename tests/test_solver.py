@@ -424,8 +424,9 @@ def _assert_point_clamp_identity(ws, sol, rtol=1e-12):
 
 
 def _point_coupling_oracle(ws, rule):
-    """``solver._point_coupling`` on its own dof->free-row map, with -1 on
-    the constrained dofs."""
+    """Free rows of the point coupling N[i, (t, k)] = w_k det_t v_i(x_k) in
+    CSC, column t * nq + k, built on its own dof->free-row map with -1 on
+    the constrained dofs; and the point measures w_k det_t."""
     dofmap = ws.dofmap
     nt, nq = len(dofmap.tri_dofs), len(rule.weights)
     measures = (ws.geom.det[:, None] * rule.weights).ravel()
@@ -447,18 +448,21 @@ def _point_coupling_oracle(ws, rule):
 class TestVariational:
     @pytest.mark.parametrize("mesh", [make_unit_square(8), make_lshape(2)],
                              ids=["square8", "lshape2"])
-    def test_point_coupling_matches_its_oracle(self, mesh):
+    def test_point_kernel_matches_its_oracle(self, mesh):
         ws = discretize(example1_spec(), mesh)
         rule = quadrature("triangle", solver.VD_QUAD_DEGREE)
-        got, got_measures = solver._point_coupling(ws, rule)
+        apply_n, apply_nt, got_measures = solver._point_kernel(ws, rule)
         want, want_measures = _point_coupling_oracle(ws, rule)
-        assert type(got) is sp.csc_matrix
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            assert getattr(got, name).dtype == getattr(want, name).dtype
-            np.testing.assert_array_equal(getattr(got, name),
-                                          getattr(want, name))
         np.testing.assert_array_equal(got_measures, want_measures)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            x = rng.standard_normal(want.shape[1])
+            y = rng.standard_normal(want.shape[0])
+            for got, ref in ((apply_n(x), want @ x),
+                             (apply_nt(y), want.T @ y)):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(
+                    np.abs(ref))
 
     def test_variational_control_matches_point_evaluation(self):
         spec = example1_spec()
@@ -488,9 +492,10 @@ class TestVariational:
         ws = discretize(example1_spec(alpha, *bounds), make_unit_square(8))
         full = solve_pdas(ws)
         warm = solve_variational(ws, full)
-        n_f, measures = solver._point_coupling(
+        apply_n, apply_nt, measures = solver._point_kernel(
             ws, quadrature("triangle", solver.VD_QUAD_DEGREE))
-        cold = solver._pdas(ws, n_f, measures, np.zeros(len(measures)))
+        cold = solver._pdas(ws, apply_n, apply_nt, measures,
+                            np.zeros(len(measures)))
         free = ws.dofmap.free
         for sol in (warm, cold):
             assert sol.q.admissible
