@@ -19,6 +19,7 @@ from .solver import (Discretization, KktSolution, PdasError, ProblemSpec,
 from .estimator import EstimatorReport, estimate
 from .adaptive import AdaptiveHistory, LevelRecord, run_adaptive
 from .cases import (ManufacturedCase, biharmonic_sin3, boundary_demo_spec,
-                    example1_case, example1_spec, example2_spec, g_sin3)
+                    example1_case, example1_spec, example2_spec, g_sin3,
+                    sin3_jet)
 
 __version__ = "0.1.0"

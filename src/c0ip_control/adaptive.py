@@ -70,9 +70,7 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000):
         report = estimate(ws, sol)
         err_u = err_phi = err_q = None
         if spec.exact is not None:
-            case = spec.exact
-            err_u, err_phi = case.energy_errors(ws, sol)
-            err_q = case.control_error(ws.geom, sol.q)
+            err_u, err_phi, err_q = spec.exact.errors(ws, sol)[0]
         history.records.append(LevelRecord(
             level=level, ndof=ws.dofmap.nfree,
             eta_u=report.eta_u, eta_phi=report.eta_phi,

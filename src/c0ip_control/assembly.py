@@ -56,7 +56,8 @@ __all__ = [
 
 _EDGE_RULE = quadrature("edge", 3)  # 2-point Gauss, exact for the edge terms
 
-# degree of the triangle rule of the error norms
+# degree of the triangle rule of the error norms and the control error,
+# whose points carry the variational control
 ERROR_DEGREE = 8
 
 
@@ -86,8 +87,8 @@ class ElementGeometry:
     def quad_points(self, rule):
         """Physical points (x, y) of a triangle rule, each (nt, nq).
 
-        Computed once per rule; both are read-only views of one (2, nt, nq)
-        array, so the manufactured data can memoize on them (``cases``).
+        Computed once per rule; both are views of one (2, nt, nq) array
+        that every reader of the geometry shares, so they are read-only.
         """
         hit = self._points.get(id(rule))
         if hit is not None and hit[0] is rule:
@@ -403,13 +404,10 @@ def assemble_load(dofmap, geom, f, degree):
     """Load vector F_i = int f v_i on the free dofs, with a
     degree-``degree`` triangle rule.
 
-    ``f`` is a vectorized callable of (x, y), or its (nt, nq) values at
-    the rule's points (``ElementGeometry.quad_points``).
+    ``f`` holds the (nt, nq) values at the rule's points
+    (``ElementGeometry.quad_points``).
     """
     rule = quadrature("triangle", degree)
-    if callable(f):
-        x, y = geom.quad_points(rule)
-        f = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
     vals = shape_values(rule.points)
     local = np.einsum("q,tq,qi->ti", rule.weights, f, vals)
     local *= geom.det[:, None]
@@ -467,31 +465,22 @@ def eval_on_elements(dofmap, coeffs, rule):
 
 
 def error_norms(coeffs, dofmap, exact_hessian, geom, cache, eta):
-    """Energy errors of P2 functions over ``dofmap`` against one smooth
-    exact field.
+    """Energy error of the P2 function with coefficients ``coeffs`` over
+    ``dofmap`` against one smooth exact field.
 
-    ``coeffs`` is one (ndof,) coefficient array, which gives one norm, or
-    a sequence of them, which gives a list of norms in their order; the
-    exact Hessian is evaluated once for all of them.
-    ``exact_hessian(x, y)`` must return the tuple (w_xx, w_xy, w_yy). The
-    exact field has no normal-derivative jumps, so the penalty part of the
-    energy error is that of the P2 function alone.
+    ``exact_hessian`` is the field's Hessian (w_xx, w_xy, w_yy) at the
+    points of the degree-ERROR_DEGREE rule (``ElementGeometry.quad_points``),
+    each (nt, nq). The exact field has no normal-derivative jumps, so the
+    penalty part of the energy error is that of the P2 function alone.
     """
     rule = quadrature("triangle", ERROR_DEGREE)
-    x, y = geom.quad_points(rule)
-
-    hxx, hxy, hyy = (np.broadcast_to(np.asarray(h, dtype=float), x.shape)
-                     for h in exact_hessian(x, y))
-    single = isinstance(coeffs, np.ndarray) and coeffs.ndim == 1
-    norms = []
-    for v in ([coeffs] if single else coeffs):
-        vh = broken_hessians(geom, dofmap, v)
-        dxx = hxx - vh[:, None, 0, 0]
-        dxy = hxy - vh[:, None, 0, 1]
-        dyy = hyy - vh[:, None, 1, 1]
-        misfit = np.einsum("q,tq->t", rule.weights,
-                           dxx ** 2 + 2.0 * dxy ** 2 + dyy ** 2) * geom.det
-        jumps = _apply_rows(cache.dofs, cache.traces[:, 1:3], v)
-        pen = float(eta * (jumps ** 2 @ _EDGE_RULE.weights).sum())
-        norms.append(np.sqrt(float(misfit.sum()) + pen))
-    return norms[0] if single else norms
+    hxx, hxy, hyy = exact_hessian
+    vh = broken_hessians(geom, dofmap, coeffs)
+    dxx = hxx - vh[:, None, 0, 0]
+    dxy = hxy - vh[:, None, 0, 1]
+    dyy = hyy - vh[:, None, 1, 1]
+    misfit = np.einsum("q,tq->t", rule.weights,
+                       dxx ** 2 + 2.0 * dxy ** 2 + dyy ** 2) * geom.det
+    jumps = _apply_rows(cache.dofs, cache.traces[:, 1:3], coeffs)
+    pen = float(eta * (jumps ** 2 @ _EDGE_RULE.weights).sum())
+    return np.sqrt(float(misfit.sum()) + pen)

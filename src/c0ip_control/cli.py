@@ -79,8 +79,7 @@ def run_example1(config):
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
         del ws.lu   # the error norms need no factor; free it first
-        eu, ephi = case.energy_errors(ws, sol)
-        eq = case.control_error(ws.geom, sol.q)
+        eu, ephi, eq = case.errors(ws, sol)[0]
         hs.append(h)
         eus.append(eu)
         ephis.append(ephi)
@@ -162,9 +161,10 @@ def run_boundary_demo(config):
 def run_vd_compare(config):
     """Full discretization vs variational discretization on Example 1 meshes.
 
-    Tabulates energy errors of both solutions and the L2 distance between
-    the piecewise-constant control and the variational one, taken at the
-    variational control's points (a degree-8 rule on every element).
+    Tabulates the energy and L2 control errors of both solutions and the
+    L2 distance between the piecewise-constant control and the variational
+    one, taken at the variational control's points (the error rule on
+    every element).
     """
     spec = example1_spec(config.alpha, config.qmin, config.qmax, config.eta)
     case = spec.exact
@@ -174,14 +174,14 @@ def run_vd_compare(config):
         sol = solve_pdas(ws)
         vd = solve_variational(ws, sol)
         del ws.lu   # the error norms need no factor; free it first
-        eu, ephi, eu_vd, ephi_vd = case.energy_errors(ws, sol, vd)
+        (eu, ephi, eq), (eu_vd, ephi_vd, eq_vd) = case.errors(ws, sol, vd)
         per_triangle = len(vd.q.values) // len(sol.q.values)
         diff = vd.q.values - np.repeat(sol.q.values, per_triangle)
         qdist = float(np.sqrt(np.sum(vd.q.measures * diff ** 2)))
-        rows.append((h, eu, eu_vd, ephi, ephi_vd, qdist))
+        rows.append((h, eu, eu_vd, ephi, ephi_vd, eq, eq_vd, qdist))
     write_csv(config.outpath("vd_compare.csv"),
               ["h", "err_u_full", "err_u_vd", "err_phi_full", "err_phi_vd",
-               "q_distance"], rows)
+               "err_q_full", "err_q_vd", "q_distance"], rows)
     return rows
 
 

@@ -95,16 +95,13 @@ def estimate(ws, sol):
     spec, mesh, dofmap, cache, geom = (ws.spec, ws.mesh, ws.dofmap, ws.cache,
                                        ws.geom)
     rule = quadrature("triangle", VOLUME_DEGREE)
-    x, y = geom.quad_points(rule)
-
-    fvals = np.broadcast_to(np.asarray(spec.f(x, y), dtype=float), x.shape)
+    fvals, udvals = spec.data_at(*geom.quad_points(rule))
     if spec.kind == "distributed":
         state_resid = fvals + sol.q.values[:, None]
     else:
         state_resid = fvals
     volume_u = _volume_residual(mesh, geom, rule, state_resid)
 
-    udvals = np.broadcast_to(np.asarray(spec.u_d(x, y), dtype=float), x.shape)
     uhvals = eval_on_elements(dofmap, sol.u, rule)
     volume_phi = _volume_residual(mesh, geom, rule, uhvals - udvals)
 

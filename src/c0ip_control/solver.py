@@ -12,7 +12,8 @@ q_I = 0,
 an SPD system solved by conjugate gradients preconditioned with alpha D_I.
 It serves both discretizations: the piecewise-constant control (D holds
 triangle areas or edge lengths) and the variational one, whose control
-clamp(-phi_h/alpha) lives at the points x_k of a degree-8 rule, with
+clamp(-phi_h/alpha) lives at the points x_k of the degree-8 rule of the
+error norms (``assembly.ERROR_DEGREE``), with
 B[i, (t, k)] = w_k det_t v_i(x_k) and D = w_k det_t. The iteration reads B
 only through the products B x and B^T y, B_I through them on controls that
 are zero off the inactive set: the piecewise-constant control multiplies by
@@ -43,9 +44,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (assemble_a_h, assemble_load, assemble_mass,
-                       build_edge_cache, control_coupling, element_geometry,
-                       eval_on_elements)
+from .assembly import (ERROR_DEGREE, assemble_a_h, assemble_load,
+                       assemble_mass, build_edge_cache, control_coupling,
+                       element_geometry, eval_on_elements)
 from .controls import ControlField
 from .fem import build_dofmap, quadrature, shape_values
 
@@ -69,9 +70,6 @@ CG_RTOL = 1e-13
 CG_MAX_ITER = 200
 PDAS_MAX_ITER = 50
 
-# degree of the triangle rule whose points carry the variational control
-VD_QUAD_DEGREE = 8
-
 # degree of the triangle rule of the loads of ``projection_ph``
 PROJECTION_DEGREE = 8
 
@@ -89,13 +87,13 @@ class ProblemSpec:
     """Data of one control problem instance.
 
     ``kind`` selects distributed (volume source) or boundary (flux) control.
-    ``f`` and ``u_d`` are vectorized callables of (x, y). ``exact`` may hold
-    a manufactured solution (see ``cases``) for error reporting.
+    ``data(x, y)`` returns the source f and the target u_d at the points.
+    ``exact`` may hold a manufactured solution (see ``cases``) for error
+    reporting.
     """
 
     kind: str
-    f: object
-    u_d: object
+    data: object
     alpha: float = 1e-3
     lower: float = -750.0
     upper: float = -50.0
@@ -112,6 +110,14 @@ class ProblemSpec:
         if not self.lower < self.upper:
             raise ValueError("bounds must satisfy lower < upper, got %r, %r"
                              % (self.lower, self.upper))
+        if not 0.0 < self.eta < np.inf:
+            raise ValueError("penalty parameter eta must be positive and "
+                             "finite, got %r" % (self.eta,))
+
+    def data_at(self, x, y):
+        """(f, u_d) at the points (x, y), each an array of their shape."""
+        return tuple(np.broadcast_to(np.asarray(v, dtype=float), x.shape)
+                     for v in self.data(x, y))
 
 
 @dataclass
@@ -180,11 +186,10 @@ def discretize(spec, mesh):
     a_free = assemble_a_h(dofmap, geom, cache, spec.eta)
     m_free = assemble_mass(dofmap, geom)
     bmat, measures = control_coupling(dofmap, geom, cache, spec.kind)
-    load_f = assemble_load(dofmap, geom, spec.f, spec.load_degree)
-    # u_d at the load rule's points gives both its load and int u_d^2
+    # f and u_d at the load rule's points give both loads and int u_d^2
     rule = quadrature("triangle", spec.load_degree)
-    x, y = geom.quad_points(rule)
-    ud = np.broadcast_to(np.asarray(spec.u_d(x, y), dtype=float), x.shape)
+    f, ud = spec.data_at(*geom.quad_points(rule))
+    load_f = assemble_load(dofmap, geom, f, spec.load_degree)
     load_ud = assemble_load(dofmap, geom, ud, spec.load_degree)
     ud_norm2 = float(np.einsum("q,tq->", rule.weights,
                                ud ** 2 * geom.det[:, None]))
@@ -483,7 +488,7 @@ def solve_variational(ws, full):
     spec = ws.spec
     if spec.kind != "distributed":
         raise ValueError("variational discretization: distributed kind only")
-    rule = quadrature("triangle", VD_QUAD_DEGREE)
+    rule = quadrature("triangle", ERROR_DEGREE)
     apply_n, apply_nt, measures = _point_kernel(ws, rule)
     phi_at_points = eval_on_elements(ws.dofmap, full.phi, rule)
     return _pdas(ws, apply_n, apply_nt, measures,
@@ -527,19 +532,17 @@ def projection_ph(ws, which):
     spec = ws.spec
     if spec.exact is None:
         raise ValueError("projection requires a manufactured exact solution")
-    lu = ws.lu
     case = spec.exact
+    x, y = ws.geom.quad_points(quadrature("triangle", PROJECTION_DEGREE))
     if which == "state":
-        rhs = ws.load_f
-        if spec.kind == "distributed":
-            rhs = rhs + assemble_load(ws.dofmap, ws.geom, case.q,
-                                      PROJECTION_DEGREE)
-        else:
+        if spec.kind != "distributed":
             raise NotImplementedError("boundary-control projection")
+        q = case.control(case.jets(x, y)[1][0])
+        rhs = ws.load_f + assemble_load(ws.dofmap, ws.geom, q,
+                                        PROJECTION_DEGREE)
     elif which == "adjoint":
-        def misfit(x, y):
-            return case.u(x, y) - spec.u_d(x, y)
+        misfit = case.jets(x, y)[0][0] - spec.data_at(x, y)[1]
         rhs = assemble_load(ws.dofmap, ws.geom, misfit, PROJECTION_DEGREE)
     else:
         raise ValueError("which must be 'state' or 'adjoint'")
-    return ws.full_coeffs(lu.solve(rhs))
+    return ws.full_coeffs(ws.lu.solve(rhs))

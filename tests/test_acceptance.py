@@ -17,7 +17,7 @@ from c0ip_control import (assemble_a_h, bisect, build_dofmap,
                           example2_spec, interpolate, make_lshape,
                           make_unit_square, vi_residual)
 from c0ip_control.assembly import element_geometry, eval_on_elements
-from c0ip_control.cases import biharmonic_sin3
+from c0ip_control.cases import sin3_jet
 from c0ip_control.cli import RunConfig, _uniform_square_meshes
 from c0ip_control.fem import QuadratureRule, quadrature
 from c0ip_control.solver import (ProblemSpec, discretize, evaluate_p2,
@@ -50,7 +50,8 @@ REFERENCE_ERRORS = {
 
 @pytest.fixture(scope="module")
 def uniform_study():
-    """Solve the manufactured problem on h = 1/4 ... 1/64 with estimators."""
+    """Solve the manufactured problem on h = 1/4 ... 1/64 with estimators,
+    and its variational discretization."""
     spec = example1_spec()
     case = spec.exact
     levels = []
@@ -59,11 +60,12 @@ def uniform_study():
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
         report = estimate(ws, sol)
-        err_u, err_phi = case.energy_errors(ws, sol)
-        err_q = case.control_error(ws.geom, sol.q)
+        vd = solve_variational(ws, sol)
+        (err_u, err_phi, err_q), vd_errors = case.errors(ws, sol, vd)
         levels.append({"h": h, "mesh": mesh, "ws": ws, "sol": sol,
                        "report": report, "err_u": err_u,
-                       "err_phi": err_phi, "err_q": err_q})
+                       "err_phi": err_phi, "err_q": err_q, "vd": vd,
+                       "vd_errors": vd_errors})
     runtime = time.perf_counter() - t0
     return {"spec": spec, "levels": levels, "runtime": runtime}
 
@@ -199,7 +201,11 @@ class TestCriterion1TableReproduction:
     def test_control_best_approximation_oracle(self, uniform_study):
         # solver-free recomputation of the control column, and the split
         # err_q^2 = ||q - Pi_0 q||^2 + ||Pi_0 q - q_h||^2 on every solved level
-        q = uniform_study["spec"].exact.q
+        case = uniform_study["spec"].exact
+
+        def q(x, y):
+            return case.control(case.jets(x, y)[1][0])
+
         gaps = []
         for level in uniform_study["levels"]:
             area, m1, m2 = _cell_moments(q, level["mesh"])
@@ -370,12 +376,11 @@ class TestCriterion5Oracles:
 
     def test_biharmonic_finite_difference_oracle(self):
         from test_cases import biharmonic_fd
-        case = example1_case()
         rng = np.random.default_rng(1)
         pts = rng.uniform(0.15, 0.85, size=(100, 2))
         for x, y in pts:
-            ex = biharmonic_sin3(x, y)
-            fd = biharmonic_fd(case.u, x, y)
+            ex = sin3_jet(x, y)[1]
+            fd = biharmonic_fd(lambda a, b: sin3_jet(a, b)[0], x, y)
             assert abs(fd - ex) <= 1e-5 * max(abs(ex), 1.0)
 
     def test_duality_identity(self):
@@ -389,30 +394,25 @@ class TestCriterion5Oracles:
         ph_phi = projection_ph(ws, "adjoint")
         geom = element_geometry(mesh)
         rule = quadrature("triangle", 8)
-        x, y = geom.quad_points(rule)
+        (u, _), (phi, _) = case.jets(*geom.quad_points(rule))
 
         def integral(values):
             return float(np.einsum("q,tq->", rule.weights,
                                    values * geom.det[:, None]))
 
         v = eval_on_elements(ws.dofmap, ph_phi - sol.phi, rule)
-        lhs = integral((np.broadcast_to(case.q(x, y), x.shape)
-                        - sol.q.values[:, None]) * v)
+        lhs = integral((case.control(phi) - sol.q.values[:, None]) * v)
         w = eval_on_elements(ws.dofmap, ph_u - sol.u, rule)
         u_h = eval_on_elements(ws.dofmap, sol.u, rule)
-        rhs = integral((np.broadcast_to(case.u(x, y), x.shape) - u_h) * w)
+        rhs = integral((u - u_h) * w)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
 
 
 class TestCriterion6VariationalDiscretization:
     def test_energy_errors_within_factor_two(self, uniform_study):
-        spec = uniform_study["spec"]
-        case = spec.exact
         level = next(lv for lv in uniform_study["levels"]
                      if lv["h"] == 1 / 16)
-        ws = level["ws"]
-        vd = solve_variational(ws, level["sol"])
-        e_u, e_phi = case.energy_errors(ws, vd)
+        e_u, e_phi, _ = level["vd_errors"]
         assert e_u <= 2.0 * level["err_u"]
         assert e_phi <= 2.0 * level["err_phi"]
         assert level["err_u"] <= 2.0 * e_u
@@ -421,8 +421,7 @@ class TestCriterion6VariationalDiscretization:
     def test_pointwise_clamp_identity(self, uniform_study):
         spec = uniform_study["spec"]
         level = uniform_study["levels"][1]
-        ws = level["ws"]
-        vd = solve_variational(ws, level["sol"])
+        ws, vd = level["ws"], level["vd"]
         # the control at each point of the degree-8 rule against the clamp
         # of phi_h evaluated there by point location
         x, y = ws.geom.quad_points(quadrature("triangle", 8))
@@ -431,9 +430,19 @@ class TestCriterion6VariationalDiscretization:
         assert np.max(np.abs(vd.q.values - expected)) <= 1e-12 * np.max(
             np.abs(expected))
 
+    def test_control_error_second_order(self, uniform_study):
+        # clamping is 1-Lipschitz, so |q - q_vd| <= |phi - phi_h| / alpha,
+        # and P2 C0IP converges at O(h^2) in L2 on the convex square
+        # (Brenner and Sung 2005)
+        errs = [lv["vd_errors"][2] for lv in uniform_study["levels"]]
+        for coarse, fine in ((errs[-3], errs[-2]), (errs[-2], errs[-1])):
+            order = np.log2(coarse / fine)
+            assert 1.9 <= order <= 2.1, \
+                "||q - q_vd|| order %.4f outside 2.0 +/- 0.1" % order
+
     def test_unconstrained_matches_linear_solve(self):
         case = example1_case()
-        spec = ProblemSpec(kind="distributed", f=case.f, u_d=case.u_d,
+        spec = ProblemSpec(kind="distributed", data=case.data,
                            alpha=1e-3, lower=-np.inf, upper=np.inf)
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)

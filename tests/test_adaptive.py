@@ -85,9 +85,9 @@ class TestLoop:
         # zero data inside the bounds: u = phi = q = 0 is the discrete
         # solution, every indicator is 0 and there is nothing to mark
         def zero(x, y):
-            return np.zeros_like(x)
+            return np.zeros_like(x), np.zeros_like(x)
 
-        spec = ProblemSpec("distributed", zero, zero, lower=-1.0, upper=1.0)
+        spec = ProblemSpec("distributed", zero, lower=-1.0, upper=1.0)
         history = run_adaptive(spec, make_unit_square(2))
         assert len(history.records) == len(history.meshes) == 1
         assert history.records[0].eta_total == 0.0
@@ -132,9 +132,9 @@ class TestStopReason:
 
     def test_zero_estimator(self):
         def zero(x, y):
-            return np.zeros_like(x)
+            return np.zeros_like(x), np.zeros_like(x)
 
-        spec = ProblemSpec("distributed", zero, zero, lower=-1.0, upper=1.0)
+        spec = ProblemSpec("distributed", zero, lower=-1.0, upper=1.0)
         history = run_adaptive(spec, make_unit_square(2), max_dofs=10 ** 6)
         assert history.stop_reason == "zero_estimator"
         assert len(history.records) == 1

@@ -13,9 +13,9 @@ from c0ip_control import (Mesh, assemble_a_h, assemble_load, assemble_mass,
                           build_edge_cache, control_coupling, error_norms,
                           example1_spec, interpolate, make_lshape,
                           make_unit_square)
-from c0ip_control.assembly import (_EDGE_RULE, _apply_rows,
+from c0ip_control.assembly import (_EDGE_RULE, ERROR_DEGREE, _apply_rows,
                                    _side_normal_derivatives, element_geometry)
-from c0ip_control.cases import example1_case
+from c0ip_control.cases import biharmonic_sin3, sin3_jet
 from c0ip_control.cli import RunConfig, _uniform_square_meshes
 from c0ip_control.fem import (REFERENCE_HESSIANS, quadrature, shape_gradients,
                               shape_values)
@@ -166,6 +166,27 @@ def stiffness(mesh, eta):
     """Free block of A_h of ``mesh`` on its own dofmap, geometry and edge
     cache."""
     return assemble_a_h(*discrete_parts(mesh), eta)
+
+
+def at_points(func, geom, degree):
+    """Values of ``func(x, y)`` at the points of the degree-``degree``
+    triangle rule, (nt, nq)."""
+    x, y = geom.quad_points(quadrature("triangle", degree))
+    return np.broadcast_to(func(x, y), x.shape)
+
+
+def error_rule_hessian(hess, geom):
+    """The Hessian (w_xx, w_xy, w_yy) = ``hess(x, y)`` at the points of the
+    error rule, each (nt, nq)."""
+    x, y = geom.quad_points(quadrature("triangle", ERROR_DEGREE))
+    return tuple(np.broadcast_to(h, x.shape) for h in hess(x, y))
+
+
+def data_loads(spec, dm, geom):
+    """The loads of f and u_d of ``spec`` over ``dm``."""
+    data = spec.data_at(*geom.quad_points(
+        quadrature("triangle", spec.load_degree)))
+    return [assemble_load(dm, geom, v, spec.load_degree) for v in data]
 
 
 def unconstrained(dm):
@@ -414,10 +435,9 @@ class TestFreeBlocks:
         for attr in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(free, attr),
                                           getattr(sliced, attr))
-        for data, load in ((spec.f, ws.load_f), (spec.u_d, ws.load_ud)):
-            np.testing.assert_array_equal(
-                load, assemble_load(unconstrained(dm), geom, data,
-                                    spec.load_degree)[dm.free])
+        for load, full in zip((ws.load_f, ws.load_ud),
+                              data_loads(spec, unconstrained(dm), geom)):
+            np.testing.assert_array_equal(load, full[dm.free])
 
     def test_every_array_has_the_free_rows(self):
         ws = discretize(example1_spec(), random_nvb_mesh())
@@ -490,9 +510,9 @@ class TestFactorOrder:
         b_asc, measures = control_coupling(asc, geom, cache, spec.kind)
         self.assert_same_csc(ws.coupling, b_asc[perm])
         np.testing.assert_array_equal(ws.measures, measures)
-        for data, load in ((spec.f, ws.load_f), (spec.u_d, ws.load_ud)):
-            np.testing.assert_array_equal(
-                load, assemble_load(asc, geom, data, spec.load_degree)[perm])
+        for load, full in zip((ws.load_f, ws.load_ud),
+                              data_loads(spec, asc, geom)):
+            np.testing.assert_array_equal(load, full[perm])
 
     @pytest.mark.parametrize("name", ["square32-ne", "square32-nw",
                                       "nvb_lshape"])
@@ -548,28 +568,29 @@ class TestMass:
 class TestLoads:
     def test_zero_source(self):
         dm, geom, _ = discrete_parts(make_unit_square(2))
-        vec = assemble_load(dm, geom, lambda x, y: 0.0 * x, 6)
+        vec = assemble_load(dm, geom, at_points(lambda x, y: 0.0 * x, geom, 6),
+                            6)
         assert np.allclose(vec, 0.0)
 
     def test_constant_source_total(self):
         dm, geom, _ = discrete_parts(make_unit_square(2))
-        vec = assemble_load(unconstrained(dm), geom, lambda x, y: 1.0 + 0.0 * x,
-                            6)
+        vec = assemble_load(unconstrained(dm), geom,
+                            at_points(lambda x, y: 1.0 + 0.0 * x, geom, 6), 6)
         assert abs(vec.sum() - 1.0) < 1e-14
 
     def test_polynomial_source_integrated_exactly(self):
         # x^4 y^2 times a P2 basis function has total degree 8
         dm, geom, _ = discrete_parts(make_unit_square(2))
         vec = assemble_load(unconstrained(dm), geom,
-                            lambda x, y: x ** 4 * y ** 2, 8)
+                            at_points(lambda x, y: x ** 4 * y ** 2, geom, 8),
+                            8)
         assert abs(vec.sum() - 1.0 / 15.0) < 1e-14
 
     def test_transcendental_source_quadrature_stability(self):
         # degree-6 and degree-8 rules agree on a smooth oscillatory source
-        from c0ip_control.cases import biharmonic_sin3
         dm, geom, _ = discrete_parts(make_unit_square(16))
-        v6 = assemble_load(dm, geom, biharmonic_sin3, 6)
-        v8 = assemble_load(dm, geom, biharmonic_sin3, 8)
+        v6 = assemble_load(dm, geom, at_points(biharmonic_sin3, geom, 6), 6)
+        v8 = assemble_load(dm, geom, at_points(biharmonic_sin3, geom, 8), 8)
         scale = np.max(np.abs(v8))
         assert np.max(np.abs(v6 - v8)) < 1e-6 * scale
 
@@ -613,14 +634,16 @@ class TestNorms:
         mesh = make_unit_square(2)
         dm, geom, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: 1.0 + 2.0 * x - 3.0 * y)
-        norm = error_norms(v, dm, zero_hessian, geom, cache, 10.0)
+        norm = error_norms(v, dm, error_rule_hessian(zero_hessian, geom), geom,
+                           cache, 10.0)
         assert norm < 1e-13
 
     def test_quadratic_interpolant_penalty_vanishes(self):
         mesh = make_unit_square(2)
         dm, geom, cache = discrete_parts(mesh)
         v = interpolate(mesh, dm, lambda x, y: x * x)
-        norm = error_norms(v, dm, zero_hessian, geom, cache, 10.0)
+        norm = error_norms(v, dm, error_rule_hessian(zero_hessian, geom), geom,
+                           cache, 10.0)
         pen = 10.0 * (cache.interior_traces(v)[:, 1:3] ** 2
                       @ _EDGE_RULE.weights).sum()
         elem = norm ** 2 - pen
@@ -668,19 +691,19 @@ class TestNorms:
             return x * x + x * y - 2.0 * y * y
 
         def hess(x, y):
-            z = np.zeros_like(np.asarray(x, dtype=float))
-            return 2.0 + z, 1.0 + z, -4.0 + z
+            return 2.0, 1.0, -4.0
 
         v = interpolate(mesh, dm, quad)
-        assert error_norms(v, dm, hess, geom, cache, 10.0) < 1e-10
+        assert error_norms(v, dm, error_rule_hessian(hess, geom), geom, cache,
+                           10.0) < 1e-10
 
     def test_error_norms_against_analytic_seminorm(self):
         # v = 0 makes the energy error the H2 seminorm of the exact field
-        case = example1_case()
         mesh = make_unit_square(4)
         dm, geom, cache = discrete_parts(mesh)
         v = np.zeros(dm.ndof)
-        e_energy = error_norms(v, dm, case.u_hess, geom, cache, 10.0)
+        hess = error_rule_hessian(lambda x, y: sin3_jet(x, y, True)[1], geom)
+        e_energy = error_norms(v, dm, hess, geom, cache, 10.0)
         assert abs(e_energy ** 2 - SIN3_H2_SQ) < 1e-6 * SIN3_H2_SQ
 
     def test_edge_cache_boundary_normals_point_outward(self):
@@ -743,8 +766,8 @@ class TestElementGeometry:
         assert (ws.mass != assemble_mass(dm, geom)).nnz == 0
         fresh_b, _ = control_coupling(dm, geom, cache, spec.kind)
         assert (ws.coupling != fresh_b).nnz == 0
-        np.testing.assert_array_equal(
-            ws.load_f, assemble_load(dm, geom, spec.f, spec.load_degree))
+        np.testing.assert_array_equal(ws.load_f,
+                                      data_loads(spec, dm, geom)[0])
 
 
 class TestArrayKernels:

@@ -1,8 +1,7 @@
 """Manufactured problem data and its self-consistency."""
 
 import dataclasses
-import gc
-import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,12 +9,13 @@ import pytest
 from c0ip_control import (assemble_load, biharmonic_sin3, bisect,
                           boundary_demo_spec, error_norms, estimate,
                           example1_case, example1_spec, example2_spec,
-                          g_sin3, make_lshape, make_unit_square)
-from c0ip_control import cases, cli
-from c0ip_control.assembly import element_geometry
+                          g_sin3, make_lshape, make_unit_square, sin3_jet)
+from c0ip_control import cli
+from c0ip_control.assembly import ERROR_DEGREE, element_geometry
 from c0ip_control.cases import _sin3_derivatives
 from c0ip_control.cli import RunConfig, run_example1, run_vd_compare
 from c0ip_control.controls import ControlField, clamp
+from c0ip_control.estimator import VOLUME_DEGREE
 from c0ip_control.fem import quadrature
 from c0ip_control.solver import discretize, solve_pdas, solve_variational
 
@@ -87,18 +87,11 @@ class TestSharedSineCosine:
         assert np.array_equal(biharmonic_sin3(x, y),
                               g(x, 4) * g(y, 0) + 2.0 * g(x, 2) * g(y, 2)
                               + g(x, 0) * g(y, 4))
-        hess = example1_case().u_hess(x, y)
+        u, hess = sin3_jet(x, y, hessian=True)
+        assert np.array_equal(u, g(x, 0) * g(y, 0))
         expected = (g(x, 2) * g(y, 0), g(x, 1) * g(y, 1), g(x, 0) * g(y, 2))
         for got, want in zip(hess, expected):
             assert np.array_equal(got, want)
-
-
-def _writable(func):
-    """``func`` evaluated at writable copies of its coordinates, which the
-    sin/cos memo never serves."""
-    def wrapped(x, y):
-        return func(np.array(x), np.array(y))
-    return wrapped
 
 
 def _random_nvb_lshape(seed=3, steps=5):
@@ -112,94 +105,90 @@ def _random_nvb_lshape(seed=3, steps=5):
     return mesh
 
 
+def per_field(x, y, alpha=1e-3, lower=-750.0, upper=-50.0):
+    """u, its Hessian, lap^2 u, q, f and u_d of Example 1 at the points,
+    each field from the per-order formulas on its own (oracle)."""
+    g = g_sin3_per_order
+    u = g(x, 0) * g(y, 0)
+    hess = (g(x, 2) * g(y, 0), g(x, 1) * g(y, 1), g(x, 0) * g(y, 2))
+    bilap = g(x, 4) * g(y, 0) + 2.0 * g(x, 2) * g(y, 2) + g(x, 0) * g(y, 4)
+    q = clamp(-u / alpha, lower, upper)
+    return {"u": u, "hess": hess, "bilap": bilap, "q": q, "f": bilap - q,
+            "u_d": u - bilap}
+
+
 class TestTrigMemo:
-    """Values read through the sin/cos memo equal those computed at
-    writable copies of the same points, bit for bit."""
+    """Each point set of a level takes one sine and one cosine of each
+    coordinate, and everything computed from the jets equals the per-field
+    formulas (``per_field``), bit for bit."""
 
     @pytest.fixture(scope="class", params=["square16", "nvb_lshape"])
     def solved(self, request):
         mesh = (make_unit_square(16) if request.param == "square16"
                 else _random_nvb_lshape())
-        spec = example1_spec()
-        ws = discretize(spec, mesh)
-        sol = solve_pdas(ws)
-        plain = dataclasses.replace(spec, f=_writable(spec.f),
-                                    u_d=_writable(spec.u_d))
-        return ws, sol, plain
+        ws = discretize(example1_spec(), mesh)
+        return ws, solve_pdas(ws)
+
+    @staticmethod
+    def points(ws, degree):
+        rule = quadrature("triangle", degree)
+        return (rule,) + ws.geom.quad_points(rule)
 
     def test_loads_and_ud_norm2(self, solved):
-        ws, _, plain = solved
-        spec, dm, geom = ws.spec, ws.dofmap, ws.geom
-        x, _ = geom.quad_points(quadrature("triangle", spec.load_degree))
-        for data, load in ((spec.f, ws.load_f), (spec.u_d, ws.load_ud)):
-            want = assemble_load(dm, geom, _writable(data), spec.load_degree)
-            # the discretization's loads and a second pass through the memo
-            assert np.array_equal(load, want)
-            assert np.array_equal(
-                assemble_load(dm, geom, data, spec.load_degree), want)
-            assert cases._TRIG_MEMO["base"] is x.base
-        assert ws.ud_norm2 == discretize(plain, ws.mesh).ud_norm2
+        ws, _ = solved
+        rule, x, y = self.points(ws, ws.spec.load_degree)
+        want = per_field(x, y)
+        f, u_d = ws.spec.data(x, y)
+        assert np.array_equal(f, want["f"])
+        assert np.array_equal(u_d, want["u_d"])
+        assert np.array_equal(sin3_jet(x, y)[0], want["u"])
+        assert np.array_equal(sin3_jet(x, y)[1], want["bilap"])
+        for values, load in ((want["f"], ws.load_f),
+                             (want["u_d"], ws.load_ud)):
+            assert np.array_equal(load, assemble_load(
+                ws.dofmap, ws.geom, values, ws.spec.load_degree))
+        assert ws.ud_norm2 == float(np.einsum(
+            "q,tq->", rule.weights, want["u_d"] ** 2 * ws.geom.det[:, None]))
 
     def test_error_norms(self, solved):
-        ws, sol, _ = solved
-        case = ws.spec.exact
-        for v, hess in ((sol.u, case.u_hess), (sol.phi, case.phi_hess)):
-            want = error_norms(v, ws.dofmap, _writable(hess), ws.geom,
-                               ws.cache, ws.spec.eta)
-            for _ in range(2):
-                assert error_norms(v, ws.dofmap, hess, ws.geom, ws.cache,
-                                   ws.spec.eta) == want
+        ws, sol = solved
+        _, x, y = self.points(ws, ERROR_DEGREE)
+        want = per_field(x, y)
+        u, hess = sin3_jet(x, y, hessian=True)
+        assert np.array_equal(u, want["u"])
+        for got, values in zip(hess, want["hess"]):
+            assert np.array_equal(got, values)
+        e_u, e_phi, _ = ws.spec.exact.errors(ws, sol)[0]
+        for v, e in ((sol.u, e_u), (sol.phi, e_phi)):
+            assert e == error_norms(v, ws.dofmap, want["hess"], ws.geom,
+                                    ws.cache, ws.spec.eta)
 
     def test_control_error(self, solved):
-        ws, sol, _ = solved
-        case = ws.spec.exact
-        plain = dataclasses.replace(case, q=_writable(case.q))
-        want = plain.control_error(ws.geom, sol.q)
-        for _ in range(2):
-            assert case.control_error(ws.geom, sol.q) == want
+        ws, sol = solved
+        rule, x, y = self.points(ws, ERROR_DEGREE)
+        diff = per_field(x, y)["q"] - sol.q.values[:, None]
+        want = float(np.sqrt(np.einsum("q,tq->", rule.weights,
+                                       diff ** 2 * ws.geom.det[:, None])))
+        assert ws.spec.exact.errors(ws, sol)[0][2] == want
 
     def test_estimator_volume_terms(self, solved):
-        ws, sol, plain = solved
-        want = estimate(dataclasses.replace(ws, spec=plain), sol)
-        for _ in range(2):
-            got = estimate(ws, sol)
-            assert np.array_equal(got.volume_u, want.volume_u)
-            assert np.array_equal(got.volume_phi, want.volume_phi)
+        ws, sol = solved
+        _, x, y = self.points(ws, VOLUME_DEGREE)
+        want = per_field(x, y)
+        plain = dataclasses.replace(
+            ws.spec, data=lambda *_: (want["f"], want["u_d"]))
+        expected = estimate(dataclasses.replace(ws, spec=plain), sol)
+        got = estimate(ws, sol)
+        assert np.array_equal(got.volume_u, expected.volume_u)
+        assert np.array_equal(got.volume_phi, expected.volume_phi)
 
     def test_point_arrays_reject_writes(self, solved):
-        ws, _, _ = solved
+        ws, _ = solved
         for arr in ws.geom.quad_points(quadrature("triangle", 8)):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.5
             with pytest.raises(ValueError):
                 arr.base[0, 0, 0] = 0.5
-
-    def test_writable_arrays_changed_in_place(self):
-        t = np.random.default_rng(5).random((40, 6))
-        before = g_sin3(t, 2)
-        t += 0.25
-        assert np.array_equal(g_sin3(t, 2), g_sin3_per_order(t, 2))
-        assert not np.array_equal(g_sin3(t, 2), before)
-        # a read-only view of a writable array is not memoized either
-        view = t.view()
-        view.setflags(write=False)
-        g_sin3(view, 1)
-        t -= 0.5
-        assert np.array_equal(g_sin3(view, 1), g_sin3_per_order(t, 1))
-
-    def test_only_the_latest_point_set_is_kept(self):
-        geom = element_geometry(make_unit_square(4))
-        x6, y6 = geom.quad_points(quadrature("triangle", 6))
-        biharmonic_sin3(x6, y6)
-        old = weakref.ref(x6.base)
-        x8, y8 = element_geometry(make_unit_square(4)).quad_points(
-            quadrature("triangle", 8))
-        biharmonic_sin3(x8, y8)
-        assert cases._TRIG_MEMO["base"] is x8.base
-        assert set(cases._TRIG_MEMO["trig"]) == {id(x8), id(y8)}
-        del geom, x6, y6
-        gc.collect()
-        assert old() is None
 
     @pytest.mark.parametrize("study", [run_example1, run_vd_compare])
     def test_four_sines_and_cosines_per_level(self, tmp_path, monkeypatch,
@@ -222,16 +211,18 @@ class TestTrigMemo:
         assert calls == {"sin": 12, "cos": 12}
 
 
-def _counted(func, calls, key):
-    def wrapper(x, y):
-        calls[key] += 1
-        return func(x, y)
+def _counted(jet, calls, key):
+    """``jet`` counting its evaluations in ``calls[key]`` by derivative:
+    Hessians (the error rule) and bilaplacians (the load rule)."""
+    def wrapper(x, y, hessian=False):
+        calls[key, "hessian" if hessian else "bilap"] += 1
+        return jet(x, y, hessian)
     return wrapper
 
 
 class TestOneHessianEvaluation:
-    """Each distinct exact Hessian is evaluated once per level, and every
-    error equals that of a one-array ``error_norms`` call, bit for bit."""
+    """Each distinct jet is evaluated once per point set of a level, and
+    every error equals that of a one-solution call, bit for bit."""
 
     @pytest.fixture(scope="class")
     def solved(self):
@@ -241,41 +232,40 @@ class TestOneHessianEvaluation:
 
     @pytest.mark.parametrize("study", [run_example1, run_vd_compare])
     def test_once_per_level(self, tmp_path, monkeypatch, study):
-        calls = {"hess": 0}
+        calls = Counter()
 
         def counting_spec(*args):
             spec = example1_spec(*args)
-            hess = _counted(spec.exact.u_hess, calls, "hess")
-            spec.exact = dataclasses.replace(spec.exact, u_hess=hess,
-                                             phi_hess=hess)
-            return spec
+            jet = _counted(spec.exact.u_jet, calls, "u")
+            case = dataclasses.replace(spec.exact, u_jet=jet, phi_jet=jet)
+            return dataclasses.replace(spec, data=case.data, exact=case)
 
         monkeypatch.setattr(cli, "example1_spec", counting_spec)
         study(RunConfig(levels=3, out=str(tmp_path)))
-        assert calls == {"hess": 3}
+        assert calls == {("u", "hessian"): 3, ("u", "bilap"): 3}
 
     def test_errors_equal_one_array_calls(self, solved):
         ws, sol, vd = solved
         case = ws.spec.exact
-        fields = [sol.u, sol.phi, vd.u, vd.phi]
-        want = [error_norms(v, ws.dofmap, case.u_hess, ws.geom, ws.cache,
-                            ws.spec.eta) for v in fields]
-        assert error_norms(fields, ws.dofmap, case.u_hess, ws.geom,
-                           ws.cache, ws.spec.eta) == want
-        assert case.energy_errors(ws, sol, vd) == tuple(want)
-        assert case.energy_errors(ws, vd) == tuple(want[2:])
+        x, y = ws.geom.quad_points(quadrature("triangle", ERROR_DEGREE))
+        hess = per_field(x, y)["hess"]
+        want = [error_norms(v, ws.dofmap, hess, ws.geom, ws.cache,
+                            ws.spec.eta) for v in (sol.u, sol.phi, vd.u,
+                                                   vd.phi)]
+        both = case.errors(ws, sol, vd)
+        assert [e for errs in both for e in errs[:2]] == want
+        assert both == case.errors(ws, sol) + case.errors(ws, vd)
 
     def test_distinct_hessians_once_each(self, solved):
         ws, sol, vd = solved
         case = ws.spec.exact
-        calls = {"u": 0, "phi": 0}
-        # phi_hess is a second callable with the same values
+        calls = Counter()
+        # phi_jet is a second callable with the same values
         split = dataclasses.replace(
-            case, u_hess=_counted(case.u_hess, calls, "u"),
-            phi_hess=_counted(_writable(case.u_hess), calls, "phi"))
-        assert split.energy_errors(ws, sol, vd) == case.energy_errors(
-            ws, sol, vd)
-        assert calls == {"u": 1, "phi": 1}
+            case, u_jet=_counted(case.u_jet, calls, "u"),
+            phi_jet=_counted(case.u_jet, calls, "phi"))
+        assert split.errors(ws, sol, vd) == case.errors(ws, sol, vd)
+        assert calls == {("u", "hessian"): 1, ("phi", "hessian"): 1}
 
 
 class TestBiharmonic:
@@ -289,12 +279,11 @@ class TestBiharmonic:
                            atol=1e-9)
 
     def test_against_finite_difference_oracle(self):
-        case = example1_case()
         rng = np.random.default_rng(1)
         pts = rng.uniform(0.15, 0.85, size=(100, 2))
         exact = biharmonic_sin3(pts[:, 0], pts[:, 1])
         for (x, y), ex in zip(pts, exact):
-            fd = biharmonic_fd(case.u, x, y)
+            fd = biharmonic_fd(lambda a, b: sin3_jet(a, b)[0], x, y)
             assert abs(fd - ex) <= 1e-5 * max(abs(ex), 1.0)
 
 
@@ -304,15 +293,19 @@ class TestManufacturedCase:
         rng = np.random.default_rng(23)
         x = rng.uniform(0.0, 1.0, size=10000)
         y = rng.uniform(0.0, 1.0, size=10000)
-        lhs = case.f(x, y) + case.q(x, y)
+        (u, bilap_u), (phi, bilap_phi) = case.jets(x, y)
+        q = case.control(phi)
+        f, u_d = case.data(x, y)
+        lhs = f + q
         rhs = biharmonic_sin3(x, y)
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(np.max(np.abs(rhs)),
                                                        1.0)
-        expected_q = clamp(-case.phi(x, y) / case.alpha, case.lower,
+        expected_q = clamp(-g_sin3(x) * g_sin3(y) / case.alpha, case.lower,
                            case.upper)
-        assert np.array_equal(case.q(x, y), expected_q)
-        ud = case.u(x, y) - biharmonic_sin3(x, y)
-        assert np.allclose(case.u_d(x, y), ud, rtol=1e-12)
+        assert np.array_equal(q, expected_q)
+        ud = u - biharmonic_sin3(x, y)
+        assert np.allclose(u_d, ud, rtol=1e-12)
+        assert np.array_equal(bilap_u, bilap_phi)
 
     def test_hessian_consistency(self):
         case = example1_case()
@@ -320,8 +313,12 @@ class TestManufacturedCase:
         x = rng.uniform(0.1, 0.9, size=50)
         y = rng.uniform(0.1, 0.9, size=50)
         h = 1e-6
-        hxx, hxy, hyy = case.u_hess(x, y)
-        fdxx = (case.u(x + h, y) - 2 * case.u(x, y) + case.u(x - h, y)) / h**2
+
+        def u(x, y):
+            return case.jets(x, y)[0][0]
+
+        hxx, hxy, hyy = case.jets(x, y, hessian=True)[0][1]
+        fdxx = (u(x + h, y) - 2 * u(x, y) + u(x - h, y)) / h**2
         assert np.allclose(hxx, fdxx, rtol=1e-3, atol=1e-3)
 
     def test_control_error_of_zero_control(self):
@@ -331,11 +328,17 @@ class TestManufacturedCase:
         mesh = make_unit_square(8)
         zero = ControlField(np.zeros(mesh.num_triangles), case.lower,
                             case.upper, mesh.signed_areas())
-        val = case.control_error(element_geometry(mesh), zero)
+        geom = element_geometry(mesh)
+
+        def q(x, y):
+            return case.control(case.jets(x, y)[1][0])
+
+        x, y = geom.quad_points(quadrature("triangle", ERROR_DEGREE))
+        val = case.control_error(geom, q(x, y), zero)
         n = 1500
         t = (np.arange(n) + 0.5) / n
         xg, yg = np.meshgrid(t, t, indexing="ij")
-        dense = np.sqrt(np.mean(case.q(xg, yg) ** 2))
+        dense = np.sqrt(np.mean(q(xg, yg) ** 2))
         assert abs(val - dense) < 1e-4 * dense
 
 
@@ -351,11 +354,15 @@ class TestSpecFactories:
     def test_example2_spec_constant_data(self):
         spec = example2_spec()
         x = np.linspace(0.0, 1.0, 5)
-        assert np.allclose(spec.f(x, x), 1.0)
-        assert np.allclose(spec.u_d(x, x), 1.0)
+        f, u_d = spec.data(x, x)
+        assert np.allclose(f, 1.0)
+        assert np.allclose(u_d, 1.0)
         assert spec.exact is None
 
     def test_boundary_demo_spec(self):
         spec = boundary_demo_spec()
         assert spec.kind == "boundary"
-        assert np.allclose(spec.u_d(np.array([0.3]), np.array([0.7])), 0.0)
+        x, y = np.array([0.3]), np.array([0.7])
+        f, u_d = spec.data(x, y)
+        assert np.array_equal(f, biharmonic_sin3(x, y))
+        assert np.allclose(u_d, 0.0)

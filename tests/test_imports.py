@@ -1,7 +1,7 @@
 """Every name a package module imports is used or re-exported, every
 name a function binds is read, every private module-level name is
-referenced, and the command line loads only the SciPy subpackages it
-uses."""
+referenced, no function writes into module-level state, and the command
+line loads only the SciPy subpackages it uses."""
 
 import ast
 import os
@@ -170,6 +170,107 @@ def test_scan_sees_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert dead_private_names(sources) == []
+
+
+def _module_names(tree):
+    """Names that the top level of a module binds."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def global_writes(source):
+    """(line, name) of each write by a function of ``source`` into a
+    module-level name: an assignment to a subscript or attribute of it
+    that no local name shadows, or a ``global`` rebinding. Such writes
+    keep state across calls (a memo), so one call can change another's
+    result."""
+    tree = ast.parse(source)
+    module_names = _module_names(tree)
+    writes = set()
+
+    def visit(func, outer):
+        nodes = list(_own_nodes(func))
+        args = func.args
+        local = {a.arg for a in args.posonlyargs + args.args
+                 + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+        local.update(n.id for n in nodes if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store))
+        for node in nodes:
+            if isinstance(node, ast.Global):
+                writes.update((node.lineno, name) for name in node.names)
+                local.difference_update(node.names)
+        shadowed = outer | local
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(node, shadowed)
+            if not isinstance(node, (ast.Assign, ast.AnnAssign,
+                                     ast.AugAssign)):
+                continue
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for sub in (n for t in targets for n in ast.walk(t)):
+                if not (isinstance(sub, (ast.Subscript, ast.Attribute))
+                        and isinstance(sub.ctx, ast.Store)):
+                    continue
+                root = sub.value
+                while isinstance(root, (ast.Subscript, ast.Attribute)):
+                    root = root.value
+                if (isinstance(root, ast.Name) and root.id in module_names
+                        and root.id not in shadowed):
+                    writes.add((node.lineno, root.id))
+
+    for scope in ast.walk(tree):
+        if isinstance(scope, (ast.Module, ast.ClassDef)):
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(node, set())
+    return sorted(writes)
+
+
+def test_scan_sees_a_global_write():
+    source = ("import numpy as np\n"
+              "_MEMO = {'base': None}\n"
+              "_COUNT = 0\n"
+              "def memo(t, _MEMO=None):\n"
+              "    _MEMO['hit'] = t\n"
+              "def store(t):\n"
+              "    _MEMO['base'], seen = t, 1\n"
+              "    hit = _MEMO['trig'][id(t)] = t\n"
+              "    np.cache = t\n"
+              "    return hit, seen\n"
+              "def count():\n"
+              "    global _COUNT\n"
+              "    _COUNT += 1\n"
+              "class Holder:\n"
+              "    def put(self, t):\n"
+              "        self.items = {}\n"
+              "        self.items[id(t)] = t\n"
+              "        def inner(self):\n"
+              "            _MEMO[0] = self\n"
+              "        return inner\n"
+              "def local(t):\n"
+              "    _COUNT = {}\n"
+              "    _COUNT[t] = 1\n"
+              "    return _COUNT\n")
+    assert global_writes(source) == [(7, "_MEMO"), (8, "_MEMO"), (9, "np"),
+                                     (12, "_COUNT"), (19, "_MEMO")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_global_writes(path):
+    assert global_writes(path.read_text()) == []
 
 
 # SciPy subpackages that no module of the package uses; each one adds to

@@ -300,7 +300,8 @@ class TestCommandLine:
         assert rc == 0
         text = (tmp_path / "vd_compare.csv").read_text()
         assert text.splitlines()[0] == ("h,err_u_full,err_u_vd,"
-                                        "err_phi_full,err_phi_vd,q_distance")
+                                        "err_phi_full,err_phi_vd,"
+                                        "err_q_full,err_q_vd,q_distance")
 
     def test_vd_compare_locates_no_points(self, tmp_path, monkeypatch):
         def locate(*args, **kwargs):
@@ -333,6 +334,13 @@ class TestCommandLine:
                                       diff ** 2 * geom.det[:, None]))
             assert row[0] == h
             assert abs(row[-1] - qdist) <= 1e-12 * qdist
+            # the control errors of both, against q at the same points
+            u = (np.sin(np.pi * x) * np.sin(np.pi * y)) ** 3
+            q = clamp(-u / spec.alpha, spec.lower, spec.upper)
+            for got, q_h in ((row[5], sol.q.values[:, None]), (row[6], q_vd)):
+                want = np.sqrt(np.einsum("q,tq->", rule.weights,
+                                         (q - q_h) ** 2 * geom.det[:, None]))
+                assert abs(got - want) <= 1e-12 * want
 
     def test_boundary_problem_flag(self, tmp_path):
         rc = main(["--problem", "boundary", "--out", str(tmp_path)])

@@ -11,7 +11,8 @@ from c0ip_control import (boundary_demo_spec, build_dofmap, clamp,
                           error_norms, example1_case, example1_spec,
                           interpolate, make_lshape, make_unit_square,
                           vi_residual)
-from c0ip_control.assembly import element_geometry, eval_on_elements
+from c0ip_control.assembly import (ERROR_DEGREE, element_geometry,
+                                   eval_on_elements)
 from c0ip_control import solver
 from c0ip_control.fem import quadrature, shape_values
 from c0ip_control.solver import (PdasError, ProblemSpec, _objective,
@@ -142,7 +143,7 @@ class TestPdas:
         rule = quadrature("triangle", spec.load_degree)
         x, y = geom.quad_points(rule)
         misfit = (eval_on_elements(ws.dofmap, sol.u, rule)
-                  - spec.u_d(x, y))
+                  - spec.data(x, y)[1])
         track = np.einsum("q,tq->", rule.weights,
                           misfit ** 2 * geom.det[:, None])
         expected = 0.5 * track + 0.5 * spec.alpha * np.sum(
@@ -389,7 +390,7 @@ def _variational_control(ws, phi_coeffs, rule):
 def _fixed_point(ws, max_iter=200):
     """(u, phi) on the free dofs, or None if the iteration does not settle."""
     free = ws.dofmap.free
-    rule = quadrature("triangle", solver.VD_QUAD_DEGREE)
+    rule = quadrature("triangle", ERROR_DEGREE)
     vals = shape_values(rule.points)
     phi = np.zeros(len(free))
     omega, prev_res = 1.0, np.inf
@@ -414,7 +415,7 @@ def _fixed_point(ws, max_iter=200):
 def _assert_point_clamp_identity(ws, sol, rtol=1e-12):
     """sol.q at the rule points equals clamp(-phi_h(x_k)/alpha), with phi_h
     evaluated by point location."""
-    rule = quadrature("triangle", solver.VD_QUAD_DEGREE)
+    rule = quadrature("triangle", ERROR_DEGREE)
     x, y = ws.geom.quad_points(rule)
     phiv = evaluate_p2(ws.geom, ws.dofmap, sol.phi, x.ravel(), y.ravel())
     expected = clamp(-phiv / ws.spec.alpha, ws.spec.lower, ws.spec.upper)
@@ -450,7 +451,7 @@ class TestVariational:
                              ids=["square8", "lshape2"])
     def test_point_kernel_matches_its_oracle(self, mesh):
         ws = discretize(example1_spec(), mesh)
-        rule = quadrature("triangle", solver.VD_QUAD_DEGREE)
+        rule = quadrature("triangle", ERROR_DEGREE)
         apply_n, apply_nt, got_measures = solver._point_kernel(ws, rule)
         want, want_measures = _point_coupling_oracle(ws, rule)
         np.testing.assert_array_equal(got_measures, want_measures)
@@ -474,7 +475,7 @@ class TestVariational:
         assert np.any(got == spec.upper) and np.any(
             (got > spec.lower) & (got < spec.upper))
         # point controls, triangle by triangle, with measures w_k det_t
-        rule = quadrature("triangle", solver.VD_QUAD_DEGREE)
+        rule = quadrature("triangle", ERROR_DEGREE)
         assert np.allclose(sol.q.measures.reshape(-1, len(rule.weights)),
                            ws.geom.det[:, None] * rule.weights, rtol=1e-15)
         assert np.isclose(sol.q.measures.sum(), 1.0, rtol=1e-14)
@@ -493,7 +494,7 @@ class TestVariational:
         full = solve_pdas(ws)
         warm = solve_variational(ws, full)
         apply_n, apply_nt, measures = solver._point_kernel(
-            ws, quadrature("triangle", solver.VD_QUAD_DEGREE))
+            ws, quadrature("triangle", ERROR_DEGREE))
         cold = solver._pdas(ws, apply_n, apply_nt, measures,
                             np.zeros(len(measures)))
         free = ws.dofmap.free
@@ -521,7 +522,7 @@ class TestVariational:
 
     def test_unconstrained_matches_direct_solve(self):
         case = example1_case()
-        spec = ProblemSpec(kind="distributed", f=case.f, u_d=case.u_d,
+        spec = ProblemSpec(kind="distributed", data=case.data,
                            alpha=1e-3, lower=-np.inf, upper=np.inf, eta=10.0)
         mesh = make_unit_square(8)
         ws = discretize(spec, mesh)
@@ -537,7 +538,7 @@ class TestVariational:
 
     def test_boundary_kind_rejected(self):
         case = example1_case()
-        spec = ProblemSpec(kind="boundary", f=case.f, u_d=case.u_d)
+        spec = ProblemSpec(kind="boundary", data=case.data)
         ws = discretize(spec, make_unit_square(2))
         with pytest.raises(ValueError):
             solve_variational(ws, solve_pdas(ws))
@@ -561,8 +562,9 @@ class TestProjections:
         ws = discretize(spec, mesh)
         ph_u = projection_ph(ws, "state")
         from c0ip_control.assembly import assemble_load
-        rhs = (assemble_load(ws.dofmap, ws.geom, spec.f, spec.load_degree)
-               + assemble_load(ws.dofmap, ws.geom, spec.exact.q, 8))
+        x, y = ws.geom.quad_points(quadrature("triangle", 8))
+        q = spec.exact.control(spec.exact.jets(x, y)[1][0])
+        rhs = ws.load_f + assemble_load(ws.dofmap, ws.geom, q, 8)
         r = ws.stiffness @ ph_u[ws.dofmap.free] - rhs
         assert np.linalg.norm(r) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
 
@@ -573,7 +575,9 @@ class TestProjections:
         for n in (8, 16, 32):
             ws = discretize(spec, make_unit_square(n))
             ph_u = projection_ph(ws, "state")
-            e = error_norms(ph_u, ws.dofmap, case.u_hess, ws.geom, ws.cache,
+            x, y = ws.geom.quad_points(quadrature("triangle", ERROR_DEGREE))
+            hess = case.jets(x, y, hessian=True)[0][1]
+            e = error_norms(ph_u, ws.dofmap, hess, ws.geom, ws.cache,
                             spec.eta)
             errs.append(e)
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -601,18 +605,17 @@ class TestDualityIdentity:
 
         geom = element_geometry(mesh)
         rule = quadrature("triangle", 8)
-        x, y = geom.quad_points(rule)
+        (u_exact, _), (phi, _) = case.jets(*geom.quad_points(rule))
 
         def integral(values):
             return float(np.einsum("q,tq->", rule.weights,
                                    values * geom.det[:, None]))
 
         v = eval_on_elements(ws.dofmap, ph_phi - sol.phi, rule)
-        q_exact = np.broadcast_to(case.q(x, y), x.shape)
+        q_exact = case.control(phi)
         lhs = integral((q_exact - sol.q.values[:, None]) * v)
 
         w = eval_on_elements(ws.dofmap, ph_u - sol.u, rule)
-        u_exact = np.broadcast_to(case.u(x, y), x.shape)
         u_h = eval_on_elements(ws.dofmap, sol.u, rule)
         rhs = integral((u_exact - u_h) * w)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
@@ -685,33 +688,38 @@ class TestEvaluateP2:
 class TestProblemSpecValidation:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
-            ProblemSpec(kind="surface", f=None, u_d=None)
+            ProblemSpec(kind="surface", data=None)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
-            ProblemSpec(kind="distributed", f=None, u_d=None, alpha=0.0)
+            ProblemSpec(kind="distributed", data=None, alpha=0.0)
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            ProblemSpec(kind="distributed", f=None, u_d=None,
+            ProblemSpec(kind="distributed", data=None,
                         lower=1.0, upper=-1.0)
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
     def test_alpha_must_be_finite_and_positive(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
-            ProblemSpec(kind="distributed", f=None, u_d=None, alpha=alpha)
+            ProblemSpec(kind="distributed", data=None, alpha=alpha)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -1.0])
+    def test_eta_must_be_finite_and_positive(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            ProblemSpec(kind="distributed", data=None, eta=eta)
 
     @pytest.mark.parametrize("lower, upper", [
         (np.nan, -50.0), (-750.0, np.nan), (np.nan, np.nan),
         (np.inf, -np.inf), (-50.0, -50.0), (-np.inf, -np.inf)])
     def test_nan_and_empty_boxes_rejected(self, lower, upper):
         with pytest.raises(ValueError, match="lower < upper"):
-            ProblemSpec(kind="distributed", f=None, u_d=None,
+            ProblemSpec(kind="distributed", data=None,
                         lower=lower, upper=upper)
 
     @pytest.mark.parametrize("lower, upper", [
         (-np.inf, np.inf), (-750.0, np.inf), (-np.inf, -50.0)])
     def test_infinite_bounds_accepted(self, lower, upper):
-        spec = ProblemSpec(kind="distributed", f=None, u_d=None,
+        spec = ProblemSpec(kind="distributed", data=None,
                            lower=lower, upper=upper)
         assert (spec.lower, spec.upper) == (lower, upper)
