@@ -60,9 +60,9 @@ class EstimatorReport:
                              + self.control_term ** 2))
 
 
-def _volume_residual(mesh, geom, rule, values):
-    """h_T^2 * int_T values^2 per triangle; values shape (nt, nq)."""
-    h2 = mesh.diameters() ** 2
+def _volume_residual(h2, geom, rule, values):
+    """h_T^2 * int_T values^2 per triangle, with h_T^2 = ``h2``; values
+    shape (nt, nq)."""
     integral = np.einsum("q,tq->t", rule.weights, values ** 2) * geom.det
     return h2 * integral
 
@@ -92,18 +92,18 @@ def _control_consistency(ws, phi, gvals):
 
 def estimate(ws, sol):
     """Estimator report for a solved instance (``ws`` from ``discretize``)."""
-    spec, mesh, dofmap, cache, geom = (ws.spec, ws.mesh, ws.dofmap, ws.cache,
-                                       ws.geom)
+    spec, dofmap, cache, geom = ws.spec, ws.dofmap, ws.cache, ws.geom
     rule = quadrature("triangle", VOLUME_DEGREE)
+    h2 = ws.mesh.diameters() ** 2
     fvals, udvals = spec.data_at(*geom.quad_points(rule))
     if spec.kind == "distributed":
         state_resid = fvals + sol.q.values[:, None]
     else:
         state_resid = fvals
-    volume_u = _volume_residual(mesh, geom, rule, state_resid)
+    volume_u = _volume_residual(h2, geom, rule, state_resid)
 
     uhvals = eval_on_elements(dofmap, sol.u, rule)
-    volume_phi = _volume_residual(mesh, geom, rule, uhvals - udvals)
+    volume_phi = _volume_residual(h2, geom, rule, uhvals - udvals)
 
     t_u, t_phi = (cache.interior_traces(v) for v in (sol.u, sol.phi))
     hess_u, hess_phi = (cache.length ** 2 * t[:, 3] ** 2 for t in (t_u, t_phi))

@@ -53,7 +53,6 @@ class Mesh:
                       else np.asarray(level, dtype=int))
         self.parent = (np.full(nt, -1, dtype=int) if parent is None
                        else np.asarray(parent, dtype=int))
-        self._diameters = None
         self._check_orientation()
         self._build_topology()
         for arr in (self.vertices, self.triangles, self.level, self.parent,
@@ -129,17 +128,13 @@ class Mesh:
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     def diameters(self):
-        """Longest side of every triangle, computed once and read-only."""
-        if self._diameters is None:
-            p = self.vertices[self.triangles]
-            sides = np.stack([
-                np.linalg.norm(p[:, 1] - p[:, 2], axis=1),
-                np.linalg.norm(p[:, 2] - p[:, 0], axis=1),
-                np.linalg.norm(p[:, 0] - p[:, 1], axis=1),
-            ], axis=1)
-            self._diameters = sides.max(axis=1)
-            self._diameters.setflags(write=False)
-        return self._diameters
+        """Longest side of every triangle."""
+        p = self.vertices[self.triangles]
+        return np.stack([
+            np.linalg.norm(p[:, 1] - p[:, 2], axis=1),
+            np.linalg.norm(p[:, 2] - p[:, 0], axis=1),
+            np.linalg.norm(p[:, 0] - p[:, 1], axis=1),
+        ], axis=1).max(axis=1)
 
     def min_angle(self):
         p = self.vertices[self.triangles]

@@ -4,35 +4,31 @@ The discrete system couples the state equation A u = f + B q, the adjoint
 equation A phi = M u - u_d and a variational inequality for the control.
 The active-set iteration (a semismooth Newton method) fixes the control at
 its bounds on the estimated active sets and solves for the inactive
-controls q_I in reduced space: with u_0 and phi_0 the state and adjoint for
-q_I = 0,
-
-    (alpha D_I + B_I^T A^-1 M A^-1 B_I) q_I = -B_I^T phi_0,
-
-an SPD system solved by conjugate gradients preconditioned with alpha D_I.
-It serves both discretizations: the piecewise-constant control (D holds
-triangle areas or edge lengths) and the variational one, whose control
-clamp(-phi_h/alpha) lives at the points x_k of the degree-8 rule of the
-error norms (``assembly.ERROR_DEGREE``), with
-B[i, (t, k)] = w_k det_t v_i(x_k) and D = w_k det_t. The iteration reads B
-only through the products B x and B^T y, B_I through them on controls that
-are zero off the inactive set: the piecewise-constant control multiplies by
-the CSC coupling of the discretization, and the variational one applies its
-point coupling element by element from the local values w_k det_t v_i(x_k),
-without assembling it. Every solve with A uses one sparse LU factor of A
+controls q_I in reduced space, with the SPD operator
+H = alpha D_I + B_I^T A^-1 M A^-1 B_I, by conjugate gradients
+preconditioned with alpha D_I. It serves both discretizations: the
+piecewise-constant control (D holds triangle areas or edge lengths) and
+the variational one, whose control clamp(-phi_h/alpha) lives at the
+points x_k of the degree-8 rule of the error norms
+(``assembly.ERROR_DEGREE``), with B[i, (t, k)] = w_k det_t v_i(x_k) and
+D = w_k det_t. The iteration reads B only through the products B x and
+B^T y, B_I through them on controls that are zero off the inactive set:
+the piecewise-constant control multiplies by the CSC coupling of the
+discretization, and the variational one applies its point coupling
+element by element from the local values w_k det_t v_i(x_k), without
+assembling it. Every solve with A uses one sparse LU factor of A
 per discretization.
 
-Each CG step applies the reduced Hessian to its direction p through
-A^-1 B_I p and A^-1 M A^-1 B_I p, the changes of the state and adjoint
-along p, so CG carries u and phi along with q_I and no iteration
-back-solves them. An iteration with inactive controls makes two solves for
-(u_0, phi_0), two for the CG start and two per CG step. CG stops once its
-recursive residual is at most CG_RTOL ||B_I^T phi_0||; that relative
-residual is what ``PdasStep.cg_residual`` reports, the solution's in
-``KktSolution.trace[-1]``. The carried state is u_0 + A^-1 B_I q_I;
-where the two terms nearly cancel (small alpha without bounds) its
-backward error, which
-``KktSolution.state_residual`` reports, exceeds that of a fresh solve.
+Each PDAS iteration starts from the control q_s that holds the bounds on
+the active sets and the raw estimate on the inactive set, and back-solves
+its state u_s and adjoint phi_s (two solves). With inactive controls, CG
+from zero solves H dq = -(alpha D_I q_s,I + B_I^T phi_s) for the correction
+of q_s,I at two solves per step, and the state and adjoint of q_s + dq are
+back-solved (two solves), so every iterate's u and phi solve their
+equations for its control. CG stops once its recursive residual is at
+most CG_RTOL ||B_I^T phi_s||; that relative residual is what
+``PdasStep.cg_residual`` reports, the solution's in
+``KktSolution.trace[-1]``.
 """
 
 from __future__ import annotations
@@ -240,7 +236,7 @@ class PdasStep:
     entities whose set (lower, upper, inactive) changed from the previous
     iteration (from all-inactive at the first), ``cg_steps`` and
     ``cg_residual`` the steps and final residual of the reduced solve,
-    relative to ||B_I^T phi_0|| (0 and 0.0 when every control is active,
+    relative to ||B_I^T phi_s|| (0 and 0.0 when every control is active,
     see the module docstring), and ``infeasible`` the number of inactive
     controls of the iterate outside [lower, upper]. ``objective`` is the
     discrete tracking functional of the iterate.
@@ -306,41 +302,31 @@ def _objective(ws, u_free, qvals, measures):
         np.sum(measures * qvals ** 2))
 
 
-def _pcg(apply, rhs, x, inv_diag, carried):
-    """Diagonally preconditioned CG for an SPD operator H from start ``x``.
+def _pcg(apply, rhs, inv_diag, scale):
+    """Diagonally preconditioned CG from zero for H x = rhs, with H SPD and
+    ``apply(v)`` = H v.
 
-    ``apply(v)`` returns (H v, images), where ``images`` are arrays linear
-    in v, L_k v; ``carried`` holds one offset c_k per image. CG updates
-    c_k + L_k x along with x from the images of its directions, so no
-    further ``apply`` is needed to read them at the final x.
-
-    Stops once ||rhs - H x|| <= CG_RTOL ||rhs|| (recursive residual) and
-    returns (x, [c_k + L_k x], steps, relative residual), which the
-    iteration trace records; returns x = 0 and ``carried`` unchanged when
-    ``rhs`` is zero, and raises PdasError after CG_MAX_ITER steps without
-    convergence.
+    Stops once ||rhs - H x|| <= CG_RTOL * scale (recursive residual) and
+    returns (x, steps, ||rhs - H x|| / scale), which the iteration trace
+    records; returns x = 0 when ``scale`` is zero, and raises PdasError
+    after CG_MAX_ITER steps without convergence.
     """
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs), carried, 0, 0.0
-    x = x.copy()
-    hx, images = apply(x)
-    carried = [c + image for c, image in zip(carried, images)]
-    r = rhs - hx
+    x = np.zeros_like(rhs)
+    if scale == 0.0:
+        return x, 0, 0.0
+    r = rhs.copy()
     z = inv_diag * r
     p = z.copy()
     rz = r @ z
     for steps in range(CG_MAX_ITER + 1):
-        rel = float(np.linalg.norm(r) / rhs_norm)
+        rel = float(np.linalg.norm(r) / scale)
         if rel <= CG_RTOL:
-            return x, carried, steps, rel
+            return x, steps, rel
         if steps == CG_MAX_ITER:
             break
-        hp, images = apply(p)
+        hp = apply(p)
         step = rz / (p @ hp)
         x += step * p
-        for c, image in zip(carried, images):
-            c += step * image
         r -= step * hp
         z = inv_diag * r
         rz, rz_old = r @ z, rz
@@ -355,9 +341,10 @@ def solve_pdas(ws):
     Active sets come from the raw (unclamped) control estimate
     -(1/alpha) Pi_h(B_h phi), from phi = 0 at the first iteration; entities
     with estimate at or beyond a bound are fixed there. The inactive
-    controls solve the reduced system of the module docstring by CG,
-    warm-started from the raw estimate; CG carries the state and adjoint
-    along with them, and the inactive controls are then set to the raw
+    controls start from the raw estimate, CG solves the reduced system of
+    the module docstring for their correction to a residual of
+    CG_RTOL ||B_I^T phi_s||, and the state and adjoint are back-solved for
+    the corrected control; the inactive controls are then set to the raw
     estimate of that adjoint, so the clamp relation holds exactly.
     Terminates when the active sets repeat; raises ``PdasError`` with the
     cycle's signatures when an earlier active set other than the last one
@@ -382,6 +369,10 @@ def _pdas(ws, apply_b, apply_bt, d_meas, raw):
     nent = len(d_meas)
     lu = ws.lu
 
+    def back_solve(qvals):
+        u = lu.solve(ws.load_f + apply_b(qvals))
+        return u, lu.solve(m_f @ u - ws.load_ud)
+
     prev_status = np.zeros(nent, dtype=np.int8)
     seen = []
     trace = []
@@ -400,11 +391,9 @@ def _pdas(ws, apply_b, apply_bt, d_meas, raw):
         seen.append(sig)
 
         inactive = ~(act_up | act_lo)
-        qvals = np.zeros(nent)
-        qvals[act_up] = spec.upper
-        qvals[act_lo] = spec.lower
-        u_free = lu.solve(ws.load_f + apply_b(qvals))
-        phi_free = lu.solve(m_f @ u_free - ws.load_ud)
+        qvals = np.where(act_up, spec.upper, np.where(act_lo, spec.lower,
+                                                      raw))
+        u_free, phi_free = back_solve(qvals)
         cg_steps, cg_res = 0, 0.0
         if inactive.any():
             alpha_d = alpha * d_meas[inactive]
@@ -413,12 +402,14 @@ def _pdas(ws, apply_b, apply_bt, d_meas, raw):
             def reduced_hessian(x):
                 x_full[inactive] = x
                 du = lu.solve(apply_b(x_full))
-                dphi = lu.solve(m_f @ du)
-                return alpha_d * x + apply_bt(dphi)[inactive], (du, dphi)
+                return alpha_d * x + apply_bt(lu.solve(m_f @ du))[inactive]
 
-            _, (u_free, phi_free), cg_steps, cg_res = _pcg(
-                reduced_hessian, -apply_bt(phi_free)[inactive],
-                raw[inactive], 1.0 / alpha_d, (u_free, phi_free))
+            bt_phi = apply_bt(phi_free)[inactive]
+            dq, cg_steps, cg_res = _pcg(
+                reduced_hessian, -(alpha_d * qvals[inactive] + bt_phi),
+                1.0 / alpha_d, np.linalg.norm(bt_phi))
+            qvals[inactive] += dq
+            u_free, phi_free = back_solve(qvals)
 
         raw = -apply_bt(phi_free) / (alpha * d_meas)
         q_in = raw[inactive]

@@ -158,11 +158,9 @@ class TestPdas:
         # all-upper active set of the first iteration: A, B, A, B, ...
         calls = []
 
-        def fake_pcg(apply, rhs, x, inv_diag, carried):
-            calls.append(len(x))
-            fake = np.full_like(x, -1e8)
-            _, images = apply(fake)
-            return fake, [c + i for c, i in zip(carried, images)], 1, 0.0
+        def fake_pcg(apply, rhs, inv_diag, scale):
+            calls.append(len(rhs))
+            return np.full_like(rhs, -1e8), 1, 0.0
 
         monkeypatch.setattr(solver, "_pcg", fake_pcg)
         with pytest.raises(PdasError, match="cycle") as info:
@@ -181,41 +179,45 @@ class TestPdas:
 
 
 class TestCarriedStateAdjoint:
-    """The reduced CG carries the state and adjoint of its iterate, so no
-    PDAS iteration back-solves them."""
+    """Every PDAS iteration back-solves the state and adjoint of its CG
+    control q_s + dq."""
 
     @pytest.mark.parametrize("alpha", [1e-3, 1e-7])
     @pytest.mark.parametrize("bounds", [(-750.0, -50.0), (-np.inf, np.inf)])
     def test_equal_fresh_back_solves(self, monkeypatch, alpha, bounds):
-        # the state and adjoint belong to the CG's final iterate q_I; the
-        # returned inactive controls are then reset to the raw estimate.
-        # The carried state is u_0 + A^-1 B_I q_I, and for small alpha
-        # without bounds u_0 = A^-1 f is much larger than u: 500 times at
-        # alpha = 1e-7 on the 16 x 16 square, where carried and fresh
-        # differ by 1.4e-12 relative. On this 8 x 8 square the largest
-        # difference is 1.7e-13 (alpha = 1e-7 without bounds)
-        iterates = []
+        # the state and adjoint belong to the CG control q_s + dq, where
+        # q_s is the control B was last applied to before CG (its state and
+        # adjoint start the iteration); the returned inactive controls are
+        # then reset to the raw estimate
+        ws = discretize(example1_spec(alpha, *bounds), make_unit_square(8))
+        controls, iterates = [], []
         original = solver._pcg
 
+        def apply_b(x):
+            controls.append(x.copy())
+            return ws.coupling @ x
+
         def recording_pcg(*args):
-            result = original(*args)
-            iterates.append(result[0])
-            return result
+            q_s = controls[-1]
+            dq, steps, rel = original(*args)
+            iterates.append((q_s, dq))
+            return dq, steps, rel
 
         monkeypatch.setattr(solver, "_pcg", recording_pcg)
-        ws = discretize(example1_spec(alpha, *bounds), make_unit_square(8))
-        sol = solve_pdas(ws)
+        sol = solver._pdas(ws, apply_b, ws.coupling.T.__matmul__,
+                           ws.measures, np.zeros(len(ws.measures)))
         q = sol.q.values.copy()
         if sol.trace[-1].inactive:
             assert sol.trace[-1].cg_steps > 0
             inactive = np.ones(len(q), dtype=bool)
             inactive[sol.active_lower] = inactive[sol.active_upper] = False
-            q[inactive] = iterates[-1]
+            q, dq = iterates[-1]
+            q[inactive] += dq
         free = ws.dofmap.free
         u = ws.lu.solve(ws.load_f + ws.coupling @ q)
         phi = ws.lu.solve(ws.mass @ u - ws.load_ud)
-        for got, ref in ((sol.u[free], u), (sol.phi[free], phi)):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(sol.u[free], u)
+        assert np.array_equal(sol.phi[free], phi)
 
     @pytest.mark.parametrize("case", ["bounded", "unbounded", "variational"])
     def test_back_solves_per_iteration(self, monkeypatch, case):
@@ -238,13 +240,70 @@ class TestCarriedStateAdjoint:
         if case == "variational":
             del solves[:]
             sol = solve_variational(ws, sol)
-        # two solves for the state and adjoint of the active controls; with
-        # inactive controls two for the CG start and two per CG step, and
-        # none for the final state and adjoint
+        # two solves for the state and adjoint of the start control q_s;
+        # with inactive controls two per CG step and two for the state and
+        # adjoint of the corrected control q_s + dq
         inactive = [step for step in sol.trace if step.inactive]
         assert inactive and all(step.cg_steps for step in inactive)
         assert len(solves) == 2 * len(sol.trace) + sum(
             2 + 2 * step.cg_steps for step in inactive)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("alpha", [1e-5, 1e-7, 1e-9])
+    def test_unbounded_backward_errors_at_rounding(self, n, alpha):
+        # without bounds u_0 = A^-1 f is much larger than u for small
+        # alpha, so a state formed as u_0 + A^-1 B_I q_I loses digits to
+        # cancellation; a back-solved one does not. At alpha = 1e-9 the
+        # state is solved for the CG control, but q_I is then reset to the
+        # raw estimate, which moves its residual to 1.5e-13 to 2.7e-13
+        spec = example1_spec(alpha, -np.inf, np.inf)
+        sol = solve_pdas(discretize(spec, make_unit_square(n)))
+        assert sol.adjoint_residual <= 1e-15
+        if alpha > 1e-9:
+            assert sol.state_residual <= 1e-15
+
+
+class TestPcg:
+    """``_pcg`` on a dense SPD system."""
+
+    @staticmethod
+    def _system():
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((20, 20))
+        h = g @ g.T + np.diag(rng.uniform(1.0, 100.0, 20))
+        return h, rng.standard_normal(20), 1.0 / np.diag(h)
+
+    def test_matches_dense_solve(self):
+        h, rhs, inv_diag = self._system()
+        x, steps, rel = solver._pcg(h.__matmul__, rhs, inv_diag,
+                                    np.linalg.norm(rhs))
+        assert steps > 0 and rel <= solver.CG_RTOL
+        ref = np.linalg.solve(h, rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("factor", [1.0, 1e6])
+    def test_stops_at_first_step_within_scale(self, monkeypatch, factor):
+        # the residual is read relative to ``scale``: a larger scale stops
+        # CG earlier, and one step fewer than it took raises
+        h, rhs, inv_diag = self._system()
+        scale = factor * np.linalg.norm(rhs)
+        x, steps, rel = solver._pcg(h.__matmul__, rhs, inv_diag, scale)
+        assert rel <= solver.CG_RTOL
+        assert np.linalg.norm(rhs - h @ x) <= 2.0 * solver.CG_RTOL * scale
+        if factor > 1.0:
+            assert steps < solver._pcg(h.__matmul__, rhs, inv_diag,
+                                       np.linalg.norm(rhs))[1]
+        monkeypatch.setattr(solver, "CG_MAX_ITER", steps - 1)
+        with pytest.raises(PdasError, match="%d steps" % (steps - 1)):
+            solver._pcg(h.__matmul__, rhs, inv_diag, scale)
+
+    def test_zero_scale_returns_zero(self):
+        def apply(v):
+            raise AssertionError("no product for a zero scale")
+
+        _, rhs, inv_diag = self._system()
+        x, steps, rel = solver._pcg(apply, rhs, inv_diag, 0.0)
+        assert np.array_equal(x, np.zeros(20)) and steps == 0 and rel == 0.0
 
 
 def _block_pdas(spec, ws, max_iter=50):
