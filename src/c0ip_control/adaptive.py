@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 from .estimator import estimate
 from .io import write_csv
@@ -32,9 +32,9 @@ class LevelRecord:
 
 @dataclass
 class AdaptiveHistory:
-    records: list = field(default_factory=list)
-    meshes: list = field(default_factory=list)
-    solutions: list = field(default_factory=list)
+    records: list
+    meshes: list
+    solutions: list
     # why the loop stopped: "max_dofs", "max_levels" or "zero_estimator"
     stop_reason: str | None = None
 
@@ -63,7 +63,8 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000):
         raise ValueError("theta must lie in (0, 1]")
     if max_dofs < 1:
         raise ValueError("stop criterion must be positive")
-    history = AdaptiveHistory()
+    records, meshes, solutions = [], [], []
+    stop_reason = "max_levels"
     for level in range(MAX_LEVELS):
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
@@ -71,22 +72,20 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000):
         err_u = err_phi = err_q = None
         if spec.exact is not None:
             err_u, err_phi, err_q = spec.exact.errors(ws, sol)[0]
-        history.records.append(LevelRecord(
+        records.append(LevelRecord(
             level=level, ndof=ws.dofmap.nfree,
             eta_u=report.eta_u, eta_phi=report.eta_phi,
             eta_control=report.control_term, eta_total=report.eta_total,
             err_u=err_u, err_phi=err_phi, err_q=err_q,
             pdas_iterations=sol.iterations))
-        history.meshes.append(mesh)
-        history.solutions.append(sol)
+        meshes.append(mesh)
+        solutions.append(sol)
         if ws.dofmap.nfree >= max_dofs:
-            history.stop_reason = "max_dofs"
+            stop_reason = "max_dofs"
             break
         if report.marking.sum() == 0.0:
-            history.stop_reason = "zero_estimator"
+            stop_reason = "zero_estimator"
             break
         marked = dorfler_mark(report.marking, theta)
         mesh = bisect(mesh, marked)
-    else:
-        history.stop_reason = "max_levels"
-    return history
+    return AdaptiveHistory(records, meshes, solutions, stop_reason)

@@ -33,7 +33,7 @@ operators over all dofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,9 +75,6 @@ class ElementGeometry:
     det: np.ndarray       # (nt,)
     area: np.ndarray      # (nt,)
     hessians: np.ndarray  # (nt, 6, 2, 2) physical basis Hessians
-    # id(rule) -> (rule, x, y), filled by ``quad_points``
-    _points: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         for arr in (self.v0, self.jac, self.inv_jac, self.det, self.area,
@@ -87,20 +84,15 @@ class ElementGeometry:
     def quad_points(self, rule):
         """Physical points (x, y) of a triangle rule, each (nt, nq).
 
-        Computed once per rule; both are views of one (2, nt, nq) array
-        that every reader of the geometry shares, so they are read-only.
+        Computed on each call; both are read-only views of one
+        (2, nt, nq) array.
         """
-        hit = self._points.get(id(rule))
-        if hit is not None and hit[0] is rule:
-            return hit[1:]
         jac = self.jac.transpose(1, 0, 2)[:, :, None]    # (2, nt, 1, 2)
         xy = jac[..., 0] * rule.points[:, 0]
         xy += jac[..., 1] * rule.points[:, 1]
         xy += self.v0.T[:, :, None]
         xy.setflags(write=False)
-        x, y = xy
-        self._points[id(rule)] = (rule, x, y)
-        return x, y
+        return xy[0], xy[1]
 
 
 def element_geometry(mesh):
@@ -405,11 +397,11 @@ def assemble_load(dofmap, geom, f, degree):
     degree-``degree`` triangle rule.
 
     ``f`` holds the (nt, nq) values at the rule's points
-    (``ElementGeometry.quad_points``).
+    (``ElementGeometry.quad_points``); the weighted values are contracted
+    with the reference shape values (nq, 6) in one matrix product.
     """
     rule = quadrature("triangle", degree)
-    vals = shape_values(rule.points)
-    local = np.einsum("q,tq,qi->ti", rule.weights, f, vals)
+    local = (f * rule.weights) @ shape_values(rule.points)    # (nt, 6)
     local *= geom.det[:, None]
     # sums in element order, as np.add.at does; bin nfree collects the
     # constrained dofs

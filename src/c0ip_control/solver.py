@@ -15,9 +15,10 @@ D = w_k det_t. The iteration reads B only through the products B x and
 B^T y, B_I through them on controls that are zero off the inactive set:
 the piecewise-constant control multiplies by the CSC coupling of the
 discretization, and the variational one applies its point coupling
-element by element from the local values w_k det_t v_i(x_k), without
-assembling it. Every solve with A uses one sparse LU factor of A
-per discretization.
+element by element, as one product of the reference shape values
+v_i(x_k) with the point values scaled by w_k det_t, without assembling
+it or tabulating its (nt, nq, 6) local values. Every solve with A uses
+one sparse LU factor of A per discretization.
 
 Each PDAS iteration starts from the control q_s that holds the bounds on
 the active sets and the raw estimate on the inactive set, and back-solves
@@ -33,7 +34,7 @@ most CG_RTOL ||B_I^T phi_s||; that relative residual is what
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -269,7 +270,7 @@ class KktSolution:
     active_upper: np.ndarray
     state_residual: float
     adjoint_residual: float
-    trace: list = field(default_factory=list)    # PdasStep per iteration
+    trace: list    # PdasStep per iteration
 
     @property
     def iterations(self):
@@ -444,24 +445,27 @@ def _pdas(ws, apply_b, apply_bt, d_meas, raw):
 def _point_kernel(ws, rule):
     """N x and N^T y for the point coupling N[i, (t, k)] = w_k det_t
     v_i(x_k) at ``rule``'s points, column t * nq + k, applied element by
-    element from its local values; and the point measures w_k det_t."""
+    element; and the point measures w_k det_t.
+
+    Both products contract the reference shape values (nq, 6) with an
+    (nt, nq) or (nt, 6) array, so no (nt, nq, 6) table is formed."""
     dofmap = ws.dofmap
     nt, nq = len(dofmap.tri_dofs), len(rule.weights)
     measures = ws.geom.det[:, None] * rule.weights           # (nt, nq)
-    local = measures[:, :, None] * shape_values(rule.points)  # (nt, nq, 6)
+    vals = shape_values(rule.points)                         # (nq, 6)
     # row nfree stands for the constrained dofs: N x drops its bin, and
     # N^T y reads 0 there
     rows = dofmap.free_cols[dofmap.tri_dofs]
     y_ext = np.zeros(dofmap.nfree + 1)
 
     def apply_n(x):
-        vals = np.einsum("tk,tkj->tj", x.reshape(nt, nq), local)
-        return np.bincount(rows.ravel(), vals.ravel(),
+        local = (measures * x.reshape(nt, nq)) @ vals         # (nt, 6)
+        return np.bincount(rows.ravel(), local.ravel(),
                            minlength=dofmap.nfree + 1)[:-1]
 
     def apply_nt(y):
         y_ext[:-1] = y
-        return np.einsum("tkj,tj->tk", local, y_ext[rows]).ravel()
+        return (measures * (y_ext[rows] @ vals.T)).ravel()
 
     return apply_n, apply_nt, measures.ravel()
 
@@ -518,7 +522,9 @@ def projection_ph(ws, which):
 
     ``which`` = "state": a_h(P_h u, v) = (f, v) + <q, B_h v> with the exact
     control q; "adjoint": a_h(v, P_h phi) = (u - u_d, v) with the exact
-    state u. Returns the (ndof,) coefficients; requires ``spec.exact``.
+    state u and the case's u_d = u - lap^2 phi. Each evaluates the jets of
+    ``spec.exact`` once. Returns the (ndof,) coefficients; requires
+    ``spec.exact``.
     """
     spec = ws.spec
     if spec.exact is None:
@@ -532,7 +538,10 @@ def projection_ph(ws, which):
         rhs = ws.load_f + assemble_load(ws.dofmap, ws.geom, q,
                                         PROJECTION_DEGREE)
     elif which == "adjoint":
-        misfit = case.jets(x, y)[0][0] - spec.data_at(x, y)[1]
+        # u - u_d from one evaluation of the jets, with u_d = u - lap^2 phi
+        # formed as ``ManufacturedCase.data`` forms it, so the same bits
+        (u, _), (_, bilap_phi) = case.jets(x, y)
+        misfit = u - (u - bilap_phi)
         rhs = assemble_load(ws.dofmap, ws.geom, misfit, PROJECTION_DEGREE)
     else:
         raise ValueError("which must be 'state' or 'adjoint'")

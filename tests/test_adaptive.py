@@ -158,7 +158,7 @@ class TestDeterminism:
 
 class TestHistorySerialization:
     def test_empty_history_header_only(self, tmp_path):
-        history = AdaptiveHistory()
+        history = AdaptiveHistory([], [], [])
         path = tmp_path / "empty.csv"
         history.to_csv(str(path))
         lines = path.read_text().strip().splitlines()

@@ -787,9 +787,7 @@ class TestArrayKernels:
         x, y = geom.quad_points(rule)
         assert np.array_equal(x, expected[..., 0])
         assert np.array_equal(y, expected[..., 1])
-        # computed once per rule, and shared read-only
-        again = geom.quad_points(rule)
-        assert again[0] is x and again[1] is y
+        # read-only, as the geometry's own arrays
         for arr in (x, y):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.5

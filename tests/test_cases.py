@@ -17,7 +17,9 @@ from c0ip_control.cli import RunConfig, run_example1, run_vd_compare
 from c0ip_control.controls import ControlField, clamp
 from c0ip_control.estimator import VOLUME_DEGREE
 from c0ip_control.fem import quadrature
-from c0ip_control.solver import discretize, solve_pdas, solve_variational
+from c0ip_control.solver import (PROJECTION_DEGREE, discretize,
+                                 projection_ph, solve_pdas,
+                                 solve_variational)
 
 
 def biharmonic_fd(f, x, y, h=0.04):
@@ -266,6 +268,34 @@ class TestOneHessianEvaluation:
             phi_jet=_counted(case.u_jet, calls, "phi"))
         assert split.errors(ws, sol, vd) == case.errors(ws, sol, vd)
         assert calls == {("u", "hessian"): 1, ("phi", "hessian"): 1}
+
+
+class TestOneJetEvaluationPerProjection:
+    """``projection_ph`` evaluates the manufactured jet once per call, and
+    its adjoint misfit u - u_d has the bits of u minus the spec's u_d."""
+
+    @pytest.fixture(scope="class")
+    def ws(self):
+        return discretize(example1_spec(), make_unit_square(8))
+
+    @pytest.mark.parametrize("which", ["state", "adjoint"])
+    def test_once_per_call(self, ws, which):
+        calls = Counter()
+        jet = _counted(ws.spec.exact.u_jet, calls, "u")
+        case = dataclasses.replace(ws.spec.exact, u_jet=jet, phi_jet=jet)
+        spec = dataclasses.replace(ws.spec, data=case.data, exact=case)
+        counted = projection_ph(dataclasses.replace(ws, spec=spec), which)
+        assert calls == {("u", "bilap"): 1}
+        assert np.array_equal(counted, projection_ph(ws, which))
+
+    def test_adjoint_misfit_bits(self, ws):
+        spec = ws.spec
+        x, y = ws.geom.quad_points(quadrature("triangle",
+                                              PROJECTION_DEGREE))
+        misfit = spec.exact.jets(x, y)[0][0] - spec.data_at(x, y)[1]
+        rhs = assemble_load(ws.dofmap, ws.geom, misfit, PROJECTION_DEGREE)
+        assert np.array_equal(projection_ph(ws, "adjoint"),
+                              ws.full_coeffs(ws.lu.solve(rhs)))
 
 
 class TestBiharmonic:

@@ -1,7 +1,8 @@
 """Every name a package module imports is used or re-exported, every
 name a function binds is read, every private module-level name is
-referenced, no function writes into module-level state, and the command
-line loads only the SciPy subpackages it uses."""
+referenced, no function writes into module-level state, no dataclass field
+defaults to an empty dict or list, and the command line loads only the
+SciPy subpackages it uses."""
 
 import ast
 import os
@@ -271,6 +272,59 @@ def test_scan_sees_a_global_write():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_global_writes(path):
     assert global_writes(path.read_text()) == []
+
+
+def _is_name(node, name):
+    """``node`` is ``name`` or ``<module>.name``."""
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def mutable_default_fields(source):
+    """(line, "Class.field") of each dataclass field of ``source`` whose
+    default factory is ``dict`` or ``list``: a container that the instance
+    fills after it is made, which is how a per-object memo starts."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or not any(
+                _is_name(d.func if isinstance(d, ast.Call) else d,
+                         "dataclass") for d in cls.decorator_list):
+            continue
+        for node in cls.body:
+            value = node.value if isinstance(node, ast.AnnAssign) else None
+            if not (isinstance(value, ast.Call)
+                    and _is_name(value.func, "field")):
+                continue
+            if any(kw.arg == "default_factory"
+                   and (_is_name(kw.value, "dict")
+                        or _is_name(kw.value, "list"))
+                   for kw in value.keywords):
+                found.append((node.lineno,
+                              "%s.%s" % (cls.name, node.target.id)))
+    return sorted(found)
+
+
+def test_scan_sees_a_mutable_default_field():
+    source = ("import dataclasses\n"
+              "from dataclasses import dataclass, field\n"
+              "@dataclass(frozen=True)\n"
+              "class Geometry:\n"
+              "    det: object\n"
+              "    _points: dict = field(default_factory=dict, init=False)\n"
+              "    rule: tuple = field(default_factory=tuple)\n"
+              "@dataclasses.dataclass\n"
+              "class History:\n"
+              "    name: str = field(default='x')\n"
+              "    records: list = dataclasses.field(default_factory=list)\n"
+              "class Plain:\n"
+              "    cache: dict = field(default_factory=dict)\n")
+    assert mutable_default_fields(source) == [(6, "Geometry._points"),
+                                              (11, "History.records")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_mutable_default_fields(path):
+    assert mutable_default_fields(path.read_text()) == []
 
 
 # SciPy subpackages that no module of the package uses; each one adds to

@@ -1,5 +1,6 @@
 """Active-set solver, variational discretization, auxiliary projections."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -523,6 +524,25 @@ class TestVariational:
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(
                     np.abs(ref))
+
+    def test_point_kernel_forms_no_local_table(self):
+        # building the kernel and applying N and N^T once allocate less
+        # than one (nt, nq, 6) table of the local values w_k det_t v_i(x_k)
+        ws = discretize(example1_spec(), make_unit_square(32))
+        rule = quadrature("triangle", ERROR_DEGREE)
+        nt, nq = len(ws.dofmap.tri_dofs), len(rule.weights)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(nt * nq)
+        y = rng.standard_normal(ws.dofmap.nfree)
+        tracemalloc.start()
+        try:
+            apply_n, apply_nt, _ = solver._point_kernel(ws, rule)
+            apply_n(x)
+            apply_nt(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nt * nq * 6 * 8
 
     def test_variational_control_matches_point_evaluation(self):
         spec = example1_spec()
