@@ -47,6 +47,28 @@ class AdaptiveHistory:
                   [astuple(r) for r in self.records])
 
 
+def _solve_level(spec, mesh, level):
+    """Solve and estimate one level on ``mesh``.
+
+    Returns its ``LevelRecord``, ``KktSolution`` and marking indicators;
+    the level's discretization, LU factor and estimator report are freed on
+    return, before the mesh is refined and the next level is built.
+    """
+    ws = discretize(spec, mesh)
+    sol = solve_pdas(ws)
+    report = estimate(ws, sol)
+    err_u = err_phi = err_q = None
+    if spec.exact is not None:
+        err_u, err_phi, err_q = spec.exact.errors(ws, sol)[0]
+    record = LevelRecord(
+        level=level, ndof=ws.dofmap.nfree,
+        eta_u=report.eta_u, eta_phi=report.eta_phi,
+        eta_control=report.control_term, eta_total=report.eta_total,
+        err_u=err_u, err_phi=err_phi, err_q=err_q,
+        pdas_iterations=sol.iterations)
+    return record, sol, report.marking
+
+
 def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000):
     """Adaptive refinement loop driven by Doerfler marking of the estimator.
 
@@ -55,9 +77,13 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000):
     exact discrete solution), whichever comes first; the last level is
     always recorded, and ``stop_reason`` names the criterion that ended the
     loop. An estimator that is not finite raises ``dorfler_mark``'s
-    ``ValueError``. Every level's mesh and solution are kept. When
-    ``spec.exact`` is available the true errors are recorded alongside the
-    estimator.
+    ``ValueError``. When ``spec.exact`` is available the true errors are
+    recorded alongside the estimator.
+
+    A level's discretization (with its LU factor) and estimator report do
+    not outlive the level: they are freed before the mesh is refined, so
+    the run peaks at one level's operators. The history keeps only every
+    level's record, mesh and solution.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
@@ -66,26 +92,15 @@ def run_adaptive(spec, mesh, theta=0.3, max_dofs=50000):
     records, meshes, solutions = [], [], []
     stop_reason = "max_levels"
     for level in range(MAX_LEVELS):
-        ws = discretize(spec, mesh)
-        sol = solve_pdas(ws)
-        report = estimate(ws, sol)
-        err_u = err_phi = err_q = None
-        if spec.exact is not None:
-            err_u, err_phi, err_q = spec.exact.errors(ws, sol)[0]
-        records.append(LevelRecord(
-            level=level, ndof=ws.dofmap.nfree,
-            eta_u=report.eta_u, eta_phi=report.eta_phi,
-            eta_control=report.control_term, eta_total=report.eta_total,
-            err_u=err_u, err_phi=err_phi, err_q=err_q,
-            pdas_iterations=sol.iterations))
+        record, sol, marking = _solve_level(spec, mesh, level)
+        records.append(record)
         meshes.append(mesh)
         solutions.append(sol)
-        if ws.dofmap.nfree >= max_dofs:
+        if record.ndof >= max_dofs:
             stop_reason = "max_dofs"
             break
-        if report.marking.sum() == 0.0:
+        if marking.sum() == 0.0:
             stop_reason = "zero_estimator"
             break
-        marked = dorfler_mark(report.marking, theta)
-        mesh = bisect(mesh, marked)
+        mesh = bisect(mesh, dorfler_mark(marking, theta))
     return AdaptiveHistory(records, meshes, solutions, stop_reason)

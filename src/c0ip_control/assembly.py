@@ -223,6 +223,13 @@ def _trace_blocks(ndof, dofs, local, m):
 
 
 def build_edge_cache(mesh, dofmap, geom):
+    """The ``EdgeTraceCache`` of ``mesh``.
+
+    Each side's rows are written in place into one (nE, 4, 12) block on the
+    12 dofs of an interior edge's two triangles (one (nEb, 3, 6) block on
+    a boundary edge's triangle), which ``_trace_blocks`` merges onto the
+    edge's distinct dofs; no per-side copy is concatenated.
+    """
     def local_ends(edge_idx, tris):
         """Local positions (p, q) in ``tris`` of the edges' first and
         second vertex."""
@@ -242,17 +249,19 @@ def build_edge_cache(mesh, dofmap, geom):
         normal[q != (p + 1) % 3] *= -1.0
         return length, normal
 
-    def side_traces(tris, p, q, normal):
-        """Rows (n, 3, 6) on the local basis of ``tris``: the normal
-        derivatives at the two Gauss points and the second one."""
-        gn = _side_normal_derivatives(geom, tris, p, q, normal)
+    def side_traces(tris, p, q, normal, out):
+        """Rows (n, 3, 6) on the local basis of ``tris``, written to
+        ``out``: the normal derivatives at the two Gauss points and the
+        second one."""
+        out[:, :2] = _side_normal_derivatives(geom, tris, p, q, normal)
         hess = geom.hessians[tris]                       # (n, 6, 2, 2)
         n0, n1 = normal[:, None, 0], normal[:, None, 1]
-        d2n = n0 * hess[..., 0, 0] * n0
+        d2n = out[:, 2]
+        np.multiply(n0 * hess[..., 0, 0], n0, out=d2n)
         d2n += n0 * hess[..., 0, 1] * n1
         d2n += n1 * hess[..., 1, 0] * n0
         d2n += n1 * hess[..., 1, 1] * n1
-        return np.concatenate([gn, d2n[:, None]], axis=1)
+        return out
 
     ndof = dofmap.ndof
     # the rows index by int32; cast once, before the dofs are copied
@@ -262,20 +271,24 @@ def build_edge_cache(mesh, dofmap, geom):
     t2 = mesh.edge_tris[interior, 1]
     ends1 = local_ends(interior, t1)
     length, normal = edge_data(interior, *ends1)
-    side1 = side_traces(t1, *ends1, normal)
-    side2 = side_traces(t2, *local_ends(interior, t2), normal)
-    mean = 0.5 * np.concatenate([side1[:, 2:], side2[:, 2:]], axis=2)
+    # rows on the 12 dofs of both triangles, side 1 then side 2: the mean
+    # of the second normal derivatives, then side 1 minus side 2 of the
+    # three side rows; the sides are written in place and side 2 negated
+    local = np.empty((len(interior), 4, 12))
+    side_traces(t1, *ends1, normal, local[:, 1:, :6])
+    side_traces(t2, *local_ends(interior, t2), normal, local[:, 1:, 6:])
+    np.multiply(local[:, 3], 0.5, out=local[:, 0])
+    np.negative(local[:, 1:, 6:], out=local[:, 1:, 6:])
     dofs, traces = _trace_blocks(
-        ndof, np.hstack([tri_dofs[t1], tri_dofs[t2]]),
-        np.concatenate([mean, np.concatenate([side1, -side2], axis=2)],
-                       axis=1), 9)
+        ndof, tri_dofs[mesh.edge_tris[interior]].reshape(-1, 12), local, 9)
 
     boundary = mesh.boundary_edges
     bt = mesh.edge_tris[boundary, 0]
     ends = local_ends(boundary, bt)
     blength, bnormal = edge_data(boundary, *ends)
-    bdofs, btraces = _trace_blocks(ndof, tri_dofs[bt],
-                                   side_traces(bt, *ends, bnormal), 6)
+    bdofs, btraces = _trace_blocks(
+        ndof, tri_dofs[bt],
+        side_traces(bt, *ends, bnormal, np.empty((len(boundary), 3, 6))), 6)
 
     return EdgeTraceCache(t1, t2, length, dofs, traces,
                           bt, blength, bdofs, btraces)

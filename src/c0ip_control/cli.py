@@ -66,24 +66,38 @@ def _orders(errors):
     return out
 
 
+def _solve_uniform_levels(config, solve_level):
+    """``(h, solve_level(mesh))`` for every level of
+    ``_uniform_square_meshes``, in its order (h = 1/4, 1/8, ...).
+
+    The levels are independent, so they are solved finest first, each in
+    its own call: a level's discretization is freed before the next one is
+    built, so the study peaks at the finest level alone.
+    """
+    levels = list(_uniform_square_meshes(config))
+    results = [solve_level(mesh) for _, mesh in reversed(levels)]
+    return [(h, r) for (h, _), r in zip(levels, reversed(results))]
+
+
 def run_example1(config):
     """Manufactured convergence study on uniform unit-square meshes.
 
-    Returns rows (h, err_u, order_u, err_phi, order_phi, err_q, order_q)
-    and writes them to example1.csv in the output directory.
+    Returns rows (h, err_u, order_u, err_phi, order_phi, err_q, order_q),
+    coarsest first (h = 1/4, 1/8, ...), and writes them to example1.csv in
+    the output directory. The finest level is solved first.
     """
     spec = example1_spec(config.alpha, config.qmin, config.qmax, config.eta)
     case = spec.exact
-    hs, eus, ephis, eqs = [], [], [], []
-    for h, mesh in _uniform_square_meshes(config):
+
+    def solve_level(mesh):
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
         del ws.lu   # the error norms need no factor; free it first
-        eu, ephi, eq = case.errors(ws, sol)[0]
-        hs.append(h)
-        eus.append(eu)
-        ephis.append(ephi)
-        eqs.append(eq)
+        return case.errors(ws, sol)[0]
+
+    levels = _solve_uniform_levels(config, solve_level)
+    hs = [h for h, _ in levels]
+    eus, ephis, eqs = ([e[i] for _, e in levels] for i in range(3))
     rows = [
         (h, eu, ou, ep, op, eq, oq)
         for h, eu, ou, ep, op, eq, oq in zip(
@@ -164,12 +178,13 @@ def run_vd_compare(config):
     Tabulates the energy and L2 control errors of both solutions and the
     L2 distance between the piecewise-constant control and the variational
     one, taken at the variational control's points (the error rule on
-    every element).
+    every element). The finest level is solved first; the rows come
+    coarsest first (h = 1/4, 1/8, ...).
     """
     spec = example1_spec(config.alpha, config.qmin, config.qmax, config.eta)
     case = spec.exact
-    rows = []
-    for h, mesh in _uniform_square_meshes(config):
+
+    def solve_level(mesh):
         ws = discretize(spec, mesh)
         sol = solve_pdas(ws)
         vd = solve_variational(ws, sol)
@@ -178,7 +193,10 @@ def run_vd_compare(config):
         per_triangle = len(vd.q.values) // len(sol.q.values)
         diff = vd.q.values - np.repeat(sol.q.values, per_triangle)
         qdist = float(np.sqrt(np.sum(vd.q.measures * diff ** 2)))
-        rows.append((h, eu, eu_vd, ephi, ephi_vd, eq, eq_vd, qdist))
+        return eu, eu_vd, ephi, ephi_vd, eq, eq_vd, qdist
+
+    rows = [(h,) + row
+            for h, row in _solve_uniform_levels(config, solve_level)]
     write_csv(config.outpath("vd_compare.csv"),
               ["h", "err_u_full", "err_u_vd", "err_phi_full", "err_phi_vd",
                "err_q_full", "err_q_vd", "q_distance"], rows)

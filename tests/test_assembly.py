@@ -464,6 +464,27 @@ class TestFreeBlocks:
         result = free.data.nbytes + free.indices.nbytes + free.indptr.nbytes
         assert peak <= 4.5 * result
 
+    def test_edge_cache_transient_memory(self):
+        # At h = 1/64 the cache keeps 4.3 MB. Its interior rows are written
+        # in place into one (nE, 4, 12) block (1.1 times the kept bytes),
+        # which sum_duplicates merges next to the repeated int32 dofs and
+        # the kept copies: a peak of 2.97 times what is kept. Concatenating
+        # per-side copies into that block peaked at 4.06 times; the bound
+        # lies between the two, so that any copy of the block fails it.
+        config = RunConfig(levels=5)
+        mesh = list(_uniform_square_meshes(config))[-1][1]
+        dm = build_dofmap(mesh)
+        geom = element_geometry(mesh)
+        tracemalloc.start()
+        try:
+            cache = build_edge_cache(mesh, dm, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(getattr(cache, field.name).nbytes
+                   for field in dataclasses.fields(cache))
+        assert peak <= 3.5 * kept
+
     @pytest.mark.parametrize("name", ["nvb_lshape", "square16"])
     def test_a_norm_is_the_infinity_norm(self, name):
         ws = discretize(example1_spec(), discrete_setup(name)[0])

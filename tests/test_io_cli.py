@@ -3,13 +3,14 @@
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import c0ip_control
-from c0ip_control import (Mesh, bisect, clamp, example1_spec, make_lshape,
-                          make_unit_square)
+from c0ip_control import (Mesh, bisect, clamp, example1_spec, example2_spec,
+                          make_lshape, make_unit_square)
 from c0ip_control import adaptive, cli, solver
 from c0ip_control.assembly import element_geometry
 from c0ip_control.cli import (RunConfig, main, run_adaptive_study,
@@ -188,6 +189,43 @@ class TestDrivers:
         assert kkt.satisfied
         assert report.eta_total > 0.0
         assert (tmp_path / "boundary_demo.csv").exists()
+
+
+class TestOneLevelAlive:
+    """Each study frees a level's discretization before it builds the next
+    one, and the uniform studies build the finest level first."""
+
+    @pytest.fixture
+    def levels(self, monkeypatch):
+        # the triangle count of every discretized mesh, in call order; each
+        # call asserts that no earlier discretization is still alive
+        calls, alive = [], []
+        original = solver.discretize
+
+        def tracking(spec, mesh):
+            assert all(ref() is None for ref in alive)
+            ws = original(spec, mesh)
+            alive.append(weakref.ref(ws))
+            calls.append(mesh.num_triangles)
+            return ws
+
+        monkeypatch.setattr(adaptive, "discretize", tracking)
+        monkeypatch.setattr(cli, "discretize", tracking)
+        return calls
+
+    def test_adaptive(self, levels):
+        history = adaptive.run_adaptive(example2_spec(), make_lshape(2),
+                                        theta=0.3, max_dofs=500)
+        assert len(history.records) > 3
+        assert levels == [m.num_triangles for m in history.meshes]
+
+    @pytest.mark.parametrize("study", [run_example1, run_vd_compare])
+    def test_uniform_finest_first(self, tmp_path, levels, study):
+        config = RunConfig(levels=3, out=str(tmp_path))
+        rows = study(config)
+        meshes = list(_uniform_square_meshes(config))
+        assert levels == [m.num_triangles for _, m in reversed(meshes)]
+        assert [row[0] for row in rows] == [0.25, 0.125, 0.0625]
 
 
 class TestCommandLine:
