@@ -30,6 +30,17 @@ equations for its control. CG stops once its recursive residual is at
 most CG_RTOL ||B_I^T phi_s||; that relative residual is what
 ``PdasStep.cg_residual`` reports, the solution's in
 ``KktSolution.trace[-1]``.
+
+While the factor is alive the iteration keeps its control-sized arrays in
+a fixed set of buffers: one control buffer, which holds the raw estimate,
+then q_s, then q, and is returned; one inactive-supported vector, the
+argument of B in the reduced Hessian; CG's x, r, z, p and H p on the
+inactive set, updated in place; and for the variational control one
+(nt, nq) work array shared by the products with N and N^T. A product
+allocates only dof-sized vectors and the gathered (B^T y)_I. Each product
+and CG step keeps the operands and the order of operations of the
+textbook recurrences, so the results are the same arrays bit for bit as
+with fresh arrays at every step.
 """
 
 from __future__ import annotations
@@ -305,12 +316,14 @@ def _objective(ws, u_free, qvals, measures):
 
 def _pcg(apply, rhs, inv_diag, scale):
     """Diagonally preconditioned CG from zero for H x = rhs, with H SPD and
-    ``apply(v)`` = H v.
+    ``apply(v, out)`` writing H v into ``out``.
 
     Stops once ||rhs - H x|| <= CG_RTOL * scale (recursive residual) and
     returns (x, steps, ||rhs - H x|| / scale), which the iteration trace
     records; returns x = 0 when ``scale`` is zero, and raises PdasError
-    after CG_MAX_ITER steps without convergence.
+    after CG_MAX_ITER steps without convergence. x, r, z, p and H p are
+    the only vectors, each updated in place with the operands and order of
+    the textbook recurrences; ``rhs`` and ``inv_diag`` are left unchanged.
     """
     x = np.zeros_like(rhs)
     if scale == 0.0:
@@ -318,6 +331,7 @@ def _pcg(apply, rhs, inv_diag, scale):
     r = rhs.copy()
     z = inv_diag * r
     p = z.copy()
+    hp = np.empty_like(rhs)
     rz = r @ z
     for steps in range(CG_MAX_ITER + 1):
         rel = float(np.linalg.norm(r) / scale)
@@ -325,13 +339,15 @@ def _pcg(apply, rhs, inv_diag, scale):
             return x, steps, rel
         if steps == CG_MAX_ITER:
             break
-        hp = apply(p)
+        apply(p, hp)
         step = rz / (p @ hp)
-        x += step * p
-        r -= step * hp
-        z = inv_diag * r
+        # z is free until it is formed again from the new r
+        x += np.multiply(step, p, out=z)
+        r -= np.multiply(step, hp, out=hp)
+        np.multiply(inv_diag, r, out=z)
         rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old
+        p += z
     raise PdasError("CG on the reduced control system did not converge in "
                     "%d steps (relative residual %.3e)" % (CG_MAX_ITER, rel))
 
@@ -362,13 +378,26 @@ def _pdas(ws, apply_b, apply_bt, d_meas, raw):
 
     B is read only through ``apply_b(x)``, B x on the free dofs, and
     ``apply_bt(y)``, B^T y on the controls; the reduced Hessian applies
-    them to full-length controls that are zero off the inactive set.
+    them to full-length controls that are zero off the inactive set. The
+    result of ``apply_bt`` is consumed before the next product, so it may
+    be a work array that the next product overwrites.
+
+    ``raw`` becomes the returned control: each iteration turns the raw
+    estimate in it into q_s, adds the CG correction, and writes the raw
+    estimate of the new adjoint over it; once the active sets repeat, q_s
+    is the last iterate's control. Besides it, the iteration allocates one
+    control-sized vector per solve, the inactive-supported argument of the
+    reduced Hessian, and CG's vectors on the inactive set. B_I^T phi_s,
+    the CG right-hand side and the correction dq are freed as soon as they
+    are used.
     """
     spec = ws.spec
     m_f = ws.mass
     alpha = spec.alpha
     nent = len(d_meas)
     lu = ws.lu
+    q = raw
+    x_full = np.zeros(nent)
 
     def back_solve(qvals):
         u = lu.solve(ws.load_f + apply_b(qvals))
@@ -379,9 +408,14 @@ def _pdas(ws, apply_b, apply_bt, d_meas, raw):
     trace = []
 
     for it in range(1, PDAS_MAX_ITER + 1):
-        act_up = raw >= spec.upper
-        act_lo = (raw <= spec.lower) & ~act_up
+        act_up = q >= spec.upper
+        act_lo = (q <= spec.lower) & ~act_up
+        # q_s: the bounds on the active sets, the raw estimate elsewhere
+        q[act_up] = spec.upper
+        q[act_lo] = spec.lower
         sig = (act_up.tobytes(), act_lo.tobytes())
+        # the sets are held once, in their signature
+        act_up, act_lo = (np.frombuffer(b, dtype=bool) for b in sig)
         if seen and sig == seen[-1]:
             break
         if sig in seen:
@@ -392,35 +426,46 @@ def _pdas(ws, apply_b, apply_bt, d_meas, raw):
         seen.append(sig)
 
         inactive = ~(act_up | act_lo)
-        qvals = np.where(act_up, spec.upper, np.where(act_lo, spec.lower,
-                                                      raw))
-        u_free, phi_free = back_solve(qvals)
+        u_free, phi_free = back_solve(q)
         cg_steps, cg_res = 0, 0.0
         if inactive.any():
             alpha_d = alpha * d_meas[inactive]
-            x_full = np.zeros(nent)
+            x_full.fill(0.0)
 
-            def reduced_hessian(x):
+            def reduced_hessian(x, out):
                 x_full[inactive] = x
                 du = lu.solve(apply_b(x_full))
-                return alpha_d * x + apply_bt(lu.solve(m_f @ du))[inactive]
+                np.multiply(alpha_d, x, out=out)
+                out += apply_bt(lu.solve(m_f @ du))[inactive]
 
             bt_phi = apply_bt(phi_free)[inactive]
+            del u_free, phi_free    # back-solved again for q_s + dq
+            scale = np.linalg.norm(bt_phi)
+            rhs = alpha_d * q[inactive]
+            rhs += bt_phi
+            del bt_phi
             dq, cg_steps, cg_res = _pcg(
-                reduced_hessian, -(alpha_d * qvals[inactive] + bt_phi),
-                1.0 / alpha_d, np.linalg.norm(bt_phi))
-            qvals[inactive] += dq
-            u_free, phi_free = back_solve(qvals)
+                reduced_hessian, np.negative(rhs, out=rhs), 1.0 / alpha_d,
+                scale)
+            del rhs
+            q[inactive] += dq
+            del dq
+            u_free, phi_free = back_solve(q)
 
-        raw = -apply_bt(phi_free) / (alpha * d_meas)
-        q_in = raw[inactive]
-        qvals[inactive] = q_in
+        # the raw estimate of this adjoint replaces q_s + dq; the iterate's
+        # control is the raw estimate on the inactive set
+        bt_phi = apply_bt(phi_free)
+        np.multiply(alpha, d_meas, out=q)
+        np.divide(np.negative(bt_phi, out=bt_phi), q, out=q)
+        objective = _objective(ws, u_free, np.where(
+            act_up, spec.upper, np.where(act_lo, spec.lower, q)), d_meas)
         status = act_up.astype(np.int8) - act_lo.astype(np.int8)
         trace.append(PdasStep(
             int(inactive.sum()), int(np.count_nonzero(status != prev_status)),
             cg_steps, cg_res,
-            int(np.count_nonzero((q_in < spec.lower) | (q_in > spec.upper))),
-            _objective(ws, u_free, qvals, d_meas)))
+            int(np.count_nonzero(inactive & ((q < spec.lower)
+                                             | (q > spec.upper)))),
+            objective))
         prev_status = status
     else:
         raise PdasError(
@@ -428,12 +473,11 @@ def _pdas(ws, apply_b, apply_bt, d_meas, raw):
             % PDAS_MAX_ITER,
             signatures=seen[-2:])
 
-    q = ControlField(qvals, spec.lower, spec.upper, d_meas)
-    r_state, r_adj = _residuals(ws, u_free, phi_free, apply_b(qvals))
+    r_state, r_adj = _residuals(ws, u_free, phi_free, apply_b(q))
     return KktSolution(
         u=ws.full_coeffs(u_free),
         phi=ws.full_coeffs(phi_free),
-        q=q,
+        q=ControlField(q, spec.lower, spec.upper, d_meas),
         active_lower=np.flatnonzero(act_lo),
         active_upper=np.flatnonzero(act_up),
         state_residual=r_state,
@@ -448,7 +492,10 @@ def _point_kernel(ws, rule):
     element; and the point measures w_k det_t.
 
     Both products contract the reference shape values (nq, 6) with an
-    (nt, nq) or (nt, 6) array, so no (nt, nq, 6) table is formed."""
+    (nt, nq) or (nt, 6) array, so no (nt, nq, 6) table is formed. Their
+    (nt, nq) operand is one work array that every product reuses, and
+    N^T y returns a view of it: a caller consumes it before the next
+    product."""
     dofmap = ws.dofmap
     nt, nq = len(dofmap.tri_dofs), len(rule.weights)
     measures = ws.geom.det[:, None] * rule.weights           # (nt, nq)
@@ -457,15 +504,17 @@ def _point_kernel(ws, rule):
     # N^T y reads 0 there
     rows = dofmap.free_cols[dofmap.tri_dofs]
     y_ext = np.zeros(dofmap.nfree + 1)
+    work = np.empty((nt, nq))
 
     def apply_n(x):
-        local = (measures * x.reshape(nt, nq)) @ vals         # (nt, 6)
+        local = np.multiply(measures, x.reshape(nt, nq), out=work) @ vals
         return np.bincount(rows.ravel(), local.ravel(),
                            minlength=dofmap.nfree + 1)[:-1]
 
     def apply_nt(y):
         y_ext[:-1] = y
-        return (measures * (y_ext[rows] @ vals.T)).ravel()
+        np.matmul(y_ext[rows], vals.T, out=work)
+        return np.multiply(measures, work, out=work).ravel()
 
     return apply_n, apply_nt, measures.ravel()
 
@@ -475,19 +524,21 @@ def solve_variational(ws, full):
 
     The control is clamp(-phi_h/alpha) at the points of the degree-8 rule
     (module docstring). The iteration starts from -phi_full(x_k)/alpha,
-    with ``full`` the ``solve_pdas`` solution of ``ws``, and returns a
-    ``KktSolution`` whose ``q`` holds the point values, triangle by
-    triangle. Distributed control only; raises ``PdasError`` as
-    ``solve_pdas`` does.
+    with ``full`` the ``solve_pdas`` solution of ``ws``, formed in place
+    over phi_full(x_k), which is not kept: that array becomes the control
+    buffer of ``_pdas`` and the returned ``q.values``, point values
+    triangle by triangle. Distributed control only; raises ``PdasError``
+    as ``solve_pdas`` does.
     """
     spec = ws.spec
     if spec.kind != "distributed":
         raise ValueError("variational discretization: distributed kind only")
     rule = quadrature("triangle", ERROR_DEGREE)
     apply_n, apply_nt, measures = _point_kernel(ws, rule)
-    phi_at_points = eval_on_elements(ws.dofmap, full.phi, rule)
-    return _pdas(ws, apply_n, apply_nt, measures,
-                 -phi_at_points.ravel() / spec.alpha)
+    raw = eval_on_elements(ws.dofmap, full.phi, rule).ravel()
+    np.negative(raw, out=raw)
+    raw /= spec.alpha
+    return _pdas(ws, apply_n, apply_nt, measures, raw)
 
 
 def evaluate_p2(geom, dofmap, coeffs, x, y):

@@ -15,6 +15,8 @@ from c0ip_control import (boundary_demo_spec, build_dofmap, clamp,
 from c0ip_control.assembly import (ERROR_DEGREE, element_geometry,
                                    eval_on_elements)
 from c0ip_control import solver
+from c0ip_control.cli import RunConfig, _uniform_square_meshes
+from c0ip_control.controls import ControlField
 from c0ip_control.fem import quadrature, shape_values
 from c0ip_control.solver import (PdasError, ProblemSpec, _objective,
                                  discretize, evaluate_p2, projection_ph,
@@ -264,6 +266,13 @@ class TestCarriedStateAdjoint:
             assert sol.state_residual <= 1e-15
 
 
+def _dense_product(h):
+    """``_pcg``'s product: H v written into ``out``."""
+    def apply(v, out):
+        np.matmul(h, v, out=out)
+    return apply
+
+
 class TestPcg:
     """``_pcg`` on a dense SPD system."""
 
@@ -276,35 +285,197 @@ class TestPcg:
 
     def test_matches_dense_solve(self):
         h, rhs, inv_diag = self._system()
-        x, steps, rel = solver._pcg(h.__matmul__, rhs, inv_diag,
+        rhs_in, inv_diag_in = rhs.copy(), inv_diag.copy()
+        x, steps, rel = solver._pcg(_dense_product(h), rhs, inv_diag,
                                     np.linalg.norm(rhs))
         assert steps > 0 and rel <= solver.CG_RTOL
         ref = np.linalg.solve(h, rhs)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.array_equal(rhs, rhs_in)
+        assert np.array_equal(inv_diag, inv_diag_in)
+
+    def test_matches_allocating_oracle(self):
+        h, rhs, inv_diag = self._system()
+        got = solver._pcg(_dense_product(h), rhs, inv_diag,
+                          np.linalg.norm(rhs))
+        ref = pcg_allocating(h.__matmul__, rhs, inv_diag,
+                             np.linalg.norm(rhs))
+        assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
 
     @pytest.mark.parametrize("factor", [1.0, 1e6])
     def test_stops_at_first_step_within_scale(self, monkeypatch, factor):
         # the residual is read relative to ``scale``: a larger scale stops
         # CG earlier, and one step fewer than it took raises
         h, rhs, inv_diag = self._system()
+        apply = _dense_product(h)
         scale = factor * np.linalg.norm(rhs)
-        x, steps, rel = solver._pcg(h.__matmul__, rhs, inv_diag, scale)
+        x, steps, rel = solver._pcg(apply, rhs, inv_diag, scale)
         assert rel <= solver.CG_RTOL
         assert np.linalg.norm(rhs - h @ x) <= 2.0 * solver.CG_RTOL * scale
         if factor > 1.0:
-            assert steps < solver._pcg(h.__matmul__, rhs, inv_diag,
+            assert steps < solver._pcg(apply, rhs, inv_diag,
                                        np.linalg.norm(rhs))[1]
         monkeypatch.setattr(solver, "CG_MAX_ITER", steps - 1)
         with pytest.raises(PdasError, match="%d steps" % (steps - 1)):
-            solver._pcg(h.__matmul__, rhs, inv_diag, scale)
+            solver._pcg(apply, rhs, inv_diag, scale)
 
     def test_zero_scale_returns_zero(self):
-        def apply(v):
+        def apply(v, out):
             raise AssertionError("no product for a zero scale")
 
         _, rhs, inv_diag = self._system()
         x, steps, rel = solver._pcg(apply, rhs, inv_diag, 0.0)
         assert np.array_equal(x, np.zeros(20)) and steps == 0 and rel == 0.0
+
+
+# The point-control PDAS as it was before it reused its buffers, kept as
+# the oracle of ``_pcg``, ``_pdas`` and ``_point_kernel``: each product and
+# CG step allocates fresh arrays, with the operands and the order of
+# operations that the buffered solver must keep, so that both return the
+# same arrays bit for bit.
+def pcg_allocating(apply, rhs, inv_diag, scale):
+    """``_pcg`` with ``apply(v)`` returning H v, in fresh arrays."""
+    x = np.zeros_like(rhs)
+    if scale == 0.0:
+        return x, 0, 0.0
+    r = rhs.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = r @ z
+    for steps in range(solver.CG_MAX_ITER + 1):
+        rel = float(np.linalg.norm(r) / scale)
+        if rel <= solver.CG_RTOL:
+            return x, steps, rel
+        if steps == solver.CG_MAX_ITER:
+            break
+        hp = apply(p)
+        step = rz / (p @ hp)
+        x += step * p
+        r -= step * hp
+        z = inv_diag * r
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    raise PdasError("CG did not converge in %d steps" % solver.CG_MAX_ITER)
+
+
+def pdas_allocating(ws, apply_b, apply_bt, d_meas, raw):
+    """``_pdas`` with a raw estimate and a control per iteration."""
+    spec = ws.spec
+    m_f = ws.mass
+    alpha = spec.alpha
+    nent = len(d_meas)
+    lu = ws.lu
+
+    def back_solve(qvals):
+        u = lu.solve(ws.load_f + apply_b(qvals))
+        return u, lu.solve(m_f @ u - ws.load_ud)
+
+    prev_status = np.zeros(nent, dtype=np.int8)
+    seen = []
+    trace = []
+    for _ in range(solver.PDAS_MAX_ITER):
+        act_up = raw >= spec.upper
+        act_lo = (raw <= spec.lower) & ~act_up
+        sig = (act_up.tobytes(), act_lo.tobytes())
+        if seen and sig == seen[-1]:
+            break
+        assert sig not in seen
+        seen.append(sig)
+        inactive = ~(act_up | act_lo)
+        qvals = np.where(act_up, spec.upper, np.where(act_lo, spec.lower,
+                                                      raw))
+        u_free, phi_free = back_solve(qvals)
+        cg_steps, cg_res = 0, 0.0
+        if inactive.any():
+            alpha_d = alpha * d_meas[inactive]
+            x_full = np.zeros(nent)
+
+            def reduced_hessian(x):
+                x_full[inactive] = x
+                du = lu.solve(apply_b(x_full))
+                return alpha_d * x + apply_bt(lu.solve(m_f @ du))[inactive]
+
+            bt_phi = apply_bt(phi_free)[inactive]
+            dq, cg_steps, cg_res = pcg_allocating(
+                reduced_hessian, -(alpha_d * qvals[inactive] + bt_phi),
+                1.0 / alpha_d, np.linalg.norm(bt_phi))
+            qvals[inactive] += dq
+            u_free, phi_free = back_solve(qvals)
+        raw = -apply_bt(phi_free) / (alpha * d_meas)
+        q_in = raw[inactive]
+        qvals[inactive] = q_in
+        status = act_up.astype(np.int8) - act_lo.astype(np.int8)
+        trace.append(solver.PdasStep(
+            int(inactive.sum()), int(np.count_nonzero(status != prev_status)),
+            cg_steps, cg_res,
+            int(np.count_nonzero((q_in < spec.lower) | (q_in > spec.upper))),
+            _objective(ws, u_free, qvals, d_meas)))
+        prev_status = status
+    else:
+        raise PdasError("active sets did not stabilize")
+    r_state, r_adj = solver._residuals(ws, u_free, phi_free, apply_b(qvals))
+    return solver.KktSolution(
+        u=ws.full_coeffs(u_free), phi=ws.full_coeffs(phi_free),
+        q=ControlField(qvals, spec.lower, spec.upper, d_meas),
+        active_lower=np.flatnonzero(act_lo),
+        active_upper=np.flatnonzero(act_up),
+        state_residual=r_state, adjoint_residual=r_adj, trace=trace)
+
+
+def point_kernel_allocating(ws, rule):
+    """``_point_kernel`` with fresh (nt, nq) arrays in every product."""
+    dofmap = ws.dofmap
+    nt, nq = len(dofmap.tri_dofs), len(rule.weights)
+    measures = ws.geom.det[:, None] * rule.weights
+    vals = shape_values(rule.points)
+    rows = dofmap.free_cols[dofmap.tri_dofs]
+    y_ext = np.zeros(dofmap.nfree + 1)
+
+    def apply_n(x):
+        local = (measures * x.reshape(nt, nq)) @ vals
+        return np.bincount(rows.ravel(), local.ravel(),
+                           minlength=dofmap.nfree + 1)[:-1]
+
+    def apply_nt(y):
+        y_ext[:-1] = y
+        return (measures * (y_ext[rows] @ vals.T)).ravel()
+
+    return apply_n, apply_nt, measures.ravel()
+
+
+def solves_allocating(ws):
+    """``solve_pdas`` and, for distributed control, ``solve_variational``
+    of ``ws`` through the oracles above."""
+    b_f = ws.coupling
+    full = pdas_allocating(ws, b_f.__matmul__, b_f.T.__matmul__,
+                           ws.measures, np.zeros(len(ws.measures)))
+    if ws.spec.kind != "distributed":
+        return full, None
+    rule = quadrature("triangle", ERROR_DEGREE)
+    apply_n, apply_nt, measures = point_kernel_allocating(ws, rule)
+    phi_at_points = eval_on_elements(ws.dofmap, full.phi, rule)
+    return full, pdas_allocating(ws, apply_n, apply_nt, measures,
+                                 -phi_at_points.ravel() / ws.spec.alpha)
+
+
+def assert_same_solution(got, ref):
+    """The two ``KktSolution``s hold the same arrays, bit for bit, and the
+    same iteration trace."""
+    for name, a, b in (("u", got.u, ref.u), ("phi", got.phi, ref.phi),
+                       ("q.values", got.q.values, ref.q.values),
+                       ("q.measures", got.q.measures, ref.q.measures),
+                       ("active_lower", got.active_lower, ref.active_lower),
+                       ("active_upper", got.active_upper, ref.active_upper)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.trace == ref.trace
+    assert (got.state_residual, got.adjoint_residual) == (
+        ref.state_residual, ref.adjoint_residual)
+
+
+@pytest.fixture(scope="module")
+def vd_mesh_32():
+    """The h = 1/32 mesh of the vd study (``--levels 4``)."""
+    return list(_uniform_square_meshes(RunConfig(levels=4)))[-1][1]
 
 
 def _block_pdas(spec, ws, max_iter=50):
@@ -389,6 +560,33 @@ class TestReducedSolveEquivalence:
         projection_ph(ws, "adjoint")
         n = ws.dofmap.nfree
         assert shapes == [(n, n)]
+
+
+class TestBuffersAreBitwise:
+    """``solve_pdas`` and ``solve_variational`` return the same arrays and
+    traces as the allocating oracles, on the cases of
+    ``TestReducedSolveEquivalence`` and on the finest mesh of the vd
+    study."""
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("bounds", [(-750.0, -50.0), (-np.inf, np.inf)])
+    def test_square16(self, alpha, bounds):
+        self._compare(discretize(example1_spec(alpha, *bounds),
+                                 make_unit_square(16)))
+
+    def test_boundary_control(self):
+        self._compare(discretize(boundary_demo_spec(), make_unit_square(8)))
+
+    def test_vd_study_finest_mesh(self, vd_mesh_32):
+        self._compare(discretize(example1_spec(), vd_mesh_32))
+
+    @staticmethod
+    def _compare(ws):
+        full = solve_pdas(ws)
+        ref_full, ref_vd = solves_allocating(ws)
+        assert_same_solution(full, ref_full)
+        if ref_vd is not None:
+            assert_same_solution(solve_variational(ws, full), ref_vd)
 
 
 class TestDegenerateInputs:
@@ -543,6 +741,34 @@ class TestVariational:
         finally:
             tracemalloc.stop()
         assert peak < nt * nq * 6 * 8
+
+    def test_point_pdas_holds_bounded_buffers(self, vd_mesh_32):
+        # The bound k counts the arrays the point-control PDAS must hold at
+        # once, in units of one point-sized float array (nt nq 8 bytes):
+        # - 4 point-sized: the measures w_k det_t and the control buffer
+        #   (both returned), the (nt, nq) work array of N and N^T, and the
+        #   inactive-supported argument of the reduced Hessian;
+        # - 9 on the inactive set during a CG step: alpha D_I, its inverse,
+        #   the right-hand side, x, r, z, p, H p and the gathered
+        #   (N^T y)_I of H p; 22 352 of the 51 200 points are inactive on
+        #   this mesh, so these weigh 3.93;
+        # - 1.5 for all that is smaller: four one-byte masks and
+        #   signatures of 1/8 each, the piecewise-constant solution passed
+        #   in (0.3), the kernel's (nt, 6) index table (0.12) and about six
+        #   dof-sized vectors (0.08 each).
+        # That is k = 9.43 here; the allocating oracle reads 12.2.
+        ws = discretize(example1_spec(), vd_mesh_32)
+        rule = quadrature("triangle", ERROR_DEGREE)
+        nent = len(ws.dofmap.tri_dofs) * len(rule.weights)
+        tracemalloc.start()
+        try:
+            vd = solve_variational(ws, solve_pdas(ws))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        inactive = max(step.inactive for step in vd.trace)
+        k = 4 + 9 * inactive / nent + 1.5
+        assert peak < k * nent * 8
 
     def test_variational_control_matches_point_evaluation(self):
         spec = example1_spec()
